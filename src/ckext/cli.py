@@ -24,17 +24,13 @@ import sys
 
 from .fgab import FgAbelianGroup, GroupElement
 from .invariants import (
+    ExtInvariantReport,
     ValidationError,
     ZeroOneMatrix,
-    extw,
-    hat_q,
     invariants_report,
     toeplitz_d_vector,
-    toeplitz_strong,
-    toeplitz_weak,
     transpose,
     validate,
-    verify_exact_sequence,
     verify_im0_identity,
 )
 from .markediso import (
@@ -42,6 +38,7 @@ from .markediso import (
     MarkedGroup,
     TorsionTooLargeError,
     marked_isomorphic,
+    transposed_weak_pair,
 )
 from .corpus import CORPUS
 
@@ -95,8 +92,8 @@ def _element_doc(e: GroupElement) -> dict:
     return {"free": list(e.free_coords), "torsion": list(e.torsion_coords)}
 
 
-def report_document(a: ZeroOneMatrix, *, verification: dict | None = None) -> dict:
-    rep = invariants_report(a)
+def report_document(rep: ExtInvariantReport, *, verification: dict | None = None) -> dict:
+    a = rep.matrix
     doc = {
         "n": a.n,
         "matrix": [list(row) for row in a.entries],
@@ -117,13 +114,13 @@ def report_document(a: ZeroOneMatrix, *, verification: dict | None = None) -> di
     return doc
 
 
-def verification_document(a: ZeroOneMatrix) -> dict:
-    seq = verify_exact_sequence(a)
-    strong = toeplitz_strong(a)
+def verification_document(rep: ExtInvariantReport) -> dict:
+    a, strong = rep.matrix, rep.toeplitz_strong
+    seq = rep.exact_sequence()
     m_independent = all(
         strong.parent.class_of(toeplitz_d_vector(a, m)) == strong
         for m in range(1, a.n + 1))
-    commutes = hat_q(a, strong) == toeplitz_weak(a)
+    commutes = rep.hat_q(strong) == rep.toeplitz_weak
     return {
         "im0_identity": verify_im0_identity(a),
         "exact_sequence": {
@@ -184,9 +181,10 @@ def _emit(doc: dict, fmt: str, text_renderer) -> None:
 
 
 def cmd_compute(args) -> int:
-    a = load_matrix(args.path, use_transpose=args.transpose, force=args.force)
-    verification = verification_document(a) if args.verify else None
-    doc = report_document(a, verification=verification)
+    rep = invariants_report(load_matrix(args.path, use_transpose=args.transpose,
+                                        force=args.force))
+    verification = verification_document(rep) if args.verify else None
+    doc = report_document(rep, verification=verification)
     _emit(doc, args.format, render_report_text)
     return EXIT_OK
 
@@ -194,9 +192,7 @@ def cmd_compute(args) -> int:
 def cmd_compare(args) -> int:
     a = load_matrix(args.path_a)
     b = load_matrix(args.path_b)
-    at, bt = transpose(a), transpose(b)
-    pair_a = MarkedGroup(extw(at), (toeplitz_weak(at),))
-    pair_b = MarkedGroup(extw(bt), (toeplitz_weak(bt),))
+    pair_a, pair_b = transposed_weak_pair(a), transposed_weak_pair(b)
     verdict = marked_isomorphic(pair_a, pair_b, torsion_bound=args.torsion_bound)
     doc = {
         "a": {"matrix": [list(r) for r in a.entries],
@@ -222,17 +218,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    a = load_matrix(args.path)
-    doc = verification_document(a)
-    doc["det_i_minus_a"] = invariants_report(a).det_i_minus_a
+    rep = invariants_report(load_matrix(args.path))
+    doc = verification_document(rep)
+    doc["det_i_minus_a"] = rep.det_i_minus_a
     ok = _verification_passed(doc)
     doc["all_passed"] = ok
 
     def text(d):
-        body = render_verification_text({k: d[k] for k in
-                                         ("im0_identity", "exact_sequence",
-                                          "toeplitz_m_independence", "hat_q_commutation",
-                                          "kernel_sum_generator")})
+        body = render_verification_text(d)
         return body + f"det_i_minus_a: {d['det_i_minus_a']}\nall_passed: {d['all_passed']}\n"
 
     _emit(doc, args.format, text)
@@ -242,11 +235,9 @@ def cmd_verify(args) -> int:
 def cmd_examples(args) -> int:
     results = []
     for entry in CORPUS:
-        a = validate(entry.rows)
-        weak_pair = MarkedGroup(extw(a), (toeplitz_weak(a),))
-        strong = toeplitz_strong(a)
-        iota_one = invariants_report(a).iota_one
-        strong_triple = MarkedGroup(strong.parent, (strong, iota_one))
+        rep = invariants_report(validate(entry.rows))
+        weak_pair = MarkedGroup(rep.extw_group, (rep.toeplitz_weak,))
+        strong_triple = MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one))
         checks = (
             ("weak pair", weak_pair, entry.weak),
             ("strong triple", strong_triple, entry.strong),

@@ -5,15 +5,17 @@ predicates everything else is built on: Smith normal form with unimodular
 transforms, a canonical column-style Hermite normal form, Bareiss
 determinants, integer kernels, and column-lattice equality/membership.
 
-All values are immutable; every function is pure.  Matrices are deliberately
-dense and unoptimised: the intended scale is desk-size (N up to ~50), where
-exactness matters and performance does not.
+All values are immutable; every function is pure.  Matrices are dense.  The
+Smith form applies each elementary operation to its transforms and to their
+inverses at once, and certifies its result by exact products instead of
+determinant re-checks; README.md gives measured sizes and times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 
 class NotSquareError(ValueError):
@@ -122,9 +124,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
-        ot = other.transpose().entries
-        data = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                     for row in self.entries)
+        cols = list(zip(*other.entries)) or [()] * other.cols
+        data = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
         return IntMatrix(self.rows, other.cols, data)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -135,16 +136,20 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Triple (u, d, v) with u @ m @ v = d, u and v unimodular, d diagonal
-    with nonnegative entries forming a divisibility chain (zeros trailing)."""
+    """Transforms with u @ m @ v = d, their inverses u_inv and v_inv, and d
+    diagonal with nonnegative entries forming a divisibility chain (zeros
+    trailing).  Construction certifies u @ u_inv = I and v_inv @ v = I."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
     def __post_init__(self):
         n, m = self.d.rows, self.d.cols
-        if (self.u.rows, self.u.cols) != (n, n) or (self.v.rows, self.v.cols) != (m, m):
+        shapes = [(t.rows, t.cols) for t in (self.u, self.u_inv, self.v, self.v_inv)]
+        if shapes != [(n, n), (n, n), (m, m), (m, m)]:
             raise DimensionMismatchError("transform shapes do not match diagonal")
         for i in range(n):
             for j in range(m):
@@ -161,11 +166,19 @@ class SmithDecomposition:
                         raise ValueError("zero invariant factor before nonzero one")
                 elif nxt % x != 0:
                     raise ValueError("divisibility chain violated")
-        if abs(determinant(self.u)) != 1 or abs(determinant(self.v)) != 1:
-            raise NotUnimodularError("transforms are not unimodular")
+        if (self.u @ self.u_inv != IntMatrix.identity(n)
+                or self.v_inv @ self.v != IntMatrix.identity(m)):
+            raise NotUnimodularError("transforms do not multiply with their inverses to I")
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
+
+    def kernel(self) -> IntMatrix:
+        """Basis of {x : m @ x = 0}: the columns of v whose factor is zero."""
+        diag = self.diagonal()
+        return IntMatrix.from_columns(
+            [self.v.column(j) for j in range(self.d.cols) if j >= len(diag) or diag[j] == 0],
+            rows=self.d.cols)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -209,44 +222,47 @@ def determinant(m: IntMatrix) -> int:
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
+    """Smith normal form with transforms and their inverses.
 
     Pivots are chosen with minimal absolute value to limit entry growth; the
     divisibility chain is enforced by folding any non-divisible remainder back
-    into the pivot row before advancing.
+    into the pivot row before advancing.  A row operation on U is applied to
+    U^-1 as the inverse column operation, a column operation on V to V^-1 as
+    the inverse row operation.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    u, v, vi = eye(nr), eye(nc), eye(nc)
+    ui_cols = eye(nr)  # U^-1 by columns, so its column operations act on whole lists
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        ui_cols[i], ui_cols[j] = ui_cols[j], ui_cols[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
-    def add_row(src, dst, q):  # row[dst] += q * row[src]
-        ad, asrc = a[dst], a[src]
-        for j in range(nc):
-            ad[j] += q * asrc[j]
-        ud, usrc = u[dst], u[src]
-        for j in range(nr):
-            ud[j] += q * usrc[j]
+    def add_row(src, dst, q):  # row[dst] += q * row[src]; U^-1: col[src] -= q * col[dst]
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        ui_cols[src] = [x - q * y for x, y in zip(ui_cols[src], ui_cols[dst])]
 
-    def add_col(src, dst, q):  # col[dst] += q * col[src]
-        for row in a:
+    def add_col(src, dst, q):  # col[dst] += q * col[src]; V^-1: row[src] -= q * row[dst]
+        for row in a + v:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        vi[src] = [x - q * y for x, y in zip(vi[src], vi[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        ui_cols[i] = [-x for x in ui_cols[i]]
 
     for t in range(min(nr, nc)):
         best = None
@@ -305,11 +321,13 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                 break
             add_row(bad, t, 1)
 
-    um = IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ())
-    vm = IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ())
+    um, uim = IntMatrix.from_rows(u), IntMatrix.from_columns(ui_cols, rows=nr)
+    vm, vim = IntMatrix.from_rows(v), IntMatrix.from_rows(vi)
     dm = IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
-    assert (um @ m @ vm) == dm
-    return SmithDecomposition(um, dm, vm)
+    # With V^-1 V = I (certified by SmithDecomposition), U M = D V^-1 is U M V = D.
+    if um @ m != dm @ vim:
+        raise ArithmeticError("Smith transforms do not reduce the matrix")
+    return SmithDecomposition(um, dm, vm, uim, vim)
 
 
 def hnf_columns(m: IntMatrix) -> IntMatrix:
@@ -384,26 +402,5 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     Returns a matrix with cols(m) rows and one column per kernel generator
     (zero columns when the kernel is trivial).
     """
-    dec = snf(m)
-    diag = dec.diagonal()
-    cols = []
-    for j in range(m.cols):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            cols.append(dec.v.column(j))
-    return IntMatrix.from_columns(cols, rows=m.cols)
+    return snf(m).kernel()
 
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    Uses the Smith form: if p @ m @ q = I then m^-1 = q @ p.
-    """
-    if m.rows != m.cols:
-        raise NotSquareError("only square matrices can be unimodular")
-    dec = snf(m)
-    if dec.d != IntMatrix.identity(m.rows):
-        raise NotUnimodularError("matrix has nontrivial invariant factors")
-    inv = dec.v @ dec.u
-    assert inv @ m == IntMatrix.identity(m.rows)
-    return inv

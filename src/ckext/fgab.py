@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from .exactmat import (
     IntMatrix,
     DimensionMismatchError,
-    inverse_unimodular,
+    SmithDecomposition,
     snf,
 )
 
@@ -36,19 +36,18 @@ class FgAbelianGroup:
 
     ``ambient_factors`` records, per canonical coordinate of Z^N, the invariant
     factor attached to it: 0 for a free coordinate, 1 for a collapsed one, and
-    d > 1 for a torsion coordinate of order d.  ``coord_transform`` is the
-    unimodular U of the presentation's Smith form and maps representative
-    vectors into those coordinates; ``transform_inverse`` is its exact inverse,
-    kept so canonical coordinates can be lifted back to representatives.
+    d > 1 for a torsion coordinate of order d.  ``smith`` is the
+    presentation's Smith form: its U maps representative vectors into those
+    coordinates, and the U^-1 it carries (``smith.u_inv``) lifts canonical
+    coordinates back to representatives.
     """
 
     ambient_dim: int
     presentation: IntMatrix
     free_rank: int
     torsion: tuple[int, ...]
-    coord_transform: IntMatrix
     ambient_factors: tuple[int, ...]
-    transform_inverse: IntMatrix
+    smith: SmithDecomposition
 
     def __post_init__(self):
         if self.presentation.rows != self.ambient_dim:
@@ -86,7 +85,7 @@ class FgAbelianGroup:
         """Canonical coordinates of the class [v]."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("representative length differs from ambient dimension")
-        w = self.coord_transform.mul_vec(v)
+        w = self.smith.u.mul_vec(v)
         tcoords = tuple(w[i] % self.ambient_factors[i] for i in self.torsion_positions)
         fcoords = tuple(w[i] for i in self.free_positions)
         return GroupElement(self, tcoords, fcoords)
@@ -100,7 +99,7 @@ class FgAbelianGroup:
             w[i] = c
         for c, i in zip(a.free_coords, self.free_positions):
             w[i] = c
-        return self.transform_inverse.mul_vec(w)
+        return self.smith.u_inv.mul_vec(w)
 
 
 @dataclass(frozen=True)
@@ -163,9 +162,8 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
         presentation=m,
         free_rank=sum(1 for d in factors if d == 0),
         torsion=tuple(d for d in factors if d > 1),
-        coord_transform=dec.u,
         ambient_factors=factors,
-        transform_inverse=inverse_unimodular(dec.u),
+        smith=dec,
     )
 
 

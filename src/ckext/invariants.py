@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .exactmat import (
     IntMatrix,
+    hnf_columns,
     kernel_basis,
-    lattice_contains,
     lattice_equal,
 )
 from .exactmat import determinant as _determinant
@@ -146,7 +146,8 @@ def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
     am = a.as_int_matrix()
     hat = am + rn - am @ rn
     eye = IntMatrix.identity(a.n)
-    assert eye - hat == (eye - am) @ (eye - rn)
+    if eye - hat != (eye - am) @ (eye - rn):
+        raise ArithmeticError("I - A^ does not factor as (I - A)(I - R_n)")
     return hat
 
 
@@ -180,8 +181,7 @@ def _all_ones(n: int) -> tuple[int, ...]:
 
 def toeplitz_strong(a: ZeroOneMatrix) -> GroupElement:
     """Class of the Toeplitz extension in the strong group: -iota(1) - [1_N]."""
-    group = exts(a)
-    return _toeplitz_strong_in(group, a)
+    return _toeplitz_strong_in(exts(a), a)
 
 
 def _toeplitz_strong_in(group: FgAbelianGroup, a: ZeroOneMatrix) -> GroupElement:
@@ -190,10 +190,15 @@ def _toeplitz_strong_in(group: FgAbelianGroup, a: ZeroOneMatrix) -> GroupElement
     return iota_one.negate().add(ones.negate())
 
 
+def weak_pair(a: ZeroOneMatrix) -> tuple[FgAbelianGroup, GroupElement]:
+    """The weak group and its Toeplitz class, from one Smith form."""
+    group = extw(a)
+    return group, group.class_of(_all_ones(a.n)).negate()
+
+
 def toeplitz_weak(a: ZeroOneMatrix) -> GroupElement:
     """Class of the Toeplitz extension in the weak group: -[1_N]."""
-    group = extw(a)
-    return group.class_of(_all_ones(a.n)).negate()
+    return weak_pair(a)[1]
 
 
 def toeplitz_d_vector(a: ZeroOneMatrix, m: int) -> tuple[int, ...]:
@@ -217,7 +222,8 @@ def toeplitz_d_vector(a: ZeroOneMatrix, m: int) -> tuple[int, ...]:
             d.append(-2 if i == col else -1)
     vm = tuple(int(j == col) for j in range(a.n))
     closed = tuple(-x - 1 for x in _identity_minus(a).mul_vec(vm))
-    assert tuple(d) == closed
+    if tuple(d) != closed:
+        raise ArithmeticError("index vector differs from -(I - A) v(m) - 1_N")
     return tuple(d)
 
 
@@ -225,15 +231,16 @@ def hat_q(a: ZeroOneMatrix, x: GroupElement) -> GroupElement:
     """Quotient map from the strong group onto the weak group.
 
     Takes any representative of x and reinterprets its class modulo the larger
-    lattice (I - A) Z^N; well defined because (I - A^) Z^N is contained in it.
+    lattice (I - A) Z^N; well defined because (I - A^) Z^N is contained in it,
+    as the factorization I - A^ = (I - A)(I - R_1) certified by a_hat shows.
     """
-    strong = exts(a)
+    return _quotient(exts(a), extw(a), x)
+
+
+def _quotient(strong: FgAbelianGroup, weak: FgAbelianGroup, x: GroupElement) -> GroupElement:
     if x.parent != strong:
         raise ParentMismatchError("element does not belong to the strong group of this matrix")
-    i_minus_a = _identity_minus(a)
-    i_minus_hat = IntMatrix.identity(a.n) - a_hat(a, 1)
-    assert all(lattice_contains(i_minus_a, i_minus_hat.column(j)) for j in range(a.n))
-    return extw(a).class_of(strong.representative(x))
+    return weak.class_of(strong.representative(x))
 
 
 def determinant(a: ZeroOneMatrix) -> int:
@@ -246,11 +253,12 @@ def iota_kernel_generator(a: ZeroOneMatrix) -> int:
 
     The kernel of iota is exactly g Z, so g = 0 means iota is injective.
     """
-    basis = kernel_basis(_identity_minus(a))
-    g = 0
-    for j in range(basis.cols):
-        g = math.gcd(g, sum(basis.column(j)))
-    return g
+    return _kernel_sum_generator(extw(a))
+
+
+def _kernel_sum_generator(weak: FgAbelianGroup) -> int:
+    """g from the kernel of I - A that the weak group's Smith form carries."""
+    return math.gcd(*(sum(col) for col in weak.smith.kernel().columns()))
 
 
 def _sum_zero_image(a: ZeroOneMatrix) -> IntMatrix:
@@ -267,9 +275,9 @@ def _sum_zero_image(a: ZeroOneMatrix) -> IntMatrix:
 
 def verify_im0_identity(a: ZeroOneMatrix) -> bool:
     """Check Im(I - A)_0 = (I - A^_n) Z^N for every n in 1..N."""
-    im0 = _sum_zero_image(a)
+    im0 = hnf_columns(_sum_zero_image(a))
     eye = IntMatrix.identity(a.n)
-    return all(lattice_equal(im0, eye - a_hat(a, n)) for n in range(1, a.n + 1))
+    return all(hnf_columns(eye - a_hat(a, n)) == im0 for n in range(1, a.n + 1))
 
 
 @dataclass(frozen=True)
@@ -303,62 +311,9 @@ def _j_map_matrix(n: int) -> IntMatrix:
 
 
 def verify_exact_sequence(a: ZeroOneMatrix) -> ExactSequenceReport:
-    """Computationally verify each node of the long exact sequence.
-
-    The maps are i_1(n) = n e_1, j(l) = (-sum_{i>=2} l_i, l_2, ..., l_N) and
-    s(l) = sum l_i; kernels and images are compared as explicit lattices, and
-    the two quotient-group nodes are checked through class computations and a
-    lattice identity.
-    """
-    n = a.n
-    eye = IntMatrix.identity(n)
-    i_minus_a = _identity_minus(a)
-    i_minus_hat = eye - a_hat(a, 1)
-    e1 = IntMatrix.from_columns([(1,) + (0,) * (n - 1)], rows=n)
-
-    # (1) i_1 is injective and lands in Ker(I - A^): column 1 of I - A^ is zero.
-    start_injects = all(i_minus_hat.entries[i][0] == 0 for i in range(n))
-
-    # (2) Im(i_1) = Ker(j) within Ker(I - A^).
-    jm = _j_map_matrix(n)
-    joint = i_minus_hat.vstack(jm)
-    exact_at_kernel_hat = lattice_equal(kernel_basis(joint), e1)
-
-    # (3) j(Ker(I - A^)) = Ker(s) within Ker(I - A).
-    ker_hat = kernel_basis(i_minus_hat)
-    image_j = jm @ ker_hat
-    ones_row = IntMatrix.from_rows([(1,) * n])
-    ker_a_sum0 = kernel_basis(i_minus_a.vstack(ones_row))
-    exact_at_kernel = lattice_equal(image_j, ker_a_sum0)
-
-    # (4) Im(s) = g Z = Ker(iota): probe iota on a window of integers.
-    g = iota_kernel_generator(a)
-    strong = cokernel(i_minus_hat)
-    exact_at_integers = True
-    probes = set(range(-6, 7)) | {g, -g, 2 * g, -2 * g, 3 * g}
-    for m in probes:
-        expected_zero = (m == 0) if g == 0 else (m % g == 0)
-        if _iota_class(strong, a, m).is_zero() != expected_zero:
-            exact_at_integers = False
-            break
-
-    # (5) Ker(q^) = Im(iota): (I - A^) Z^N + Z (I - A) e_1 = (I - A) Z^N.
-    iota_col = IntMatrix.from_columns([i_minus_a.column(0)], rows=n)
-    exact_at_strong_group = lattice_equal(i_minus_hat.hstack(iota_col), i_minus_a)
-
-    # (6) q^ well defined and surjective: (I - A^) Z^N inside (I - A) Z^N.
-    quotient_surjective = all(
-        lattice_contains(i_minus_a, i_minus_hat.column(j)) for j in range(n))
-
-    return ExactSequenceReport(
-        start_injects=start_injects,
-        exact_at_kernel_hat=exact_at_kernel_hat,
-        exact_at_kernel=exact_at_kernel,
-        exact_at_integers=exact_at_integers,
-        exact_at_strong_group=exact_at_strong_group,
-        quotient_surjective=quotient_surjective,
-        kernel_sum_generator=g,
-    )
+    """Computationally verify each node of the long exact sequence; see
+    ExtInvariantReport.exact_sequence."""
+    return invariants_report(a).exact_sequence()
 
 
 @dataclass(frozen=True)
@@ -384,23 +339,82 @@ class ExtInvariantReport:
         if self.iota_kernel_generator < 0:
             raise ValueError("kernel generator must be nonnegative")
 
+    def hat_q(self, x: GroupElement) -> GroupElement:
+        """The quotient map from the strong group onto the weak group."""
+        return _quotient(self.exts_group, self.extw_group, x)
+
+    def exact_sequence(self) -> ExactSequenceReport:
+        """Computationally verify each node of the long exact sequence.
+
+        The maps are i_1(n) = n e_1, j(l) = (-sum_{i>=2} l_i, l_2, ..., l_N)
+        and s(l) = sum l_i.  Kernels are computed afresh and compared with
+        images as explicit lattices; the quotient-group nodes are checked
+        through classes in the report's strong group and lattice identities.
+        """
+        a = self.matrix
+        n = a.n
+        i_minus_a = _identity_minus(a)
+        i_minus_hat = self.exts_group.presentation
+        e1 = IntMatrix.from_columns([(1,) + (0,) * (n - 1)], rows=n)
+
+        # (1) i_1 is injective and lands in Ker(I - A^): column 1 of I - A^ is zero.
+        start_injects = all(i_minus_hat.entries[i][0] == 0 for i in range(n))
+
+        # (2) Im(i_1) = Ker(j) within Ker(I - A^).
+        jm = _j_map_matrix(n)
+        joint = i_minus_hat.vstack(jm)
+        exact_at_kernel_hat = lattice_equal(kernel_basis(joint), e1)
+
+        # (3) j(Ker(I - A^)) = Ker(s) within Ker(I - A).
+        image_j = jm @ kernel_basis(i_minus_hat)
+        ones_row = IntMatrix.from_rows([(1,) * n])
+        ker_a_sum0 = kernel_basis(i_minus_a.vstack(ones_row))
+        exact_at_kernel = lattice_equal(image_j, ker_a_sum0)
+
+        # (4) Im(s) = g Z = Ker(iota): probe iota on a window of integers.
+        g = self.iota_kernel_generator
+        exact_at_integers = True
+        probes = set(range(-6, 7)) | {g, -g, 2 * g, -2 * g, 3 * g}
+        for m in probes:
+            expected_zero = (m == 0) if g == 0 else (m % g == 0)
+            if _iota_class(self.exts_group, a, m).is_zero() != expected_zero:
+                exact_at_integers = False
+                break
+
+        # (5) Ker(q^) = Im(iota): (I - A^) Z^N + Z (I - A) e_1 = (I - A) Z^N.
+        iota_col = IntMatrix.from_columns([i_minus_a.column(0)], rows=n)
+        exact_at_strong_group = lattice_equal(i_minus_hat.hstack(iota_col), i_minus_a)
+
+        # (6) q^ well defined and surjective: (I - A^) Z^N inside (I - A) Z^N,
+        # that is (I - A) Z^N + (I - A^) Z^N = (I - A) Z^N.
+        quotient_surjective = lattice_equal(i_minus_a.hstack(i_minus_hat), i_minus_a)
+
+        return ExactSequenceReport(
+            start_injects=start_injects,
+            exact_at_kernel_hat=exact_at_kernel_hat,
+            exact_at_kernel=exact_at_kernel,
+            exact_at_integers=exact_at_integers,
+            exact_at_strong_group=exact_at_strong_group,
+            quotient_surjective=quotient_surjective,
+            kernel_sum_generator=g,
+        )
+
 
 def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
-    """Assemble every invariant of a and assert their coherence."""
-    weak = extw(a)
+    """Assemble every invariant of a from one Smith form per lattice and check
+    that the quotient map carries the strong Toeplitz class to the weak one."""
+    weak, t_weak = weak_pair(a)
     strong = exts(a)
-    iota_one = _iota_class(strong, a, 1)
-    t_strong = _toeplitz_strong_in(strong, a)
-    t_weak = weak.class_of(_all_ones(a.n)).negate()
     report = ExtInvariantReport(
         matrix=a,
         extw_group=weak,
         exts_group=strong,
         toeplitz_weak=t_weak,
-        toeplitz_strong=t_strong,
-        iota_one=iota_one,
+        toeplitz_strong=_toeplitz_strong_in(strong, a),
+        iota_one=_iota_class(strong, a, 1),
         det_i_minus_a=determinant(a),
-        iota_kernel_generator=iota_kernel_generator(a),
+        iota_kernel_generator=_kernel_sum_generator(weak),
     )
-    assert hat_q(a, t_strong) == t_weak
+    if report.hat_q(report.toeplitz_strong) != t_weak:
+        raise ArithmeticError("hat_q does not carry the strong Toeplitz class to the weak one")
     return report

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .exactmat import IntMatrix, hnf_columns
 from .fgab import FgAbelianGroup, GroupElement, cokernel, element_order
-from .invariants import ZeroOneMatrix, extw, toeplitz_weak, transpose
+from .invariants import ZeroOneMatrix, transpose, weak_pair
 
 
 class MarkerCountMismatchError(ValueError):
@@ -437,9 +437,11 @@ def ck_isomorphic(a: ZeroOneMatrix, b: ZeroOneMatrix, *,
     matrix together with its Toeplitz class, compared as single-marker marked
     groups.
     """
-    return marked_isomorphic(_weak_pair(a), _weak_pair(b), torsion_bound=torsion_bound)
+    return marked_isomorphic(transposed_weak_pair(a), transposed_weak_pair(b),
+                             torsion_bound=torsion_bound)
 
 
-def _weak_pair(a: ZeroOneMatrix) -> MarkedGroup:
-    at = transpose(a)
-    return MarkedGroup(extw(at), (toeplitz_weak(at),))
+def transposed_weak_pair(a: ZeroOneMatrix) -> MarkedGroup:
+    """The weak group of A^T marked by its Toeplitz class, from one Smith form."""
+    group, marker = weak_pair(transpose(a))
+    return MarkedGroup(group, (marker,))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ckext import exactmat, fgab
 from ckext.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_ISOMORPHIC,
@@ -10,7 +11,9 @@ from ckext.cli import (
     main,
     parse_matrix_text,
 )
-from ckext.corpus import A1, A4, A5, A6, FIBONACCI, cuntz_rows
+from ckext.corpus import A1, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
+from ckext.exactmat import IntMatrix
+from ckext.invariants import a_hat, validate
 
 
 def write_matrix(tmp_path, name, rows, header=""):
@@ -185,3 +188,48 @@ def test_examples_structured(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_passed"] is True
     assert len(doc["results"]) == 22
+
+
+# --- Smith forms per command -----------------------------------------------
+
+@pytest.fixture
+def snf_inputs(monkeypatch):
+    """Records the input of every Smith form computed while the test runs."""
+    inputs = []
+    real = exactmat.snf
+
+    def counting(m):
+        inputs.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exactmat, "snf", counting)
+    monkeypatch.setattr(fgab, "snf", counting)
+    return inputs
+
+
+def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
+    """One Smith form per lattice: I - A and I - A^ for each matrix."""
+    path_a = write_matrix(tmp_path, "a.txt", A4)
+    path_b = write_matrix(tmp_path, "b.txt", FIBONACCI)
+
+    def smith_forms(argv):
+        snf_inputs.clear()
+        main(argv)
+        capsys.readouterr()
+        return len(snf_inputs)
+
+    assert smith_forms(["compute", path_a]) == 2
+    assert smith_forms(["compute", path_a, "--transpose", "--format", "text"]) == 2
+    assert smith_forms(["compare", path_a, path_b]) == 2
+    assert smith_forms(["verify", path_a]) <= 5
+    assert smith_forms(["compute", path_a, "--verify"]) <= 5
+
+    # examples: the two lattices of each entry, plus one Smith form for each
+    # of the entry's two expected marked groups, built from their descriptors.
+    lattices = []
+    for entry in CORPUS:
+        a = validate(entry.rows)
+        eye = IntMatrix.identity(a.n)
+        lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
+    assert smith_forms(["examples"]) == 4 * len(CORPUS)
+    assert sum(1 for m in snf_inputs if m in lattices) == 2 * len(CORPUS)

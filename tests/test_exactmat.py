@@ -9,9 +9,9 @@ from ckext.exactmat import (
     IntMatrix,
     NotSquareError,
     NotUnimodularError,
+    SmithDecomposition,
     determinant,
     hnf_columns,
-    inverse_unimodular,
     kernel_basis,
     lattice_contains,
     lattice_equal,
@@ -231,17 +231,32 @@ def test_kernel_annihilates_and_counts(m):
     assert k.cols == m.cols - rank
 
 
-# --- unimodular inverse --------------------------------------------------
+# --- transform inverses ---------------------------------------------------
 
-def test_inverse_unimodular_roundtrip():
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_snf_transform_inverses(m):
+    dec = snf(m)
+    assert dec.u @ dec.u_inv == IntMatrix.identity(m.rows)
+    assert dec.v_inv @ dec.v == IntMatrix.identity(m.cols)
+    assert dec.u @ m == dec.d @ dec.v_inv
+
+
+def test_snf_of_unimodular_inverts_it():
     rng = random.Random(5)
     for n in (1, 2, 3, 5):
         w = IntMatrix.from_rows(random_unimodular_rows(rng, n))
-        assert inverse_unimodular(w) @ w == IntMatrix.identity(n)
+        dec = snf(w)
+        assert dec.d == IntMatrix.identity(n)
+        assert dec.v @ dec.u @ w == IntMatrix.identity(n)
 
 
-def test_inverse_unimodular_rejects():
+def test_smith_decomposition_rejects_wrong_inverse():
+    dec = snf(mat([[2, 4], [6, 8]]))
+    wrong = dec.u_inv + mat([[0, 1], [0, 0]])
     with pytest.raises(NotUnimodularError):
-        inverse_unimodular(mat([[2, 0], [0, 1]]))
-    with pytest.raises(NotSquareError):
-        inverse_unimodular(mat([[1, 0]]))
+        SmithDecomposition(dec.u, dec.d, dec.v, wrong, dec.v_inv)
+    with pytest.raises(NotUnimodularError):
+        SmithDecomposition(dec.u, dec.d, dec.v, dec.u_inv, dec.v_inv + dec.v_inv)
+    with pytest.raises(DimensionMismatchError):
+        SmithDecomposition(dec.u, dec.d, dec.v, IntMatrix.identity(3), dec.v_inv)

@@ -1,9 +1,17 @@
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix, lattice_equal
+from ckext.exactmat import determinant as matrix_determinant
 from ckext.fgab import ParentMismatchError
 from ckext.invariants import (
     IndexOutOfRangeError,
@@ -320,3 +328,47 @@ def test_invariants_report_a5():
 def test_invariants_report_a3_group_shape():
     rep = invariants_report(validate(A3))
     assert (rep.exts_group.free_rank, rep.exts_group.torsion) == (1, (2, 2))
+
+
+# --- heavy dense draws ---------------------------------------------------
+
+_REPORT_SCRIPT = """
+import json, sys
+from ckext.invariants import invariants_report, validate
+rep = invariants_report(validate(json.load(sys.stdin)))
+print(json.dumps({
+    "det": rep.det_i_minus_a,
+    "weak": [rep.extw_group.free_rank, list(rep.extw_group.torsion)],
+    "strong_free_rank": rep.exts_group.free_rank,
+    "toeplitz_strong_free": list(rep.toeplitz_strong.free_coords),
+    "iota_one_free": list(rep.iota_one.free_coords),
+    "commutes": rep.hat_q(rep.toeplitz_strong) == rep.toeplitz_weak,
+}))
+"""
+
+
+@pytest.mark.parametrize("n, seed", [(34, 1), (40, 42)])
+def test_heavy_dense_draw_report(n, seed):
+    """Draws whose Smith transforms reach thousands of bits finish within 60 s
+    (in a subprocess, so a hang fails the test) and agree with identities
+    that need no Smith form."""
+    rows = random_valid_rows(random.Random(seed), n)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _REPORT_SCRIPT], input=json.dumps(rows),
+                          capture_output=True, text=True, timeout=60, env=env, check=True)
+    doc = json.loads(done.stdout)
+
+    ima = IntMatrix.identity(n) - IntMatrix.from_rows(rows)
+    det = matrix_determinant(ima)
+    assert det != 0 and doc["det"] == det
+    free_rank, torsion = doc["weak"]
+    assert free_rank == 0 and math.prod(torsion) == abs(det)
+    # For det(I - A) != 0 the strong group has rank one, and the free parts of
+    # [T]_s and iota(1) have the ratio -det(I - A + J) / det(I - A).
+    ones = IntMatrix.from_rows([(1,) * n] * n)
+    assert doc["strong_free_rank"] == 1
+    ratio = Fraction(doc["toeplitz_strong_free"][0], doc["iota_one_free"][0])
+    assert ratio == Fraction(-matrix_determinant(ima + ones), det)
+    assert doc["commutes"]
