@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--torsion-bound", type=int, default=DEFAULT_TORSION_BOUND,
-                   help="largest torsion subgroup the marked search will handle")
+                   help="largest torsion subgroup the orbit walk will search; a marker "
+                        "with zero free part is decided without it")
     add_format(p)
     p.set_defaults(func=cmd_compare)
 

@@ -17,11 +17,36 @@ Z^r -> T, so the decision splits into
       psi-shifts form an explicit subgroup of T^k generated by the free parts
       against each torsion generator.
 
-The Aut(T) search walks the orbit of the torsion-part tuple under a classical
-generating set of Aut(T) (unit scalings of each cyclic factor plus the
-compatible elementary transvections between factors), testing each orbit
-point for membership in the shift coset of the target tuple.  Orbits live in
-T^k, so the walk is bounded by |T|^k rather than |Aut(T)|.
+One marker with zero free part (every marker of a finite group, so every
+nonsingular classification) needs no search.  Such a marker a is moved only
+by Aut(T), and Aut(T) is the product of the Aut(T_p) over the primes p of
+|T|.  In a finite abelian p-group two elements share an Aut-orbit exactly
+when they share the height sequence h(a), h(p a), h(p^2 a), ... (Baer,
+Proc. LMS 1935; Kaplansky, Infinite Abelian Groups, 1954, Thm 24).  With
+T_p = + Z/p^(E_j) and a_j of valuation F_j (F_j = E_j when a_j = 0),
+
+    h(p^i a) = i + min{F_j : F_j + i < E_j}      (infinite when empty).
+
+The primes of |T| are not needed, only a coprime base: pairwise coprime
+b > 1 such that every d_j and every gcd(a_j, d_j) is a product of powers of
+the b (factor refinement by repeated gcds, Bach-Driscoll-Shallit,
+J. Algorithms 15, 1993).  For p | b with s = v_p(b), E_j = s e_j and
+F_j = s f_j, where e_j and f_j are the exponents of b in d_j and
+gcd(a_j, d_j).  So the p-sequence is h(p^i a) = i + s g(i/s) with
+g(t) = min{f_j : f_j + t < e_j}, and since e_j and f_j are integers,
+f_j + t < e_j iff f_j + floor(t) < e_j: g depends only on floor(t).  Two
+markers therefore have the same p-sequence for every p | b exactly when they
+have the same g(0), g(1), g(2), ..., the b-height sequence
+h_b(a), h_b(b a) - 1, h_b(b^2 a) - 2, ...  Comparing those over the base
+costs a few gcds and divisions per invariant factor, polynomial in log|T|.
+
+Every other case (k >= 2 markers, or a marker with a nonzero free part)
+walks the orbit of the torsion-part tuple under a classical generating set
+of Aut(T) (unit scalings of each cyclic factor plus the compatible
+elementary transvections between factors), testing each orbit point for
+membership in the shift coset of the target tuple.  Orbits live in T^k, so
+the walk is bounded by |T|^k rather than |Aut(T)|; it builds a |T|^2
+addition table and refuses torsion subgroups above a bound.
 
 `marked_iso_bruteforce` is the independent oracle: a plain backtracking
 enumeration of all isomorphisms by generator images, with no automorphism
@@ -280,13 +305,60 @@ def _addition_table(ds: tuple[int, ...]) -> list[list[int]]:
             for ea in elems]
 
 
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 such that every given number is a product
+    of their powers: while a pending number shares a factor g with a base
+    member, both are replaced by g and their cofactors."""
+    base: list[int] = []
+    pending = [n for n in set(numbers) if n > 1]
+    while pending:
+        m = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(m, b)
+            if g > 1:
+                del base[i]
+                pending += [n for n in (g, b // g, m // g) if n > 1]
+                break
+        else:
+            base.append(m)
+    return base
+
+
+def _exponent(b: int, n: int) -> int:
+    k = 0
+    while n % b == 0:
+        n //= b
+        k += 1
+    return k
+
+
+def _height_sequence(coords: tuple[int, ...], ds: tuple[int, ...], b: int) -> tuple:
+    """g(0), g(1), ... with g(m) = min{f_j : f_j + m < e_j}, where e_j and f_j
+    are the exponents of the base member b in d_j and gcd(coords_j, d_j);
+    None once b^m kills the element."""
+    exps = [(_exponent(b, math.gcd(c, d)), _exponent(b, d)) for c, d in zip(coords, ds)]
+    return tuple(min((f for f, e in exps if f + m < e), default=None)
+                 for m in range(max(e for _, e in exps)))
+
+
+def _same_height_sequences(a: GroupElement, b: GroupElement) -> bool:
+    """Whether Aut(T) carries the torsion part of a to that of b, for elements
+    of groups with the same invariant factors (see the module docstring)."""
+    ds = a.parent.torsion
+    xs, ys = a.torsion_coords, b.torsion_coords
+    base = _coprime_base([*ds, *(math.gcd(c, d) for c, d in zip(xs + ys, ds + ds))])
+    return all(_height_sequence(xs, ds, q) == _height_sequence(ys, ds, q) for q in base)
+
+
 def marked_isomorphic(x: MarkedGroup, y: MarkedGroup, *,
                       torsion_bound: int = DEFAULT_TORSION_BOUND) -> bool:
     """Decide whether some isomorphism carries the markers of x to those of y
     in order.
 
-    Exact and complete; torsion subgroups larger than ``torsion_bound`` are
-    rejected loudly rather than searched approximately.
+    Exact and complete.  One marker with zero free part is decided by height
+    sequences, for torsion of any size.  Every other case walks the Aut(T)
+    orbit, and torsion subgroups larger than ``torsion_bound`` are rejected
+    loudly rather than searched approximately.
     """
     if len(x.markers) != len(y.markers):
         raise MarkerCountMismatchError(
@@ -294,18 +366,28 @@ def marked_isomorphic(x: MarkedGroup, y: MarkedGroup, *,
     gx, gy = x.group, y.group
     if gx.free_rank != gy.free_rank or gx.torsion != gy.torsion:
         return False
-    t_order = math.prod(gx.torsion)
-    if t_order > torsion_bound:
-        raise TorsionTooLargeError(
-            f"TorsionTooLarge: |T| = {t_order} exceeds bound {torsion_bound}")
+    if len(x.markers) == 1 and not any(x.markers[0].free_coords + y.markers[0].free_coords):
+        return _same_height_sequences(x.markers[0], y.markers[0])
+    return _orbit_walk(x, y, torsion_bound)
+
+
+def _orbit_walk(x: MarkedGroup, y: MarkedGroup,
+                torsion_bound: int = DEFAULT_TORSION_BOUND) -> bool:
+    """The Aut(T) orbit walk, for marked groups whose free ranks and invariant
+    factors are equal."""
+    ds = x.group.torsion
     k = len(x.markers)
     if k == 0:
         return True
+    t_order = math.prod(ds)
+    if t_order > torsion_bound:
+        raise TorsionTooLargeError(
+            f"TorsionTooLarge: |T| = {t_order} (invariant factors {list(ds)}) "
+            f"with k = {k} markers exceeds the orbit-walk bound {torsion_bound}")
     if not _marker_orders_match(x, y) or not _mod_p_orders_match(x, y):
         return False
     if hnf_columns(_free_parts_matrix(x)) != hnf_columns(_free_parts_matrix(y)):
         return False
-    ds = gx.torsion
     if not ds:
         return True
 
@@ -333,7 +415,8 @@ def marked_isomorphic(x: MarkedGroup, y: MarkedGroup, *,
                 frontier.append(nxt)
         if len(seen) > _ORBIT_STATE_BOUND:
             raise TorsionTooLargeError(
-                "TorsionTooLarge: marker-tuple orbit exceeds the work bound")
+                f"TorsionTooLarge: marker-tuple orbit reached {len(seen)} states, "
+                f"over the work bound {_ORBIT_STATE_BOUND} (|T| = {t_order}, k = {k})")
     return False
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +30,43 @@ def random_valid_rows(rng: random.Random, n: int):
         except ValidationError:
             continue
         return rows
+
+
+def _partitions(n):
+    def gen(n, largest):
+        if n == 0:
+            yield ()
+            return
+        for p in range(min(n, largest), 0, -1):
+            for rest in gen(n - p, p):
+                yield (p,) + rest
+    return list(gen(n, n))
+
+
+def abelian_group_types(max_order):
+    """Invariant-factor chains of every abelian group of order <= max_order."""
+    types = [()]
+    for n in range(2, max_order + 1):
+        factorisation = {}
+        m = n
+        d = 2
+        while d * d <= m:
+            while m % d == 0:
+                factorisation[d] = factorisation.get(d, 0) + 1
+                m //= d
+            d += 1
+        if m > 1:
+            factorisation[m] = factorisation.get(m, 0) + 1
+        per_prime = [[(p, part) for part in _partitions(e)]
+                     for p, e in sorted(factorisation.items())]
+        for combo in itertools.product(*per_prime):
+            depth = max(len(part) for _, part in combo)
+            ds = []
+            for i in range(depth):
+                ds.append(math.prod(p ** part[i] for p, part in combo
+                                    if i < len(part)))
+            types.append(tuple(sorted(ds)))
+    return types
 
 
 def random_unimodular_rows(rng: random.Random, n: int, steps: int = 12):

@@ -49,7 +49,7 @@ from ckext.markediso import (
     marked_iso_bruteforce,
     marked_isomorphic,
 )
-from conftest import ACCEPTANCE_LINES, random_valid_rows
+from conftest import ACCEPTANCE_LINES, abelian_group_types, random_valid_rows
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -405,43 +405,6 @@ def test_criterion_09_smith_oracle():
 
 # --- criterion 10: marked-isomorphism oracle equivalence --------------------
 
-def _partitions(n):
-    def gen(n, largest):
-        if n == 0:
-            yield ()
-            return
-        for p in range(min(n, largest), 0, -1):
-            for rest in gen(n - p, p):
-                yield (p,) + rest
-    return list(gen(n, n))
-
-
-def _abelian_group_types(max_order):
-    """Invariant-factor chains of every abelian group of order <= max_order."""
-    types = [()]
-    for n in range(2, max_order + 1):
-        factorisation = {}
-        m = n
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                factorisation[d] = factorisation.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            factorisation[m] = factorisation.get(m, 0) + 1
-        per_prime = [[(p, part) for part in _partitions(e)]
-                     for p, e in sorted(factorisation.items())]
-        for combo in itertools.product(*per_prime):
-            depth = max(len(part) for _, part in combo)
-            ds = []
-            for i in range(depth):
-                ds.append(math.prod(p ** part[i] for p, part in combo
-                                    if i < len(part)))
-            types.append(tuple(sorted(ds)))
-    return types
-
-
 def _bruteforce_estimate(ds):
     est = 1
     for d in ds:
@@ -453,7 +416,7 @@ def test_criterion_10_oracle_equivalence():
     rng = random.Random(1010)
     compared = skipped_types = disagreements = 0
     details = []
-    for ds in _abelian_group_types(64):
+    for ds in abelian_group_types(64):
         est = _bruteforce_estimate(ds)
         if est > 500_000:
             skipped_types += 1

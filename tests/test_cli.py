@@ -1,4 +1,10 @@
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,8 @@ from ckext.cli import (
 from ckext.corpus import A1, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
 from ckext.invariants import a_hat, validate
+from ckext.markediso import DEFAULT_TORSION_BOUND
+from conftest import random_valid_rows
 
 
 def write_matrix(tmp_path, name, rows, header=""):
@@ -152,6 +160,30 @@ def test_compare_fibonacci_with_cuntz_2(tmp_path, capsys):
 def test_compare_reflexive(tmp_path, capsys):
     p1 = write_matrix(tmp_path, "a1.txt", A1)
     assert main(["compare", p1, p1]) == EXIT_OK
+
+
+@pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (20, 2), (20, 3), (40, 42)])
+def test_compare_permuted_copy_beyond_walk_bound(tmp_path, n, seed):
+    """A matrix and a relabelled copy are isomorphic, however large the weak
+    group: the first draw of random.Random(seed) against P A P^T, in a
+    subprocess so that a hang fails the test."""
+    rng = random.Random(seed)
+    rows = random_valid_rows(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    copy = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from ckext.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "compare",
+         write_matrix(tmp_path, "a.txt", rows), write_matrix(tmp_path, "b.txt", copy)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_OK, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["isomorphic"] is True
+    assert math.prod(doc["a"]["transposed_weak_pair"]["torsion"]) > DEFAULT_TORSION_BOUND
 
 
 # --- verify --------------------------------------------------------------

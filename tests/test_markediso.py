@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ckext import markediso
 from ckext.corpus import A5, A6, FIBONACCI, cuntz_rows
 from ckext.invariants import validate
 from ckext.markediso import (
@@ -12,13 +13,16 @@ from ckext.markediso import (
     NotFiniteError,
     TooLargeError,
     TorsionTooLargeError,
+    _coprime_base,
     _marker_orders_match,
     _mod_p_orders_match,
+    _orbit_walk,
     ck_isomorphic,
     marked_group,
     marked_iso_bruteforce,
     marked_isomorphic,
 )
+from conftest import abelian_group_types
 
 
 # --- contract examples ---------------------------------------------------
@@ -59,6 +63,8 @@ def test_descriptor_mismatch_is_false():
 def test_zero_markers_reduce_to_descriptor_equality():
     assert marked_isomorphic(marked_group(1, (2,), ()), marked_group(1, (2,), ()))
     assert not marked_isomorphic(marked_group(1, (2,), ()), marked_group(1, (4,), ()))
+    big = marked_group(0, (1024,), ())
+    assert marked_isomorphic(big, big)
 
 
 # --- errors --------------------------------------------------------------
@@ -71,10 +77,35 @@ def test_marker_count_mismatch_raises():
 
 
 def test_torsion_bound_enforced():
+    """The bound limits the orbit walk: two markers, or one marker with a
+    nonzero free part.  The refusal reports what it saw."""
+    pair = marked_group(0, (1024,), ((1,), (2,)))
+    with pytest.raises(TorsionTooLargeError,
+                       match=r"\|T\| = 1024 \(invariant factors \[1024\]\) with k = 2 .* 512"):
+        marked_isomorphic(pair, pair)
+    assert marked_isomorphic(pair, pair, torsion_bound=2048)
+    free = marked_group(1, (1024,), ((1, 1),))
+    with pytest.raises(TorsionTooLargeError, match=r"\|T\| = 1024 .* k = 1 markers"):
+        marked_isomorphic(free, free)
+
+
+def test_one_marker_with_zero_free_part_needs_no_bound():
     big = marked_group(0, (1024,), ((1,),))
-    with pytest.raises(TorsionTooLargeError):
-        marked_isomorphic(big, big)
-    assert marked_isomorphic(big, big, torsion_bound=2048)
+    assert marked_isomorphic(big, big, torsion_bound=1)
+    assert marked_isomorphic(big, marked_group(0, (1024,), ((3,),)), torsion_bound=1)
+    assert not marked_isomorphic(big, marked_group(0, (1024,), ((2,),)), torsion_bound=1)
+    mixed = marked_group(1, (1024,), ((0, 6),))
+    assert marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 10),)), torsion_bound=1)
+    assert not marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 4),)), torsion_bound=1)
+
+
+def test_orbit_bound_refusal_reports_states(monkeypatch):
+    monkeypatch.setattr(markediso, "_ORBIT_STATE_BOUND", 2)
+    x = marked_group(0, (2, 2, 2), ((1, 0, 0), (0, 1, 0)))
+    y = marked_group(0, (2, 2, 2), ((1, 0, 0), (1, 0, 0)))
+    with pytest.raises(TorsionTooLargeError, match=r"orbit reached \d+ states, over the work "
+                                                   r"bound 2 \(\|T\| = 8, k = 2\)"):
+        marked_isomorphic(x, y)
 
 
 def test_bruteforce_domain_errors():
@@ -164,6 +195,94 @@ def test_agrees_with_bruteforce_on_random_finite_cases():
             else:
                 y = _random_marked(rng, 0, torsion, k)
             assert marked_isomorphic(x, y) == marked_iso_bruteforce(x, y)
+
+
+def _one_marker_pairs(rng, max_order, cases):
+    """Single-marker pairs over every invariant-factor chain with |T| <=
+    max_order: y is a unit multiple of x (the same orbit) or random."""
+    for ds in abelian_group_types(max_order):
+        for _ in range(cases(math.prod(ds))):
+            x = tuple(rng.randrange(d) for d in ds)
+            if ds and rng.random() < 0.3:
+                unit = rng.choice([u for u in range(1, ds[-1] + 1) if math.gcd(u, ds[-1]) == 1])
+                y = tuple(unit * c % d for c, d in zip(x, ds))
+            else:
+                y = tuple(rng.randrange(d) for d in ds)
+            yield marked_group(0, ds, (x,)), marked_group(0, ds, (y,))
+
+
+def test_height_sequences_agree_with_orbit_walk():
+    rng = random.Random(38)
+    verdicts = []
+    for x, y in _one_marker_pairs(rng, 160, lambda order: 3 if order <= 64 else 1):
+        fast = marked_isomorphic(x, y)
+        assert fast == _orbit_walk(x, y), (x.group.torsion, x.markers, y.markers)
+        verdicts.append(fast)
+    assert len(verdicts) > 500 and 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_height_sequences_agree_with_bruteforce():
+    rng = random.Random(39)
+    verdicts = []
+    for x, y in _one_marker_pairs(rng, 64, lambda order: 6):
+        try:
+            oracle = marked_iso_bruteforce(x, y, max_candidates=20_000)
+        except TooLargeError:
+            continue
+        assert marked_isomorphic(x, y) == oracle, (x.group.torsion, x.markers, y.markers)
+        verdicts.append(oracle)
+    assert len(verdicts) > 400 and 50 < sum(verdicts) < len(verdicts) - 50
+
+
+# Primes above 10^12, so their product is a base member no trial division splits.
+P, Q = 1_000_000_000_039, 1_000_000_000_121
+
+
+def _valuation(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _prime_height_sequence(coords, ds, p):
+    """h(a), h(p a), h(p^2 a), ... in the p-part, from valuations at the prime p."""
+    vals = [(_valuation(math.gcd(c, d), p), _valuation(d, p)) for c, d in zip(coords, ds)]
+    return tuple(min((i + f for f, e in vals if f + i < e), default=None)
+                 for i in range(max(e for _, e in vals)))
+
+
+def test_height_sequences_on_composite_base_match_prime_reference():
+    ds = (P * Q, (P * Q) ** 2 * 32)
+    rng = random.Random(40)
+
+    def coordinate(d):
+        """An odd unit below 10^9 times powers of pq and 2, so that gcds with
+        d never split pq."""
+        pq_power = (P * Q) ** rng.randint(0, _valuation(d, P * Q))
+        return rng.randrange(1, 10**9, 2) * pq_power * 2 ** rng.randint(0, 5) % d
+
+    verdicts = []
+    for _ in range(300):
+        x = tuple(coordinate(d) for d in ds)
+        roll = rng.random()
+        if roll < 0.3:
+            unit = rng.randrange(1, 10**9, 2)
+            y = tuple(unit * c % d for c, d in zip(x, ds))
+        elif roll < 0.6:
+            y = tuple(c * 2 ** rng.randint(0, 1) % d for c, d in zip(x, ds))
+        else:
+            y = tuple(coordinate(d) for d in ds)
+        base = _coprime_base([*ds, *(math.gcd(c, d) for c, d in zip(x + y, ds + ds))])
+        assert P * Q in base
+        expected = all(_prime_height_sequence(x, ds, p) == _prime_height_sequence(y, ds, p)
+                       for p in (2, P, Q))
+        got = marked_isomorphic(marked_group(0, ds, (x,)), marked_group(0, ds, (y,)),
+                                torsion_bound=1)
+        assert got == expected, (x, y)
+        verdicts.append(got)
+    assert 50 < sum(verdicts) < len(verdicts) - 50
 
 
 def _fp_left_nullspace(rows, p):
