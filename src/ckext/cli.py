@@ -243,8 +243,7 @@ def cmd_examples(args) -> int:
             ("strong triple", strong_triple, entry.strong),
         )
         for what, computed, expected in checks:
-            ok = marked_isomorphic(computed, expected.build(),
-                                   torsion_bound=args.torsion_bound)
+            ok = marked_isomorphic(computed, expected.build())
             results.append({"name": entry.name, "check": what,
                             "expected": expected.label(), "passed": ok})
     all_ok = all(r["passed"] for r in results)
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("examples", help="run the embedded regression corpus")
-    p.add_argument("--torsion-bound", type=int, default=DEFAULT_TORSION_BOUND)
     add_format(p)
     p.set_defaults(func=cmd_examples)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from operator import mul
+from operator import index, mul
 
 
 class NotSquareError(ValueError):
@@ -57,13 +57,13 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(index, row)) for row in rows)
         ncols = len(data[0]) if data else 0
         return IntMatrix(len(data), ncols, data)
 
     @staticmethod
     def from_columns(columns: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [tuple(map(index, c)) for c in columns]
         if rows is None:
             if not cols:
                 raise ValueError("row count required for a matrix with no columns")

@@ -6,6 +6,7 @@ Everything here is exact integer lattice arithmetic over a validated square
 * the weak extension group, the Bowen-Franks group Z^N / (I - A) Z^N;
 * the strong extension group Z^N / (I - A^) Z^N, where A^ = A + R_1 - A R_1
   and R_n is the matrix whose only nonzero row is the all-ones row n;
+  I - A^_n is formed from the columns of I - A, with no matrix product;
 * the canonical class iota(m), the class of (I - A) k for any k with
   coordinate sum m (independent of the choice of k);
 * the Toeplitz extension classes: -[1_N] in the weak group and
@@ -13,11 +14,16 @@ Everything here is exact integer lattice arithmetic over a validated square
   vector they arise from;
 * executable verifiers for the lattice identity Im(I-A)_0 = (I - A^_n) Z^N
   and for the six-node exact sequence tying the two groups together.
+
+invariants_report computes all of them from one Smith form per group; the
+single-invariant helpers (iota_hat, toeplitz_strong, hat_q,
+iota_kernel_generator) are views on it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .exactmat import (
@@ -27,7 +33,7 @@ from .exactmat import (
     lattice_equal,
 )
 from .exactmat import determinant as _determinant
-from .fgab import FgAbelianGroup, GroupElement, ParentMismatchError, cokernel
+from .fgab import FgAbelianGroup, GroupElement, ParentMismatchError, cokernel, element_order
 
 
 class ValidationError(ValueError):
@@ -97,15 +103,23 @@ def _strongly_connected(entries, n) -> bool:
     return reachable(True) and reachable(False)
 
 
+def _integer_entry(x, i: int, j: int) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"NotInteger: entry ({i}, {j}) = {x!r} is not an integer") from None
+
+
 def validate(raw, *, force: bool = False) -> ZeroOneMatrix:
     """Validate a raw square integer matrix as a Cuntz-Krieger matrix.
 
-    Checks entries in {0, 1}, N > 1, irreducibility (strongly connected
+    Checks integer entries in {0, 1}, N > 1, irreducibility (strongly connected
     digraph) and non-permutation.  With force=True the last two checks are
     skipped: the lattice formulas stay well defined for such matrices, but
     the operator-algebra meaning of the results is not covered.
     """
-    rows = [tuple(int(x) for x in row) for row in raw]
+    rows = [tuple(_integer_entry(x, i, j) for j, x in enumerate(row, start=1))
+            for i, row in enumerate(raw, start=1)]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValidationError("NotSquare: row lengths differ from row count")
@@ -124,31 +138,33 @@ def transpose(a: ZeroOneMatrix) -> ZeroOneMatrix:
                                     for j in range(a.n)))
 
 
-def row_unit_matrix(n: int, size: int) -> IntMatrix:
-    """The matrix R_n whose row n (1-based) is all ones, all other rows zero."""
-    if not 1 <= n <= size:
-        raise IndexOutOfRangeError(f"IndexOutOfRange: row {n} not in 1..{size}")
-    return IntMatrix(size, size, tuple(
-        (1,) * size if i == n - 1 else (0,) * size for i in range(size)))
-
-
 def _identity_minus(a: ZeroOneMatrix) -> IntMatrix:
-    return IntMatrix.identity(a.n) - a.as_int_matrix()
+    """I - A, straight from the entries of A."""
+    return IntMatrix(a.n, a.n, tuple(tuple(int(i == j) - x for j, x in enumerate(row))
+                                     for i, row in enumerate(a.entries)))
+
+
+def _i_minus_hat(ima: IntMatrix, n: int) -> IntMatrix:
+    """I - A^_n from ima = I - A: column j is column j minus column n of I - A.
+
+    A^_n = A + R_n - A R_n gives I - A^_n = (I - A)(I - R_n), and
+    (I - R_n) e_j = e_j - e_n, so column n is zero.
+    """
+    c = n - 1
+    return IntMatrix(ima.rows, ima.cols,
+                     tuple(tuple(x - row[c] for x in row) for row in ima.entries))
 
 
 def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
-    """The matrix A^_n = A + R_n - A R_n.
+    """The matrix A^_n = A + R_n - A R_n, where R_n is the matrix whose only
+    nonzero row is the all-ones row n (1-based).
 
-    Satisfies I - A^_n = (I - A)(I - R_n), so its column lattice is the image
-    of the sum-zero sublattice under I - A.
+    The column lattice of I - A^_n is the image of the sum-zero sublattice
+    under I - A.
     """
-    rn = row_unit_matrix(n, a.n)
-    am = a.as_int_matrix()
-    hat = am + rn - am @ rn
-    eye = IntMatrix.identity(a.n)
-    if eye - hat != (eye - am) @ (eye - rn):
-        raise ArithmeticError("I - A^ does not factor as (I - A)(I - R_n)")
-    return hat
+    if not 1 <= n <= a.n:
+        raise IndexOutOfRangeError(f"IndexOutOfRange: row {n} not in 1..{a.n}")
+    return IntMatrix.identity(a.n) - _i_minus_hat(_identity_minus(a), n)
 
 
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -158,42 +174,28 @@ def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
 
 def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
     """Strong extension group: Z^N / (I - A^) Z^N with A^ = A + R_1 - A R_1."""
-    return cokernel(IntMatrix.identity(a.n) - a_hat(a, 1))
-
-
-def _iota_class(group: FgAbelianGroup, a: ZeroOneMatrix, m: int) -> GroupElement:
-    k = (m,) + (0,) * (a.n - 1)
-    return group.class_of(_identity_minus(a).mul_vec(k))
+    return cokernel(_i_minus_hat(_identity_minus(a), 1))
 
 
 def iota_hat(a: ZeroOneMatrix, m: int) -> GroupElement:
-    """The class of (I - A) k in the strong group, for k = (m, 0, ..., 0).
+    """The class of (I - A) k in the strong group, for any k with coordinate
+    sum m: m times iota(1).
 
-    The class does not depend on which k with coordinate sum m is used, since
-    any two such choices differ by an element of the sum-zero sublattice.
+    The class does not depend on which k is used, since any two such choices
+    differ by an element of the sum-zero sublattice.
     """
-    return _iota_class(exts(a), a, m)
-
-
-def _all_ones(n: int) -> tuple[int, ...]:
-    return (1,) * n
+    return invariants_report(a).iota_one.scale(m)
 
 
 def toeplitz_strong(a: ZeroOneMatrix) -> GroupElement:
     """Class of the Toeplitz extension in the strong group: -iota(1) - [1_N]."""
-    return _toeplitz_strong_in(exts(a), a)
-
-
-def _toeplitz_strong_in(group: FgAbelianGroup, a: ZeroOneMatrix) -> GroupElement:
-    iota_one = _iota_class(group, a, 1)
-    ones = group.class_of(_all_ones(a.n))
-    return iota_one.negate().add(ones.negate())
+    return invariants_report(a).toeplitz_strong
 
 
 def weak_pair(a: ZeroOneMatrix) -> tuple[FgAbelianGroup, GroupElement]:
     """The weak group and its Toeplitz class, from one Smith form."""
     group = extw(a)
-    return group, group.class_of(_all_ones(a.n)).negate()
+    return group, group.class_of((1,) * a.n).negate()
 
 
 def toeplitz_weak(a: ZeroOneMatrix) -> GroupElement:
@@ -203,44 +205,24 @@ def toeplitz_weak(a: ZeroOneMatrix) -> GroupElement:
 
 def toeplitz_d_vector(a: ZeroOneMatrix, m: int) -> tuple[int, ...]:
     """Index vector of the Toeplitz extension against the m-th comparison
-    extension (m is 1-based):
+    extension (m is 1-based): d_i = A(i, m) - [i = m] - 1, that is
 
         d_i = -1 if i = m and A(i, m) = 1      d_i = 0  if i != m and A(i, m) = 1
         d_i = -2 if i = m and A(i, m) = 0      d_i = -1 if i != m and A(i, m) = 0
 
-    Always equals -(I - A) v(m) - 1_N for the m-th unit column v(m), so its
-    class in the strong group is the Toeplitz class for every m.
+    It equals -(I - A) v(m) - 1_N for the m-th unit column v(m), so its class
+    in the strong group is the Toeplitz class for every m.
     """
     if not 1 <= m <= a.n:
         raise IndexOutOfRangeError(f"IndexOutOfRange: column {m} not in 1..{a.n}")
     col = m - 1
-    d = []
-    for i in range(a.n):
-        if a.entries[i][col] == 1:
-            d.append(-1 if i == col else 0)
-        else:
-            d.append(-2 if i == col else -1)
-    vm = tuple(int(j == col) for j in range(a.n))
-    closed = tuple(-x - 1 for x in _identity_minus(a).mul_vec(vm))
-    if tuple(d) != closed:
-        raise ArithmeticError("index vector differs from -(I - A) v(m) - 1_N")
-    return tuple(d)
+    return tuple(row[col] - int(i == col) - 1 for i, row in enumerate(a.entries))
 
 
 def hat_q(a: ZeroOneMatrix, x: GroupElement) -> GroupElement:
-    """Quotient map from the strong group onto the weak group.
-
-    Takes any representative of x and reinterprets its class modulo the larger
-    lattice (I - A) Z^N; well defined because (I - A^) Z^N is contained in it,
-    as the factorization I - A^ = (I - A)(I - R_1) certified by a_hat shows.
-    """
-    return _quotient(exts(a), extw(a), x)
-
-
-def _quotient(strong: FgAbelianGroup, weak: FgAbelianGroup, x: GroupElement) -> GroupElement:
-    if x.parent != strong:
-        raise ParentMismatchError("element does not belong to the strong group of this matrix")
-    return weak.class_of(strong.representative(x))
+    """Quotient map from the strong group onto the weak group; see
+    ExtInvariantReport.hat_q."""
+    return invariants_report(a).hat_q(x)
 
 
 def determinant(a: ZeroOneMatrix) -> int:
@@ -253,31 +235,26 @@ def iota_kernel_generator(a: ZeroOneMatrix) -> int:
 
     The kernel of iota is exactly g Z, so g = 0 means iota is injective.
     """
-    return _kernel_sum_generator(extw(a))
+    return invariants_report(a).iota_kernel_generator
 
 
-def _kernel_sum_generator(weak: FgAbelianGroup) -> int:
-    """g from the kernel of I - A that the weak group's Smith form carries."""
-    return math.gcd(*(sum(col) for col in weak.smith.kernel().columns()))
-
-
-def _sum_zero_image(a: ZeroOneMatrix) -> IntMatrix:
+def _sum_zero_image(ima: IntMatrix) -> IntMatrix:
     """Generators (I - A)(e_i - e_{i+1}), i < N, of the image of the sum-zero
-    sublattice under I - A."""
-    ima = _identity_minus(a)
+    sublattice under ima = I - A."""
+    n = ima.cols
     cols = []
-    for i in range(a.n - 1):
-        e = [0] * a.n
+    for i in range(n - 1):
+        e = [0] * n
         e[i], e[i + 1] = 1, -1
         cols.append(ima.mul_vec(e))
-    return IntMatrix.from_columns(cols, rows=a.n)
+    return IntMatrix.from_columns(cols, rows=n)
 
 
 def verify_im0_identity(a: ZeroOneMatrix) -> bool:
     """Check Im(I - A)_0 = (I - A^_n) Z^N for every n in 1..N."""
-    im0 = hnf_columns(_sum_zero_image(a))
-    eye = IntMatrix.identity(a.n)
-    return all(hnf_columns(eye - a_hat(a, n)) == im0 for n in range(1, a.n + 1))
+    ima = _identity_minus(a)
+    im0 = hnf_columns(_sum_zero_image(ima))
+    return all(hnf_columns(_i_minus_hat(ima, n)) == im0 for n in range(1, a.n + 1))
 
 
 @dataclass(frozen=True)
@@ -340,8 +317,13 @@ class ExtInvariantReport:
             raise ValueError("kernel generator must be nonnegative")
 
     def hat_q(self, x: GroupElement) -> GroupElement:
-        """The quotient map from the strong group onto the weak group."""
-        return _quotient(self.exts_group, self.extw_group, x)
+        """The quotient map from the strong group onto the weak group.
+
+        Takes any representative of x and reinterprets its class modulo the
+        larger lattice (I - A) Z^N; well defined because every column of
+        I - A^ is a difference of columns of I - A.
+        """
+        return self.extw_group.class_of(self.exts_group.representative(x))
 
     def exact_sequence(self) -> ExactSequenceReport:
         """Computationally verify each node of the long exact sequence.
@@ -371,15 +353,10 @@ class ExtInvariantReport:
         ker_a_sum0 = kernel_basis(i_minus_a.vstack(ones_row))
         exact_at_kernel = lattice_equal(image_j, ker_a_sum0)
 
-        # (4) Im(s) = g Z = Ker(iota): probe iota on a window of integers.
+        # (4) Im(s) = g Z = Ker(iota): iota is a homomorphism from Z, so its
+        # kernel is generated by the order of iota(1) (0 when infinite).
         g = self.iota_kernel_generator
-        exact_at_integers = True
-        probes = set(range(-6, 7)) | {g, -g, 2 * g, -2 * g, 3 * g}
-        for m in probes:
-            expected_zero = (m == 0) if g == 0 else (m % g == 0)
-            if _iota_class(self.exts_group, a, m).is_zero() != expected_zero:
-                exact_at_integers = False
-                break
+        exact_at_integers = (element_order(self.iota_one) or 0) == g
 
         # (5) Ker(q^) = Im(iota): (I - A^) Z^N + Z (I - A) e_1 = (I - A) Z^N.
         iota_col = IntMatrix.from_columns([i_minus_a.column(0)], rows=n)
@@ -403,18 +380,21 @@ class ExtInvariantReport:
 def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
     """Assemble every invariant of a from one Smith form per lattice and check
     that the quotient map carries the strong Toeplitz class to the weak one."""
-    weak, t_weak = weak_pair(a)
-    strong = exts(a)
+    ima = _identity_minus(a)
+    weak = cokernel(ima)
+    strong = cokernel(_i_minus_hat(ima, 1))
+    ones = (1,) * a.n
+    iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(
         matrix=a,
         extw_group=weak,
         exts_group=strong,
-        toeplitz_weak=t_weak,
-        toeplitz_strong=_toeplitz_strong_in(strong, a),
-        iota_one=_iota_class(strong, a, 1),
-        det_i_minus_a=determinant(a),
-        iota_kernel_generator=_kernel_sum_generator(weak),
+        toeplitz_weak=-weak.class_of(ones),
+        toeplitz_strong=-iota_one - strong.class_of(ones),
+        iota_one=iota_one,
+        det_i_minus_a=_determinant(ima),
+        iota_kernel_generator=math.gcd(*(sum(col) for col in weak.smith.kernel().columns())),
     )
-    if report.hat_q(report.toeplitz_strong) != t_weak:
+    if report.hat_q(report.toeplitz_strong) != report.toeplitz_weak:
         raise ArithmeticError("hat_q does not carry the strong Toeplitz class to the weak one")
     return report

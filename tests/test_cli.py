@@ -265,3 +265,32 @@ def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
     assert smith_forms(["examples"]) == 4 * len(CORPUS)
     assert sum(1 for m in snf_inputs if m in lattices) == 2 * len(CORPUS)
+
+
+def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
+    """I - A^_n is read off the columns of I - A, so a verify makes the same
+    number of matrix products at N = 3 as at N = 12."""
+    calls = []
+    real = IntMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+
+    def products(rows, name):
+        path = write_matrix(tmp_path, name, rows)
+        calls.clear()
+        assert main(["verify", path]) == EXIT_OK
+        capsys.readouterr()
+        return len(calls)
+
+    small = products(A4, "a4.txt")
+    assert small == products(random_valid_rows(random.Random(0), 12), "dense12.txt")
+
+
+def test_examples_takes_no_torsion_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["examples", "--torsion-bound", "3"])
+    capsys.readouterr()

@@ -48,6 +48,15 @@ def test_matrix_shape_validation():
         IntMatrix(1, 1, ((1.5,),))
 
 
+def test_constructors_reject_non_integral_entries():
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1.5, 2]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([(1, 2.0)])
+    assert IntMatrix.from_rows([[True, 2]]).entries == ((1, 2),)
+    assert IntMatrix.from_columns([(1, 2)]).entries == ((1,), (2,))
+
+
 def test_matrix_algebra():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])

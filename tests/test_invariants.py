@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from ckext.invariants import (
     NotIrreducibleError,
     NotZeroOneError,
     TooSmallError,
+    ValidationError,
     a_hat,
     determinant,
     exts,
@@ -27,7 +29,6 @@ from ckext.invariants import (
     invariants_report,
     iota_hat,
     iota_kernel_generator,
-    row_unit_matrix,
     toeplitz_d_vector,
     toeplitz_strong,
     toeplitz_weak,
@@ -81,23 +82,15 @@ def test_transpose_swaps_entries():
     assert transpose(a).entries == validate(A6).entries
 
 
-# --- R_n and A^ ----------------------------------------------------------
-
-def test_row_unit_matrix_examples():
-    assert row_unit_matrix(1, 2).entries == ((1, 1), (0, 0))
-    assert row_unit_matrix(2, 2).entries == ((0, 0), (1, 1))
-    with pytest.raises(IndexOutOfRangeError):
-        row_unit_matrix(0, 3)
-    with pytest.raises(IndexOutOfRangeError):
-        row_unit_matrix(4, 3)
+def test_validate_rejects_non_integral_entries():
+    with pytest.raises(ValidationError, match=r"entry \(1, 1\) = 0.5"):
+        validate([[0.5, 1], [1, 1.9]])
+    with pytest.raises(ValidationError, match=r"entry \(2, 2\) = 1.9"):
+        validate([[0, 1], [1, 1.9]])
+    assert validate([[True, 1], [1, 0]]).entries == ((1, 1), (1, 0))
 
 
-def test_row_unit_matrix_idempotent():
-    for size in range(2, 5):
-        for n in range(1, size + 1):
-            r = row_unit_matrix(n, size)
-            assert r @ r == r
-
+# --- A^ ------------------------------------------------------------------
 
 def test_a_hat_fibonacci():
     assert a_hat(validate(FIBONACCI), 1).entries == ((1, 1), (0, -1))
@@ -105,7 +98,11 @@ def test_a_hat_fibonacci():
 
 def test_a_hat_full_matrix_collapses_to_row_unit():
     a = validate(cuntz_rows(2))
-    assert a_hat(a, 1) == row_unit_matrix(1, 2)
+    assert a_hat(a, 1) == IntMatrix.from_rows([(1, 1), (0, 0)])
+    assert a_hat(a, 2) == IntMatrix.from_rows([(0, 0), (1, 1)])
+    for n in (0, 3):
+        with pytest.raises(IndexOutOfRangeError):
+            a_hat(a, n)
 
 
 def test_a_hat_first_column_of_complement_vanishes():
@@ -119,12 +116,18 @@ def test_a_hat_first_column_of_complement_vanishes():
 
 
 def test_a_hat_factorisation_all_rows():
-    for entry in CORPUS:
-        a = validate(entry.rows)
-        eye = IntMatrix.identity(a.n)
-        ima = eye - a.as_int_matrix()
+    """A^_n = A + R_n - A R_n, with R_n built here, on the corpus and on
+    seeded draws up to N = 12, for every n."""
+    rng = random.Random(11)
+    matrices = [validate(entry.rows) for entry in CORPUS]
+    matrices += [validate(random_valid_rows(rng, size)) for size in range(2, 13)
+                 for _ in range(2)]
+    for a in matrices:
+        am = a.as_int_matrix()
         for n in range(1, a.n + 1):
-            assert eye - a_hat(a, n) == ima @ (eye - row_unit_matrix(n, a.n))
+            rn = IntMatrix.from_rows([(int(i == n - 1),) * a.n for i in range(a.n)])
+            assert rn @ rn == rn
+            assert a_hat(a, n) == am + rn - am @ rn
 
 
 # --- the two groups ------------------------------------------------------
@@ -298,6 +301,21 @@ def test_im0_identity_fibonacci_lattice():
 def test_exact_sequence_on_corpus(corpus_matrices):
     for _, a in corpus_matrices:
         assert verify_exact_sequence(a).all_passed()
+
+
+def test_exact_sequence_rejects_a_wrong_kernel_generator(corpus_matrices):
+    """Node (4) compares the order of iota(1) with g, so a wrong g fails it."""
+    checked = 0
+    for _, a in corpus_matrices:
+        rep = invariants_report(a)
+        if rep.det_i_minus_a == 0:
+            continue
+        checked += 1
+        assert rep.iota_kernel_generator == 0
+        wrong = dataclasses.replace(rep, iota_kernel_generator=1).exact_sequence()
+        assert not wrong.exact_at_integers and not wrong.all_passed()
+        assert rep.exact_sequence().all_passed()
+    assert checked >= 10
 
 
 def test_exact_sequence_on_injectivity_gap():

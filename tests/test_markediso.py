@@ -99,6 +99,41 @@ def test_one_marker_with_zero_free_part_needs_no_bound():
     assert not marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 4),)), torsion_bound=1)
 
 
+def _automorphisms(ds):
+    """Every automorphism of Z/d_1 + Z/d_2 (d_1 | d_2), as the images of the
+    two generators: pairs that generate the whole group (order d_2 is implied
+    by the exponent, and d_1 u = 0 makes the map well defined)."""
+    elems = list(itertools.product(range(ds[0]), range(ds[1])))
+    for u in elems:
+        if any(ds[0] * c % d for c, d in zip(u, ds)):
+            continue
+        for v in elems:
+            span = {tuple((i * a + j * b) % d for a, b, d in zip(u, v, ds))
+                    for i in range(ds[0]) for j in range(ds[1])}
+            if len(span) == ds[0] * ds[1]:
+                yield u, v
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_one_free_marker_is_not_decided_in_t_mod_ct(c):
+    """In Z + Z/c + Z/c^2 the markers (c, 1, 0) and (c, 0, 1) differ, although
+    their torsion images in T/cT = Z/c + Z/c are swapped by an automorphism of
+    T/cT: that swap lifts to no automorphism of T, so Aut(T) does not map onto
+    Aut(T/cT)."""
+    ds = (c, c * c)
+    x, y = marked_group(1, ds, ((c, 1, 0),)), marked_group(1, ds, ((c, 0, 1),))
+    assert not marked_isomorphic(x, y)
+    assert marked_isomorphic(x, x) and marked_isomorphic(y, y)
+    # Every automorphism of Z + T sends (c, t) to (+-c, phi(t) + c s), so the
+    # markers agree iff some phi in Aut(T) moves (1, 0) into (0, 1) + cT.
+    coset = {(0, 1 + c * j) for j in range(c)}
+    auts = list(_automorphisms(ds))
+    assert not any(u in coset for u, _ in auts)
+    # The swap of T/cT needs phi(e_1) = e_2 mod cT, but c phi(e_1) = 0 forces
+    # phi(e_1) = (a, c b), which is (a, 0) mod cT: no phi induces the swap.
+    assert {(u[0] % c, u[1] % c) for u, _ in auts} <= {(i, 0) for i in range(1, c)}
+
+
 def test_orbit_bound_refusal_reports_states(monkeypatch):
     monkeypatch.setattr(markediso, "_ORBIT_STATE_BOUND", 2)
     x = marked_group(0, (2, 2, 2), ((1, 0, 0), (0, 1, 0)))
