@@ -6,9 +6,9 @@ transforms, a canonical column-style Hermite normal form, Bareiss
 determinants, integer kernels, and column-lattice equality/membership.
 
 All values are immutable; every function is pure.  Matrices are dense.  The
-Smith form applies each elementary operation to its transforms and to their
-inverses at once, and certifies its result by exact products instead of
-determinant re-checks; README.md gives measured sizes and times.
+Smith form carries U, U^-1 and V, the witness of the reduction, certified by
+exact products; integer kernels are read off the U of the transposed form.
+README.md gives measured sizes and times.
 """
 
 from __future__ import annotations
@@ -136,20 +136,19 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Transforms with u @ m @ v = d, their inverses u_inv and v_inv, and d
-    diagonal with nonnegative entries forming a divisibility chain (zeros
-    trailing).  Construction certifies u @ u_inv = I and v_inv @ v = I."""
+    """Transforms with u @ m @ v = d, the inverse u_inv of u, and d diagonal
+    with nonnegative entries forming a divisibility chain (zeros trailing).
+    Construction certifies u @ u_inv = I; snf certifies the reduction."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
 
     def __post_init__(self):
         n, m = self.d.rows, self.d.cols
-        shapes = [(t.rows, t.cols) for t in (self.u, self.u_inv, self.v, self.v_inv)]
-        if shapes != [(n, n), (n, n), (m, m), (m, m)]:
+        shapes = [(t.rows, t.cols) for t in (self.u, self.u_inv, self.v)]
+        if shapes != [(n, n), (n, n), (m, m)]:
             raise DimensionMismatchError("transform shapes do not match diagonal")
         for i in range(n):
             for j in range(m):
@@ -166,19 +165,27 @@ class SmithDecomposition:
                         raise ValueError("zero invariant factor before nonzero one")
                 elif nxt % x != 0:
                     raise ValueError("divisibility chain violated")
-        if (self.u @ self.u_inv != IntMatrix.identity(n)
-                or self.v_inv @ self.v != IntMatrix.identity(m)):
-            raise NotUnimodularError("transforms do not multiply with their inverses to I")
+        if self.u @ self.u_inv != IntMatrix.identity(n):
+            raise NotUnimodularError("u does not multiply with u_inv to I")
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
 
-    def kernel(self) -> IntMatrix:
-        """Basis of {x : m @ x = 0}: the columns of v whose factor is zero."""
+    def factors(self) -> tuple[int, ...]:
+        """The invariant factor of each row of u: the diagonal, then zeros."""
         diag = self.diagonal()
-        return IntMatrix.from_columns(
-            [self.v.column(j) for j in range(self.d.cols) if j >= len(diag) or diag[j] == 0],
-            rows=self.d.cols)
+        return diag + (0,) * (self.d.rows - len(diag))
+
+
+def _certify_reduction(m: IntMatrix, dec: SmithDecomposition) -> None:
+    """Raise unless U M Z^k = D Z^k, with U unimodular (U U^-1 = I).
+
+    M V = U^-1 D puts D Z^k inside U M Z^k.  Each row of U M divisible by its
+    factor, and zero where the factor is 0, puts U M Z^k inside D Z^k.
+    """
+    if m @ dec.v != dec.u_inv @ dec.d or any(
+            x % f if f else x for f, row in zip(dec.factors(), (dec.u @ m).entries) for x in row):
+        raise ArithmeticError("Smith transforms do not reduce the matrix")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -222,13 +229,12 @@ def determinant(m: IntMatrix) -> int:
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms and their inverses.
+    """Smith normal form with transforms U, V and the inverse of U.
 
     Pivots are chosen with minimal absolute value to limit entry growth; the
     divisibility chain is enforced by folding any non-divisible remainder back
     into the pivot row before advancing.  A row operation on U is applied to
-    U^-1 as the inverse column operation, a column operation on V to V^-1 as
-    the inverse row operation.
+    U^-1 as the inverse column operation.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -236,7 +242,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     def eye(k):
         return [[int(i == j) for j in range(k)] for i in range(k)]
 
-    u, v, vi = eye(nr), eye(nc), eye(nc)
+    u, v = eye(nr), eye(nc)
     ui_cols = eye(nr)  # U^-1 by columns, so its column operations act on whole lists
 
     def swap_rows(i, j):
@@ -247,17 +253,15 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     def swap_cols(i, j):
         for row in a + v:
             row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(src, dst, q):  # row[dst] += q * row[src]; U^-1: col[src] -= q * col[dst]
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
         ui_cols[src] = [x - q * y for x, y in zip(ui_cols[src], ui_cols[dst])]
 
-    def add_col(src, dst, q):  # col[dst] += q * col[src]; V^-1: row[src] -= q * row[dst]
+    def add_col(src, dst, q):  # col[dst] += q * col[src], on A and V
         for row in a + v:
             row[dst] += q * row[src]
-        vi[src] = [x - q * y for x, y in zip(vi[src], vi[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -321,13 +325,11 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                 break
             add_row(bad, t, 1)
 
-    um, uim = IntMatrix.from_rows(u), IntMatrix.from_columns(ui_cols, rows=nr)
-    vm, vim = IntMatrix.from_rows(v), IntMatrix.from_rows(vi)
     dm = IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
-    # With V^-1 V = I (certified by SmithDecomposition), U M = D V^-1 is U M V = D.
-    if um @ m != dm @ vim:
-        raise ArithmeticError("Smith transforms do not reduce the matrix")
-    return SmithDecomposition(um, dm, vm, uim, vim)
+    dec = SmithDecomposition(IntMatrix.from_rows(u), dm, IntMatrix.from_rows(v),
+                             IntMatrix.from_columns(ui_cols, rows=nr))
+    _certify_reduction(m, dec)
+    return dec
 
 
 def hnf_columns(m: IntMatrix) -> IntMatrix:
@@ -400,7 +402,10 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer nullspace {x : m @ x = 0}, as columns.
 
     Returns a matrix with cols(m) rows and one column per kernel generator
-    (zero columns when the kernel is trivial).
+    (zero columns when the kernel is trivial): the zero-factor rows of the U of
+    snf(m^T), a basis as U is unimodular and the other rows of U m^T independent.
     """
-    return snf(m).kernel()
+    dec = snf(m.transpose())
+    return IntMatrix.from_columns(
+        [row for f, row in zip(dec.factors(), dec.u.entries) if f == 0], rows=m.cols)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Sequence
 
 from .exactmat import (
@@ -34,40 +35,41 @@ class ParentMismatchError(ValueError):
 class FgAbelianGroup:
     """Cokernel Z^N / (column lattice of presentation) in canonical form.
 
+    ``smith`` is the presentation's Smith form: its U maps representative
+    vectors into canonical coordinates, and the U^-1 it carries
+    (``smith.u_inv``) lifts canonical coordinates back to representatives.
     ``ambient_factors`` records, per canonical coordinate of Z^N, the invariant
     factor attached to it: 0 for a free coordinate, 1 for a collapsed one, and
-    d > 1 for a torsion coordinate of order d.  ``smith`` is the
-    presentation's Smith form: its U maps representative vectors into those
-    coordinates, and the U^-1 it carries (``smith.u_inv``) lifts canonical
-    coordinates back to representatives.
+    d > 1 for a torsion coordinate of order d.  It and the other derived
+    attributes are computed once, on first use.
     """
 
-    ambient_dim: int
     presentation: IntMatrix
-    free_rank: int
-    torsion: tuple[int, ...]
-    ambient_factors: tuple[int, ...]
     smith: SmithDecomposition
 
-    def __post_init__(self):
-        if self.presentation.rows != self.ambient_dim:
-            raise DimensionMismatchError("presentation rows differ from ambient dimension")
-        for i, d in enumerate(self.torsion):
-            if d <= 1:
-                raise ValueError("torsion factors must exceed 1")
-            if i and self.torsion[i] % self.torsion[i - 1] != 0:
-                raise ValueError("torsion factors must form a divisibility chain")
-        nonzero = sum(1 for d in self.ambient_factors if d != 0)
-        if self.free_rank + nonzero != self.ambient_dim:
-            raise ValueError("free rank inconsistent with invariant factors")
-
     @property
+    def ambient_dim(self) -> int:
+        return self.presentation.rows
+
+    @cached_property
+    def ambient_factors(self) -> tuple[int, ...]:
+        return self.smith.factors()
+
+    @cached_property
+    def torsion(self) -> tuple[int, ...]:
+        return tuple(d for d in self.ambient_factors if d > 1)
+
+    @cached_property
     def torsion_positions(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.ambient_factors) if d > 1)
 
-    @property
+    @cached_property
     def free_positions(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.ambient_factors) if d == 0)
+
+    @cached_property
+    def free_rank(self) -> int:
+        return len(self.free_positions)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -153,18 +155,7 @@ class GroupElement:
 
 def cokernel(m: IntMatrix) -> FgAbelianGroup:
     """The group Z^N / (column lattice of m), N = rows of m."""
-    dec = snf(m)
-    n = m.rows
-    diag = dec.diagonal()
-    factors = tuple(diag[i] if i < len(diag) else 0 for i in range(n))
-    return FgAbelianGroup(
-        ambient_dim=n,
-        presentation=m,
-        free_rank=sum(1 for d in factors if d == 0),
-        torsion=tuple(d for d in factors if d > 1),
-        ambient_factors=factors,
-        smith=dec,
-    )
+    return FgAbelianGroup(m, snf(m))
 
 
 def element_order(a: GroupElement) -> int | None:

@@ -22,7 +22,6 @@ iota_kernel_generator) are views on it.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -233,7 +232,7 @@ def determinant(a: ZeroOneMatrix) -> int:
 def iota_kernel_generator(a: ZeroOneMatrix) -> int:
     """Nonnegative generator g of {sum of coordinates of l : (I - A) l = 0}.
 
-    The kernel of iota is exactly g Z, so g = 0 means iota is injective.
+    The kernel of iota is g Z: g is the order of iota(1), 0 if iota is injective.
     """
     return invariants_report(a).iota_kernel_generator
 
@@ -263,7 +262,7 @@ class ExactSequenceReport:
 
         0 -> Z -> Ker(I-A^) -> Ker(I-A) -> Z -> strong group -> weak group -> 0
 
-    together with the computed kernel-sum generator g (Ker iota = g Z).
+    together with g, Im(s) = g Z, read off the Hermite form of (I-A; 1^T).
     """
 
     start_injects: bool
@@ -349,14 +348,17 @@ class ExtInvariantReport:
 
         # (3) j(Ker(I - A^)) = Ker(s) within Ker(I - A).
         image_j = jm @ kernel_basis(i_minus_hat)
-        ones_row = IntMatrix.from_rows([(1,) * n])
-        ker_a_sum0 = kernel_basis(i_minus_a.vstack(ones_row))
-        exact_at_kernel = lattice_equal(image_j, ker_a_sum0)
+        with_sums = i_minus_a.vstack(IntMatrix.from_rows([(1,) * n]))
+        exact_at_kernel = lattice_equal(image_j, kernel_basis(with_sums))
 
-        # (4) Im(s) = g Z = Ker(iota): iota is a homomorphism from Z, so its
-        # kernel is generated by the order of iota(1) (0 when infinite).
-        g = self.iota_kernel_generator
-        exact_at_integers = (element_order(self.iota_one) or 0) == g
+        # (4) Im(s) = Ker(iota).  The vectors ((I - A) l, s(l)) with top N entries
+        # zero are 0 (+) Im(s), spanned by the Hermite column pivoted in the last
+        # row, if any; Ker(iota) is generated by the order of iota(1).
+        h = hnf_columns(with_sums)
+        last = h.column(h.cols - 1)
+        im_s = 0 if any(last[:n]) else last[n]
+        exact_at_integers = ((element_order(self.iota_one) or 0)
+                             == self.iota_kernel_generator == im_s)
 
         # (5) Ker(q^) = Im(iota): (I - A^) Z^N + Z (I - A) e_1 = (I - A) Z^N.
         iota_col = IntMatrix.from_columns([i_minus_a.column(0)], rows=n)
@@ -373,7 +375,7 @@ class ExtInvariantReport:
             exact_at_integers=exact_at_integers,
             exact_at_strong_group=exact_at_strong_group,
             quotient_surjective=quotient_surjective,
-            kernel_sum_generator=g,
+            kernel_sum_generator=im_s,
         )
 
 
@@ -393,7 +395,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
         toeplitz_strong=-iota_one - strong.class_of(ones),
         iota_one=iota_one,
         det_i_minus_a=_determinant(ima),
-        iota_kernel_generator=math.gcd(*(sum(col) for col in weak.smith.kernel().columns())),
+        iota_kernel_generator=element_order(iota_one) or 0,
     )
     if report.hat_q(report.toeplitz_strong) != report.toeplitz_weak:
         raise ArithmeticError("hat_q does not carry the strong Toeplitz class to the weak one")

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .exactmat import IntMatrix, hnf_columns
 from .fgab import FgAbelianGroup, GroupElement, cokernel, element_order
@@ -105,7 +106,7 @@ def marked_group(free_rank: int, torsion: tuple[int, ...] | list[int],
     each marker is a coordinate tuple of length free_rank + len(torsion),
     free coordinates first.
     """
-    torsion = tuple(int(d) for d in torsion)
+    torsion = tuple(map(index, torsion))
     r, t = free_rank, len(torsion)
     n = r + t
     cols = []
@@ -114,7 +115,7 @@ def marked_group(free_rank: int, torsion: tuple[int, ...] | list[int],
         col[r + s] = d
         cols.append(col)
     group = cokernel(IntMatrix.from_columns(cols, rows=n))
-    elems = tuple(group.class_of(tuple(int(c) for c in coords)) for coords in markers)
+    elems = tuple(group.class_of(tuple(map(index, coords))) for coords in markers)
     return MarkedGroup(group, elems)
 
 

@@ -391,8 +391,8 @@ def test_criterion_09_smith_oracle():
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         m = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
-        dec = snf(m)  # construction validates chain + unimodular transforms
-        if dec.u @ m @ dec.v != dec.d:
+        dec = snf(m)  # construction validates the chain and certifies U, U^-1
+        if dec.u @ m @ dec.v != dec.d or abs(matrix_determinant(dec.v)) != 1:
             failures += 1
         if r == c:
             prod = math.prod(dec.diagonal())

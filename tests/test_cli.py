@@ -19,7 +19,7 @@ from ckext.cli import (
 )
 from ckext.corpus import A1, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
-from ckext.invariants import a_hat, validate
+from ckext.invariants import a_hat, invariants_report, validate
 from ckext.markediso import DEFAULT_TORSION_BOUND
 from conftest import random_valid_rows
 
@@ -294,3 +294,20 @@ def test_examples_takes_no_torsion_bound(capsys):
     with pytest.raises(SystemExit):
         main(["examples", "--torsion-bound", "3"])
     capsys.readouterr()
+
+
+def test_invariant_table_script():
+    """scripts/invariant_table.py prints one row per corpus matrix, whose last
+    two columns are det(I - A) and g from invariants_report."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "invariant_table.py"
+    done = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[2:]
+    assert len(rows) == len(CORPUS)
+    for entry, row in zip(CORPUS, rows):
+        fields = row.split()
+        rep = invariants_report(validate(entry.rows))
+        assert fields[0] == entry.name
+        assert (int(fields[-2]), int(fields[-1])) == (rep.det_i_minus_a,
+                                                     rep.iota_kernel_generator)

@@ -10,6 +10,7 @@ from ckext.exactmat import (
     NotSquareError,
     NotUnimodularError,
     SmithDecomposition,
+    _certify_reduction,
     determinant,
     hnf_columns,
     kernel_basis,
@@ -240,6 +241,20 @@ def test_kernel_annihilates_and_counts(m):
     assert k.cols == m.cols - rank
 
 
+def _hnf_kernel(m):
+    """Kernel of m from the Hermite form of [m; I]: its columns with the top
+    rows(m) entries zero, cut to their bottom part."""
+    h = hnf_columns(m.vstack(IntMatrix.identity(m.cols)))
+    return IntMatrix.from_columns(
+        [c[m.rows:] for c in h.columns() if not any(c[:m.rows])], rows=m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_dim=6, lo=-3, hi=3))
+def test_kernel_matches_hermite_kernel(m):
+    assert lattice_equal(kernel_basis(m), _hnf_kernel(m))
+
+
 # --- transform inverses ---------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -247,8 +262,8 @@ def test_kernel_annihilates_and_counts(m):
 def test_snf_transform_inverses(m):
     dec = snf(m)
     assert dec.u @ dec.u_inv == IntMatrix.identity(m.rows)
-    assert dec.v_inv @ dec.v == IntMatrix.identity(m.cols)
-    assert dec.u @ m == dec.d @ dec.v_inv
+    assert m @ dec.v == dec.u_inv @ dec.d
+    assert abs(determinant(dec.v)) == 1
 
 
 def test_snf_of_unimodular_inverts_it():
@@ -264,8 +279,20 @@ def test_smith_decomposition_rejects_wrong_inverse():
     dec = snf(mat([[2, 4], [6, 8]]))
     wrong = dec.u_inv + mat([[0, 1], [0, 0]])
     with pytest.raises(NotUnimodularError):
-        SmithDecomposition(dec.u, dec.d, dec.v, wrong, dec.v_inv)
-    with pytest.raises(NotUnimodularError):
-        SmithDecomposition(dec.u, dec.d, dec.v, dec.u_inv, dec.v_inv + dec.v_inv)
+        SmithDecomposition(dec.u, dec.d, dec.v, wrong)
     with pytest.raises(DimensionMismatchError):
-        SmithDecomposition(dec.u, dec.d, dec.v, IntMatrix.identity(3), dec.v_inv)
+        SmithDecomposition(dec.u, dec.d, dec.v, IntMatrix.identity(3))
+    with pytest.raises(DimensionMismatchError):
+        SmithDecomposition(dec.u, dec.d, IntMatrix.identity(3), dec.u_inv)
+
+
+def test_reduction_certificate_needs_more_than_u_m_v_equals_d():
+    """U M V = D holds for U = M = (1) with V = D = (0), and with V = D = (2),
+    but V is not unimodular and Z / M Z = 0 is neither Z nor Z/2."""
+    one = mat([[1]])
+    for x in (0, 2):
+        dec = SmithDecomposition(one, mat([[x]]), mat([[x]]), one)
+        assert dec.u @ one @ dec.v == dec.d
+        with pytest.raises(ArithmeticError):
+            _certify_reduction(one, dec)
+    _certify_reduction(one, snf(one))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
-from ckext.exactmat import IntMatrix, lattice_equal
+from ckext.exactmat import IntMatrix, kernel_basis, lattice_equal
 from ckext.exactmat import determinant as matrix_determinant
 from ckext.fgab import ParentMismatchError
 from ckext.invariants import (
@@ -303,19 +303,46 @@ def test_exact_sequence_on_corpus(corpus_matrices):
         assert verify_exact_sequence(a).all_passed()
 
 
+def _singular_draws(per_size=8):
+    """Seeded conftest draws with det(I - A) = 0, per_size at each N = 4..10."""
+    rng = random.Random(7)
+    draws = []
+    for n in range(4, 11):
+        found = 0
+        while found < per_size:
+            a = validate(random_valid_rows(rng, n))
+            if determinant(a) == 0:
+                draws.append(a)
+                found += 1
+    return draws
+
+
+def test_kernel_generator_matches_kernel_sums():
+    """g, the order of iota(1), is the gcd of the coordinate sums of a basis
+    of Ker(I - A)."""
+    positive = 0
+    for a in _singular_draws():
+        kernel = kernel_basis(IntMatrix.identity(a.n) - a.as_int_matrix())
+        g = math.gcd(*(sum(col) for col in kernel.columns()))
+        assert iota_kernel_generator(a) == g
+        positive += g >= 1
+    assert positive >= 20
+
+
 def test_exact_sequence_rejects_a_wrong_kernel_generator(corpus_matrices):
-    """Node (4) compares the order of iota(1) with g, so a wrong g fails it."""
-    checked = 0
-    for _, a in corpus_matrices:
+    """Node (4) compares the order of iota(1), the report's g and Im(s), so a
+    wrong g fails it."""
+    nonsingular = [a for _, a in corpus_matrices if determinant(a) != 0]
+    singular = [a for a in _singular_draws() if iota_kernel_generator(a) >= 1]
+    for a in nonsingular + singular:
         rep = invariants_report(a)
-        if rep.det_i_minus_a == 0:
-            continue
-        checked += 1
-        assert rep.iota_kernel_generator == 0
-        wrong = dataclasses.replace(rep, iota_kernel_generator=1).exact_sequence()
+        g = rep.iota_kernel_generator
+        assert g == 0 if rep.det_i_minus_a else g >= 1
+        wrong = dataclasses.replace(rep, iota_kernel_generator=g + 1).exact_sequence()
         assert not wrong.exact_at_integers and not wrong.all_passed()
-        assert rep.exact_sequence().all_passed()
-    assert checked >= 10
+        right = rep.exact_sequence()
+        assert right.all_passed() and right.kernel_sum_generator == g
+    assert len(nonsingular) >= 10 and len(singular) >= 20
 
 
 def test_exact_sequence_on_injectivity_gap():

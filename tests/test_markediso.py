@@ -27,6 +27,16 @@ from conftest import abelian_group_types
 
 # --- contract examples ---------------------------------------------------
 
+def test_marked_group_rejects_non_integral_descriptors():
+    for torsion, markers in (((4.9,), ((1,),)), ((4,), ((1.5,),)), ((4.0,), ((1,),))):
+        with pytest.raises(TypeError):
+            marked_group(0, torsion, markers)
+    x = marked_group(0, (4,), ((1,),))
+    assert x == marked_group(0, [4], [[True]])
+    assert x.group.torsion == (4,) and x.markers[0].torsion_coords == (1,)
+    assert marked_group(1, (2,), ((False, 3),)).markers[0].torsion_coords == (1,)
+
+
 def test_z2_marked_points_differ():
     assert not marked_isomorphic(marked_group(0, (2,), ((1,),)),
                                  marked_group(0, (2,), ((0,),)))
