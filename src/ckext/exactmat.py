@@ -183,7 +183,10 @@ def _certify_reduction(m: IntMatrix, dec: SmithDecomposition) -> None:
     M V = U^-1 D puts D Z^k inside U M Z^k.  Each row of U M divisible by its
     factor, and zero where the factor is 0, puts U M Z^k inside D Z^k.
     """
-    if m @ dec.v != dec.u_inv @ dec.d or any(
+    diag = dec.diagonal()  # U^-1 D: column j of U^-1 times d_j, then zero columns
+    u_inv_d = tuple(tuple(map(mul, row, diag)) + (0,) * (dec.d.cols - len(diag))
+                    for row in dec.u_inv.entries)
+    if (m @ dec.v).entries != u_inv_d or any(
             x % f if f else x for f, row in zip(dec.factors(), (dec.u @ m).entries) for x in row):
         raise ArithmeticError("Smith transforms do not reduce the matrix")
 
@@ -386,7 +389,7 @@ def lattice_contains(m: IntMatrix, v: Sequence[int]) -> bool:
     if len(v) != m.rows:
         raise DimensionMismatchError("vector length differs from ambient rank")
     h = hnf_columns(m)
-    resid = [int(x) for x in v]
+    resid = [index(x) for x in v]
     for j in range(h.cols):
         r = next(i for i in range(h.rows) if h.entries[i][j])
         q, rem = divmod(resid[r], h.entries[r][j])

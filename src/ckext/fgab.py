@@ -1,11 +1,11 @@
 """Finitely generated abelian groups presented as cokernels Z^N / M Z^N.
 
-A group is canonicalised through the Smith form of its presentation matrix:
-the nonzero invariant factors > 1 give the torsion part, the zero factors the
-free part, and the unimodular row transform gives a coordinate map sending any
-representative vector to canonical coordinates.
+A group is its presentation M with a coordinate map (k x N), a lift (N x k)
+and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
+of order d.  ``cokernel`` reads them off the Smith form of M; a caller that
+knows a smaller presentation uses ``certified_group``, which checks them.
 
-Canonical coordinates depend on the (non-unique) Smith transform, so raw
+Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
 presentations are not comparable; cross-presentation comparison goes through
 the marked-group machinery instead.  Recomputing a group from an identical
@@ -33,39 +33,27 @@ class ParentMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
-    """Cokernel Z^N / (column lattice of presentation) in canonical form.
-
-    ``smith`` is the presentation's Smith form: its U maps representative
-    vectors into canonical coordinates, and the U^-1 it carries
-    (``smith.u_inv``) lifts canonical coordinates back to representatives.
-    ``ambient_factors`` records, per canonical coordinate of Z^N, the invariant
-    factor attached to it: 0 for a free coordinate, 1 for a collapsed one, and
-    d > 1 for a torsion coordinate of order d.  It and the other derived
-    attributes are computed once, on first use.
-    """
+    """Cokernel Z^N / (column lattice of presentation) in canonical form:
+    ``coords`` maps representatives to canonical coordinates, ``lift`` maps
+    coordinates back, and ``factors`` are as in the module docstring.  The
+    derived attributes are computed on first use."""
 
     presentation: IntMatrix
-    smith: SmithDecomposition
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.presentation.rows
-
-    @cached_property
-    def ambient_factors(self) -> tuple[int, ...]:
-        return self.smith.factors()
+    coords: IntMatrix
+    lift: IntMatrix
+    factors: tuple[int, ...]
 
     @cached_property
     def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.ambient_factors if d > 1)
+        return tuple(d for d in self.factors if d > 1)
 
     @cached_property
     def torsion_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.ambient_factors) if d > 1)
+        return tuple(i for i, d in enumerate(self.factors) if d > 1)
 
     @cached_property
     def free_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.ambient_factors) if d == 0)
+        return tuple(i for i, d in enumerate(self.factors) if d == 0)
 
     @cached_property
     def free_rank(self) -> int:
@@ -85,10 +73,8 @@ class FgAbelianGroup:
 
     def class_of(self, v: Sequence[int]) -> "GroupElement":
         """Canonical coordinates of the class [v]."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("representative length differs from ambient dimension")
-        w = self.smith.u.mul_vec(v)
-        tcoords = tuple(w[i] % self.ambient_factors[i] for i in self.torsion_positions)
+        w = self.coords.mul_vec(v)
+        tcoords = tuple(w[i] % self.factors[i] for i in self.torsion_positions)
         fcoords = tuple(w[i] for i in self.free_positions)
         return GroupElement(self, tcoords, fcoords)
 
@@ -96,12 +82,11 @@ class FgAbelianGroup:
         """Some vector v in Z^N with class_of(v) == a."""
         if a.parent != self:
             raise ParentMismatchError("element belongs to a different group")
-        w = [0] * self.ambient_dim
-        for c, i in zip(a.torsion_coords, self.torsion_positions):
+        w = [0] * len(self.factors)
+        for c, i in zip(a.torsion_coords + a.free_coords,
+                        self.torsion_positions + self.free_positions):
             w[i] = c
-        for c, i in zip(a.free_coords, self.free_positions):
-            w[i] = c
-        return self.smith.u_inv.mul_vec(w)
+        return self.lift.mul_vec(w)
 
 
 @dataclass(frozen=True)
@@ -153,9 +138,30 @@ class GroupElement:
         return self.add(other.negate())
 
 
-def cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """The group Z^N / (column lattice of m), N = rows of m."""
-    return FgAbelianGroup(m, snf(m))
+def cokernel(m: IntMatrix, smith: SmithDecomposition | None = None) -> FgAbelianGroup:
+    """Z^N / (column lattice of m) in the coordinates of smith, the Smith form
+    of m (computed here when not given)."""
+    smith = smith if smith is not None else snf(m)
+    return FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
+
+
+def certified_group(presentation: IntMatrix, coords: IntMatrix, lift: IntMatrix,
+                    factors: tuple[int, ...]) -> FgAbelianGroup:
+    """Z^N / (column lattice of presentation) in the given coordinates, checked:
+    coords sends each column of the presentation to 0 and column k of lift to
+    e_k, modulo the factors (exactly where a factor is 0)."""
+    def agrees(product: IntMatrix, target: IntMatrix) -> bool:
+        return not any((x - y) % f if f else x - y
+                       for f, row, trow in zip(factors, product.entries, target.entries)
+                       for x, y in zip(row, trow))
+
+    k = len(factors)
+    if (coords.rows, lift.cols) != (k, k):
+        raise DimensionMismatchError("coordinate map and lift do not match the factors")
+    if not (agrees(coords @ presentation, IntMatrix.zeros(k, presentation.cols))
+            and agrees(coords @ lift, IntMatrix.identity(k))):
+        raise ArithmeticError("coordinate map does not present the cokernel")
+    return FgAbelianGroup(presentation, coords, lift, factors)
 
 
 def element_order(a: GroupElement) -> int | None:

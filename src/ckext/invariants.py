@@ -15,9 +15,23 @@ Everything here is exact integer lattice arithmetic over a validated square
 * executable verifiers for the lattice identity Im(I-A)_0 = (I - A^_n) Z^N
   and for the six-node exact sequence tying the two groups together.
 
-invariants_report computes all of them from one Smith form per group; the
-single-invariant helpers (iota_hat, toeplitz_strong, hat_q,
-iota_kernel_generator) are views on it.
+invariants_report computes all of them from the Smith form of I - A; exts and
+the single-invariant helpers (iota_hat, toeplitz_strong, hat_q,
+iota_kernel_generator) are views on it.  A singular I - A also gets a Smith
+form of I - A^.  For a nonsingular one, with U (I - A) V = D, factors d_j,
+torsion rows pos_1..pos_t and sigma = 1^T V, the paper's extension formula
+
+    Z^N / (I - A^) Z^N  =  Z^{1+t} / <d_i e_i - sigma_{pos_i} e_0 : i = 1..t>
+
+holds through Phi(v) = (sum_{d_j = 1} sigma_j (U v)_j, (U v)_{pos_i}).  Each x
+is V y with D y = U (I - A) x (rows of U (I - A) are divisible by their factors
+and I - A is nonsingular), so Phi((I - A) x) is (1^T x) e_0 plus the relations
+sum_i y_{pos_i} (d_i e_i - sigma_{pos_i} e_0).  So Phi kills (I - A^) Z^N, which
+is (I - A) Z^N_0, Z^N_0 the sum-zero vectors; if Phi(v) is a relation, v is
+weakly zero, v = (I - A) x with 1^T x = 0, so the induced map is injective; and
+Psi: e_0 -> iota(1) = (I - A) e_1, e_i -> U^-1 e_{pos_i} splits it.  The Smith
+form U_R R V_R = D_R of the (1+t) x t relation matrix R makes it canonical:
+the class map is U_R Phi, the lift Psi U_R^-1, checked by fgab.certified_group.
 """
 
 from __future__ import annotations
@@ -25,14 +39,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .exactmat import (
-    IntMatrix,
-    hnf_columns,
-    kernel_basis,
-    lattice_equal,
-)
+from .exactmat import (IntMatrix, SmithDecomposition, hnf_columns, kernel_basis,
+                       lattice_equal, snf)
 from .exactmat import determinant as _determinant
-from .fgab import FgAbelianGroup, GroupElement, ParentMismatchError, cokernel, element_order
+from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
+                   cokernel, element_order)
 
 
 class ValidationError(ValueError):
@@ -173,7 +184,21 @@ def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
 
 def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
     """Strong extension group: Z^N / (I - A^) Z^N with A^ = A + R_1 - A R_1."""
-    return cokernel(_i_minus_hat(_identity_minus(a), 1))
+    return invariants_report(a).exts_group
+
+
+def _strong_group(ima: IntMatrix, weak: SmithDecomposition) -> FgAbelianGroup:
+    """Z^N / (I - A^) Z^N from the Smith form of a nonsingular ima = I - A."""
+    factors = weak.factors()
+    sigma = [sum(col) for col in zip(*weak.v.entries)]
+    pos = [j for j, d in enumerate(factors) if d > 1]
+    w = IntMatrix.from_rows([[s if d == 1 else 0 for s, d in zip(sigma, factors)]]
+                            + [[int(j == p) for j in range(ima.rows)] for p in pos])
+    rel = snf(IntMatrix.from_rows([[-sigma[p] for p in pos]]
+                                  + [[factors[p] * (p == q) for q in pos] for p in pos]))
+    psi = IntMatrix.from_columns([ima.column(0)] + [weak.u_inv.column(p) for p in pos])
+    return certified_group(_i_minus_hat(ima, 1), rel.u @ w @ weak.u, psi @ rel.u_inv,
+                           rel.factors())
 
 
 def iota_hat(a: ZeroOneMatrix, m: int) -> GroupElement:
@@ -380,11 +405,14 @@ class ExtInvariantReport:
 
 
 def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
-    """Assemble every invariant of a from one Smith form per lattice and check
-    that the quotient map carries the strong Toeplitz class to the weak one."""
+    """Assemble every invariant of a from the Smith form of I - A (and of
+    I - A^ when I - A is singular), and check that the quotient map carries the
+    strong Toeplitz class to the weak one."""
     ima = _identity_minus(a)
-    weak = cokernel(ima)
-    strong = cokernel(_i_minus_hat(ima, 1))
+    dec = snf(ima)
+    weak = cokernel(ima, dec)
+    strong = (_strong_group(ima, dec) if all(dec.factors())
+              else cokernel(_i_minus_hat(ima, 1)))
     ones = (1,) * a.n
     iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(

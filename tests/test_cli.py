@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckext import exactmat, fgab
+from ckext import exactmat, fgab, invariants
 from ckext.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_ISOMORPHIC,
@@ -19,7 +19,7 @@ from ckext.cli import (
 )
 from ckext.corpus import A1, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
-from ckext.invariants import a_hat, invariants_report, validate
+from ckext.invariants import a_hat, determinant, invariants_report, validate
 from ckext.markediso import DEFAULT_TORSION_BOUND
 from conftest import random_valid_rows
 
@@ -234,42 +234,56 @@ def snf_inputs(monkeypatch):
         inputs.append(m)
         return real(m)
 
-    monkeypatch.setattr(exactmat, "snf", counting)
-    monkeypatch.setattr(fgab, "snf", counting)
+    for module in (exactmat, fgab, invariants):
+        monkeypatch.setattr(module, "snf", counting)
     return inputs
 
 
 def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
-    """One Smith form per lattice: I - A and I - A^ for each matrix."""
-    path_a = write_matrix(tmp_path, "a.txt", A4)
-    path_b = write_matrix(tmp_path, "b.txt", FIBONACCI)
+    """One N x N Smith form per nonsingular matrix, of I - A, off which the
+    strong group is read; two per singular one, of I - A and I - A^.  The
+    strong group's relation matrix is (1 + t) x t, never square."""
+    singular = write_matrix(tmp_path, "a4.txt", A4)          # det(I - A) = 0
+    nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
+    fibonacci = write_matrix(tmp_path, "f.txt", FIBONACCI)   # det(I - A) = -1
 
     def smith_forms(argv):
+        """(square Smith forms, all Smith forms) run by one command."""
         snf_inputs.clear()
         main(argv)
         capsys.readouterr()
-        return len(snf_inputs)
+        return sum(1 for m in snf_inputs if m.rows == m.cols), len(snf_inputs)
 
-    assert smith_forms(["compute", path_a]) == 2
-    assert smith_forms(["compute", path_a, "--transpose", "--format", "text"]) == 2
-    assert smith_forms(["compare", path_a, path_b]) == 2
-    assert smith_forms(["verify", path_a]) <= 5
-    assert smith_forms(["compute", path_a, "--verify"]) <= 5
+    assert smith_forms(["compute", singular]) == (2, 2)
+    assert smith_forms(["compute", singular, "--transpose", "--format", "text"]) == (2, 2)
+    assert smith_forms(["compute", nonsingular]) == (1, 2)
+    assert smith_forms(["compute", fibonacci]) == (1, 2)
+    assert smith_forms(["compare", singular, fibonacci]) == (2, 2)
+    # verify adds the exact-sequence oracle's three kernels; one of them, of
+    # (I - A^)^T, is N x N.
+    for path, square in ((singular, 3), (nonsingular, 2)):
+        assert smith_forms(["verify", path]) == (square, 5)
+        assert smith_forms(["compute", path, "--verify"]) == (square, 5)
 
-    # examples: the two lattices of each entry, plus one Smith form for each
-    # of the entry's two expected marked groups, built from their descriptors.
-    lattices = []
+    # examples: the lattices of each entry (I - A, and I - A^ when I - A is
+    # singular), the relation matrix when it is not, and one Smith form for
+    # each of the entry's two expected marked groups, built from their
+    # descriptors.
+    lattices, expected = [], 0
     for entry in CORPUS:
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-    assert smith_forms(["examples"]) == 4 * len(CORPUS)
-    assert sum(1 for m in snf_inputs if m in lattices) == 2 * len(CORPUS)
+        expected += 1 if determinant(a) else 2
+    assert smith_forms(["examples"])[1] == 4 * len(CORPUS)
+    assert sum(1 for m in snf_inputs if m in lattices) == expected
 
 
 def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
-    """I - A^_n is read off the columns of I - A, so a verify makes the same
-    number of matrix products at N = 3 as at N = 12."""
+    """I - A^_n is read off the columns of I - A, so a verify makes as many
+    matrix products at N = 3 as at N = 8 or 12, between matrices that take the
+    same path: singular, with a Smith form of I - A^, or nonsingular, with the
+    strong group read off the weak one."""
     calls = []
     real = IntMatrix.__matmul__
 
@@ -279,15 +293,18 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting)
 
-    def products(rows, name):
+    def products(rows, name, singular):
+        assert (determinant(validate(rows)) == 0) == singular
         path = write_matrix(tmp_path, name, rows)
         calls.clear()
         assert main(["verify", path]) == EXIT_OK
         capsys.readouterr()
         return len(calls)
 
-    small = products(A4, "a4.txt")
-    assert small == products(random_valid_rows(random.Random(0), 12), "dense12.txt")
+    assert products(A4, "a4.txt", True) == \
+        products(random_valid_rows(random.Random(0), 8), "singular8.txt", True)
+    assert products(A1, "a1.txt", False) == \
+        products(random_valid_rows(random.Random(0), 12), "dense12.txt", False)
 
 
 def test_examples_takes_no_torsion_bound(capsys):

@@ -198,6 +198,15 @@ def test_lattice_contains_examples():
         lattice_contains(col, (1, 2, 3))
 
 
+def test_lattice_contains_rejects_non_integral_entries():
+    """A float is refused, not truncated: (1.5, 0) is not in Z^2."""
+    with pytest.raises(TypeError):
+        lattice_contains(IntMatrix.identity(2), (1.5, 0))
+    assert lattice_contains(IntMatrix.identity(2), (3, -1))
+    assert lattice_contains(IntMatrix.from_columns([(1, 1)]), (True, True))
+    assert not lattice_contains(IntMatrix.from_columns([(2, 0)]), (True, False))
+
+
 def test_lattice_contains_zero_lattice():
     empty = IntMatrix.from_columns([], rows=2)
     assert lattice_contains(empty, (0, 0))
@@ -296,3 +305,16 @@ def test_reduction_certificate_needs_more_than_u_m_v_equals_d():
         with pytest.raises(ArithmeticError):
             _certify_reduction(one, dec)
     _certify_reduction(one, snf(one))
+
+
+@pytest.mark.parametrize("rows", [[[2, 4, 1], [6, 8, 3]], [[2, 4], [6, 8], [1, 3]]])
+def test_reduction_certificate_rejects_a_tampered_witness_of_a_rectangular_matrix(rows):
+    """M V = U^-1 D is checked column by column of U^-1 D, zero columns included."""
+    m = mat(rows)
+    dec = snf(m)
+    _certify_reduction(m, dec)
+    for i in range(dec.v.rows):
+        bumped = [list(r) for r in dec.v.entries]
+        bumped[i][-1] += 1
+        with pytest.raises(ArithmeticError):
+            _certify_reduction(m, SmithDecomposition(dec.u, dec.d, mat(bumped), dec.u_inv))

@@ -13,7 +13,8 @@ import pytest
 from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix, kernel_basis, lattice_equal
 from ckext.exactmat import determinant as matrix_determinant
-from ckext.fgab import ParentMismatchError
+from ckext.fgab import ParentMismatchError, certified_group, cokernel
+from ckext import invariants
 from ckext.invariants import (
     IndexOutOfRangeError,
     IsPermutationError,
@@ -148,6 +149,93 @@ def test_exts_descriptors():
     assert (g2.free_rank, g2.torsion) == (1, (2,))
     g6 = exts(validate(A6))
     assert (g6.free_rank, g6.torsion) == (1, (2,))
+
+
+# --- the strong group from the extension formula -------------------------
+
+def _nonsingular_draws(per_size=3):
+    """Seeded conftest draws with det(I - A) != 0, per_size at each N = 2..20,
+    then the nonsingular corpus matrices."""
+    rng = random.Random(11)
+    draws = []
+    for n in range(2, 21):
+        found = 0
+        while found < per_size:
+            a = validate(random_valid_rows(rng, n))
+            if determinant(a):
+                draws.append(a)
+                found += 1
+    return draws + [a for a in map(validate, (e.rows for e in CORPUS)) if determinant(a)]
+
+
+def test_strong_group_agrees_with_the_smith_form_of_i_minus_a_hat():
+    """The group read off the weak Smith form against cokernel(I - A^): same
+    shape, the same verdict on whether two vectors share a class, round-trip
+    representatives and, for |T| <= 64, a marked isomorphism of the triples
+    ([T]_s, iota(1))."""
+    rng = random.Random(12)
+    compared = 0
+    for a in _nonsingular_draws():
+        n = a.n
+        rep = invariants_report(a)
+        new = rep.exts_group
+        assert new == exts(a)
+        ima = IntMatrix.identity(n) - a.as_int_matrix()
+        old = cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+        assert (new.free_rank, new.torsion) == (old.free_rank, old.torsion)
+        for _ in range(12):
+            u = [rng.randint(-5, 5) for _ in range(n)]
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            if rng.random() < 0.5:
+                x[0] -= sum(x)  # a sum-zero x: (I - A) x lies in (I - A^) Z^N
+            v = [p + q for p, q in zip(u, ima.mul_vec(x))]
+            w = [p + rng.randint(-1, 1) for p in u]
+            for y in (v, w):
+                assert (new.class_of(u) == new.class_of(y)) == \
+                    (old.class_of(u) == old.class_of(y))
+            assert new.class_of(new.representative(new.class_of(u))) == new.class_of(u)
+        if math.prod(new.torsion) <= 64:
+            iota_old = old.class_of(ima.column(0))
+            oracle = (-iota_old - old.class_of((1,) * n), iota_old)
+            assert marked_isomorphic(MarkedGroup(new, (rep.toeplitz_strong, rep.iota_one)),
+                                     MarkedGroup(old, oracle))
+            compared += 1
+    assert compared >= 40
+
+
+def test_strong_group_certificate_rejects_a_tampered_coordinate_map():
+    """Bumping any entry of a row that carries a coordinate (factor != 1)
+    breaks fgab.certified_group's run-time check."""
+    for rows in (A2, A3, random_valid_rows(random.Random(3), 9)):
+        g = exts(validate(rows))
+        certified_group(g.presentation, g.coords, g.lift, g.factors)
+        for r, f in enumerate(g.factors):
+            if f == 1:
+                continue
+            for c in range(g.coords.cols):
+                bumped = [list(row) for row in g.coords.entries]
+                bumped[r][c] += 1
+                with pytest.raises(ArithmeticError):
+                    certified_group(g.presentation, IntMatrix.from_rows(bumped), g.lift,
+                                    g.factors)
+
+
+def test_tampered_weak_witness_is_refused(monkeypatch):
+    """A column sum sigma_j of the weak group's V off by one (through a
+    tampered V handed to the strong builder) makes invariants_report raise."""
+    real = invariants.snf
+
+    def tampered(m):
+        dec = real(m)
+        if m.rows != m.cols:
+            return dec
+        v = [list(row) for row in dec.v.entries]
+        v[0][0] += 1
+        return dataclasses.replace(dec, v=IntMatrix.from_rows(v))
+
+    monkeypatch.setattr(invariants, "snf", tampered)
+    with pytest.raises(ArithmeticError):
+        invariants_report(validate(A2))
 
 
 # --- iota ----------------------------------------------------------------
@@ -392,7 +480,7 @@ print(json.dumps({
 """
 
 
-@pytest.mark.parametrize("n, seed", [(34, 1), (40, 42)])
+@pytest.mark.parametrize("n, seed", [(34, 1), (40, 42), (50, 2)])
 def test_heavy_dense_draw_report(n, seed):
     """Draws whose Smith transforms reach thousands of bits finish within 60 s
     (in a subprocess, so a hang fails the test) and agree with identities
