@@ -7,10 +7,10 @@ Subcommands:
 * ``verify PATH``   - run the built-in lattice/exact-sequence verifiers
 * ``examples``      - run the embedded regression corpus
 
-Matrix files hold one row per line as whitespace-separated 0/1 tokens; lines
-starting with ``#`` are comments.  Structured output is a single JSON
-document with stable key order and no timestamps, so identical input yields
-byte-identical output.
+Matrix files are UTF-8 text, one row per line as whitespace-separated 0/1
+tokens; lines starting with ``#`` are comments.  Structured output is a single
+JSON document with stable key order and no timestamps, so identical input
+yields byte-identical output.
 
 Exit codes: 0 success / all checks pass, 2 parse or validation error,
 3 compare verdict "not isomorphic", 4 verification failure.
@@ -75,8 +75,13 @@ def parse_matrix_text(text: str) -> list[list[int]]:
 
 
 def load_matrix(path: str, *, use_transpose: bool = False, force: bool = False) -> ZeroOneMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = parse_matrix_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"ParseError: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    rows = parse_matrix_text(text)
     a = validate(rows, force=force)
     if force:
         print(f"warning: {path}: validation relaxed by --force; "

@@ -93,6 +93,18 @@ def test_compute_rejects_parse_error(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_compute_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    """Undecodable bytes are a parse error: exit 2 and one line on stderr."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 1\n# caf\xe9\n")
+    for argv in (["compute", str(path)], ["verify", str(path)]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ParseError: byte 13 is not UTF-8 "
+                                "(invalid continuation byte)\n")
+
+
 def test_compute_missing_file(capsys):
     assert main(["compute", "/nonexistent/matrix.txt"]) == EXIT_INPUT_ERROR
 
@@ -259,11 +271,11 @@ def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
     assert smith_forms(["compute", nonsingular]) == (1, 2)
     assert smith_forms(["compute", fibonacci]) == (1, 2)
     assert smith_forms(["compare", singular, fibonacci]) == (2, 2)
-    # verify adds the exact-sequence oracle's three kernels; one of them, of
-    # (I - A^)^T, is N x N.
-    for path, square in ((singular, 3), (nonsingular, 2)):
-        assert smith_forms(["verify", path]) == (square, 5)
-        assert smith_forms(["compute", path, "--verify"]) == (square, 5)
+    # The verifiers work by certificate and Hermite forms: verify runs exactly
+    # the Smith forms of compute.
+    for path, forms in ((singular, (2, 2)), (nonsingular, (1, 2))):
+        assert smith_forms(["verify", path]) == forms
+        assert smith_forms(["compute", path, "--verify"]) == forms
 
     # examples: the lattices of each entry (I - A, and I - A^ when I - A is
     # singular), the relation matrix when it is not, and one Smith form for
@@ -305,6 +317,35 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
         products(random_valid_rows(random.Random(0), 8), "singular8.txt", True)
     assert products(A1, "a1.txt", False) == \
         products(random_valid_rows(random.Random(0), 12), "dense12.txt", False)
+
+
+def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
+    """A verify runs the same Hermite forms at N = 3 as at N = 8 or 12, and at
+    most three: one for node (4) of the exact sequence and two for the lattice
+    identity at n = 1, which gives it for every n."""
+    calls = []
+    real = exactmat.hnf_columns
+
+    def counting(m):
+        calls.append(1)
+        return real(m)
+
+    for module in (exactmat, invariants):
+        monkeypatch.setattr(module, "hnf_columns", counting)
+
+    def hermite_forms(rows, name, singular):
+        assert (determinant(validate(rows)) == 0) == singular
+        path = write_matrix(tmp_path, name, rows)
+        calls.clear()
+        assert main(["verify", path]) == EXIT_OK
+        capsys.readouterr()
+        return len(calls)
+
+    small = hermite_forms(A4, "a4.txt", True)
+    assert small <= 3
+    assert small == hermite_forms(random_valid_rows(random.Random(0), 8), "singular8.txt", True)
+    assert hermite_forms(A1, "a1.txt", False) == \
+        hermite_forms(random_valid_rows(random.Random(0), 12), "dense12.txt", False)
 
 
 def test_examples_takes_no_torsion_bound(capsys):

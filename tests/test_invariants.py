@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
-from ckext.exactmat import IntMatrix, kernel_basis, lattice_equal
+from ckext.exactmat import IntMatrix, hnf_columns, kernel_basis, lattice_equal
 from ckext.exactmat import determinant as matrix_determinant
-from ckext.fgab import ParentMismatchError, certified_group, cokernel
+from ckext.fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
+                        cokernel, element_order)
 from ckext import invariants
 from ckext.invariants import (
+    ExactSequenceReport,
     IndexOutOfRangeError,
     IsPermutationError,
     NotIrreducibleError,
@@ -431,6 +433,115 @@ def test_exact_sequence_rejects_a_wrong_kernel_generator(corpus_matrices):
         right = rep.exact_sequence()
         assert right.all_passed() and right.kernel_sum_generator == g
     assert len(nonsingular) >= 10 and len(singular) >= 20
+
+
+# --- normal-form oracles for the verifiers ------------------------------
+
+def _oracle_im0_identity(a):
+    """Im(I - A)_0 = (I - A^_n) Z^N, checked by Hermite forms for every n."""
+    n = a.n
+    ima = IntMatrix.identity(n) - a.as_int_matrix()
+    sum_zero = [[int(j == i) - int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    im0 = hnf_columns(IntMatrix.from_columns([ima.mul_vec(e) for e in sum_zero], rows=n))
+    return all(hnf_columns(IntMatrix.identity(n) - a_hat(a, m)) == im0
+               for m in range(1, n + 1))
+
+
+def _oracle_exact_sequence(rep):
+    """Each node of the exact sequence with kernels computed afresh and
+    compared with images as explicit lattices, for the report's strong
+    presentation."""
+    a = rep.matrix
+    n = a.n
+    i_minus_a = IntMatrix.identity(n) - a.as_int_matrix()
+    i_minus_hat = rep.exts_group.presentation
+    e1 = IntMatrix.from_columns([(1,) + (0,) * (n - 1)], rows=n)
+
+    # (1) i_1 is injective and lands in Ker(I - A^): column 1 of I - A^ is zero.
+    start_injects = all(i_minus_hat.entries[i][0] == 0 for i in range(n))
+
+    # (2) Im(i_1) = Ker(j) within Ker(I - A^), j(l) = (-sum_{i>=2} l_i, l_2, ..., l_N).
+    jm = IntMatrix.from_rows([(0,) + (-1,) * (n - 1)]
+                             + [tuple(int(j == i) for j in range(n)) for i in range(1, n)])
+    exact_at_kernel_hat = lattice_equal(kernel_basis(i_minus_hat.vstack(jm)), e1)
+
+    # (3) j(Ker(I - A^)) = Ker(s) within Ker(I - A).
+    image_j = jm @ kernel_basis(i_minus_hat)
+    with_sums = i_minus_a.vstack(IntMatrix.from_rows([(1,) * n]))
+    exact_at_kernel = lattice_equal(image_j, kernel_basis(with_sums))
+
+    # (4) Im(s) = Ker(iota), from the Hermite column pivoted in the last row.
+    h = hnf_columns(with_sums)
+    last = h.column(h.cols - 1)
+    im_s = 0 if any(last[:n]) else last[n]
+    exact_at_integers = ((element_order(rep.iota_one) or 0)
+                         == rep.iota_kernel_generator == im_s)
+
+    # (5) Ker(q^) = Im(iota): (I - A^) Z^N + Z (I - A) e_1 = (I - A) Z^N.
+    iota_col = IntMatrix.from_columns([i_minus_a.column(0)], rows=n)
+    exact_at_strong_group = lattice_equal(i_minus_hat.hstack(iota_col), i_minus_a)
+
+    # (6) q^ well defined and onto: (I - A) Z^N + (I - A^) Z^N = (I - A) Z^N.
+    quotient_surjective = lattice_equal(i_minus_a.hstack(i_minus_hat), i_minus_a)
+
+    return ExactSequenceReport(
+        start_injects=start_injects,
+        exact_at_kernel_hat=exact_at_kernel_hat,
+        exact_at_kernel=exact_at_kernel,
+        exact_at_integers=exact_at_integers,
+        exact_at_strong_group=exact_at_strong_group,
+        quotient_surjective=quotient_surjective,
+        kernel_sum_generator=im_s,
+    )
+
+
+def test_verifiers_agree_with_the_normal_form_oracle(corpus_matrices):
+    """Every field of the exact-sequence report, and the lattice identity,
+    against the oracle, which checks the identity for every n: on the corpus,
+    the singular draws and seeded nonsingular draws at N = 2..12."""
+    singular = _singular_draws()
+    nonsingular = [a for a in _nonsingular_draws() if a.n <= 12]
+    matrices = [a for _, a in corpus_matrices] + singular + nonsingular
+    for a in matrices:
+        rep = invariants_report(a)
+        assert rep.exact_sequence() == _oracle_exact_sequence(rep)
+        assert verify_im0_identity(a) == _oracle_im0_identity(a)
+    assert len(singular) == 56 and len(nonsingular) >= 30
+
+
+def _with_presentation(rep, presentation):
+    """rep with its strong group presented by another matrix, coordinates kept."""
+    g = rep.exts_group
+    group = FgAbelianGroup(presentation, g.coords, g.lift, g.factors)
+
+    def moved(x):
+        return GroupElement(group, x.torsion_coords, x.free_coords)
+
+    return dataclasses.replace(rep, exts_group=group, toeplitz_strong=moved(rep.toeplitz_strong),
+                               iota_one=moved(rep.iota_one))
+
+
+def test_exact_sequence_rejects_a_presentation_that_does_not_factor():
+    """Nodes (1), (2), (3), (5) and (6) rest on the certificate
+    F = (I - A)(I - R_1) for the strong presentation F.  I - A^_2, or F with
+    one entry changed, fails all five; node (4) does not read F."""
+    for rows in (A2, INJECTIVITY_GAP, FIBONACCI, random_valid_rows(random.Random(5), 7)):
+        a = validate(rows)
+        rep = invariants_report(a)
+        f = rep.exts_group.presentation
+        tampered = [IntMatrix.identity(a.n) - a_hat(a, 2)]
+        for i in range(a.n):
+            for j in range(a.n):
+                bumped = [list(row) for row in f.entries]
+                bumped[i][j] += 1
+                tampered.append(IntMatrix.from_rows(bumped))
+        for presentation in tampered:
+            assert presentation != f
+            seq = _with_presentation(rep, presentation).exact_sequence()
+            assert not any((seq.start_injects, seq.exact_at_kernel_hat, seq.exact_at_kernel,
+                            seq.exact_at_strong_group, seq.quotient_surjective))
+            assert seq.exact_at_integers and not seq.all_passed()
+        assert rep.exact_sequence().all_passed()
 
 
 def test_exact_sequence_on_injectivity_gap():

@@ -33,3 +33,31 @@ def test_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not found, f"non-stdlib imports in src/ckext: {found}"
+
+
+def test_every_private_top_level_name_is_used():
+    """Each private top-level function or class of the package is referenced
+    somewhere in the package outside its own definition: code that nothing
+    calls is deleted, not left behind."""
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined[own] = f"{path.name}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, f"private names used nowhere else in src/ckext: {unused}"
