@@ -2,13 +2,16 @@
 
 Dense arbitrary-precision integer matrices with the normal forms and lattice
 predicates everything else is built on: Smith normal form with unimodular
-transforms, a canonical column-style Hermite normal form, Bareiss
-determinants, integer kernels, and column-lattice equality/membership.
+transforms, the Smith form of a nonsingular matrix modulo its determinant, a
+canonical column-style Hermite normal form, Bareiss determinants and adjugate
+solves, integer kernels, and column-lattice equality/membership.
 
 All values are immutable; every function is pure.  Matrices are dense.  The
 Smith form carries U, U^-1 and V, the witness of the reduction, certified by
 exact products; integer kernels are read off the U of the transposed form.
-README.md gives measured sizes and times.
+The modular form records its row operations modulo d and replays U and U^-1
+only for the rows with a factor, so its entries stay below d; its caller
+certifies it.  README.md gives measured sizes and times.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class IntMatrix:
 
     A matrix with zero columns represents the zero lattice; zero-row matrices
     only occur as empty transforms (e.g. the V of the Smith form of an N-by-0
-    matrix) and never carry lattice meaning.
+    matrix) and never carry lattice meaning.  Entries are type-checked at the
+    boundary, by from_rows and from_columns (operator.index); the package
+    builds the others from ints.
     """
 
     rows: int
@@ -48,12 +53,8 @@ class IntMatrix:
             raise ValueError("negative dimensions")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("ragged rows")
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -206,29 +207,49 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
+    return adjugate_solve(m)[0]
+
+
+def adjugate_solve(m: IntMatrix, b: Sequence[int] | None = None
+                   ) -> tuple[int, tuple[int, ...] | None]:
+    """det(m) and adj(m) b = det(m) m^-1 b, by one Bareiss elimination of [m | b].
+
+    After the elimination row i reads a_ii x_i + sum_{j>i} a_ij x_j = c_i,
+    and y = delta x, delta the last pivot, is integral by Cramer's rule, so the
+    fraction-free back substitution y_i = (delta c_i - sum_{j>i} a_ij y_j) / a_ii
+    divides exactly.  The second value is None when b is None or m is singular.
+    """
     if m.rows != m.cols:
         raise NotSquareError("determinant of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return 1
     a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    if b is not None:
+        if len(b) != n:
+            raise DimensionMismatchError("vector length differs from row count")
+        for row, x in zip(a, b):
+            row.append(index(x))
+    sign = prev = 1
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0, None
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row_i, c = a[i], a[i][k]
+            a[i][k + 1:] = [(x * pivot - c * y) // prev
+                            for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
+            row_i[k] = 0
+        prev = pivot
+    if b is None:
+        return sign * prev, None
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = (prev * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+    return sign * prev, tuple(sign * v for v in y)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -333,6 +354,75 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                              IntMatrix.from_columns(ui_cols, rows=nr))
     _certify_reduction(m, dec)
     return dec
+
+
+def _smith_mod(m: IntMatrix, d: int) -> tuple[tuple[int, ...], list[list[int]],
+                                              list[list[int]]]:
+    """Smith form of a square m over Z/d, for d > 0 with d Z^n inside m Z^n
+    (d = |det m| for nonsingular m).
+
+    Returns the factor f_i of each row, a divisibility chain of divisors of d,
+    and, for the rows with f_i > 1, row i of U and column i of U^-1 (entries in
+    [0, d)): v -> ((U v)_i mod f_i) maps Z^n / m Z^n onto the sum of the Z/f_i,
+    and U^-1 e_i maps to e_i.  The caller certifies the result.
+
+    Z^n / m Z^n is (Z/d)^n / m (Z/d)^n, so row operations (2 x 2, determinant
+    1) are recorded, and column operations, which keep the column module, are
+    not.  Row i is finished when its column is p e_i: scaling that column to
+    f_i = gcd(p, d) keeps the module, and clearing row i to the right touches
+    only row i, so it is dropped.  U and U^-1 are replayed from the record for
+    the rows that carry a factor, at O(1) a step.
+    """
+    n = m.rows
+    a = [[x % d for x in row] for row in m.entries]
+    ops = []  # (t, i, ((p, q), (r, s))): rows (t, i) <- that matrix times rows (t, i)
+
+    def row_op(t, i, e):  # on columns t.., where rows t and i are zero to the left
+        (p, q), (r, s) = e
+        x, y = a[t][t:], a[i][t:]
+        if (p, q) != (1, 0):
+            a[t][t:] = [(p * xv + q * yv) % d for xv, yv in zip(x, y)]
+        a[i][t:] = [(r * xv + s * yv) % d for xv, yv in zip(x, y)]
+        ops.append((t, i, e))
+
+    factors = []
+    for t in range(n):
+        while True:
+            for i in range(t + 1, n):  # clear column t below the pivot
+                p, x = a[t][t], a[i][t]
+                if x == 0:
+                    continue
+                if p and x % p == 0:  # eliminate plainly: xgcd(p, p) is a row swap
+                    row_op(t, i, ((1, 0), (-(x // p), 1)))
+                else:
+                    g, c, e = _xgcd(p, x)
+                    row_op(t, i, ((c, e), (-(x // g), p // g)))
+            f = a[t][t] = _xgcd(a[t][t], d)[0]  # column t is p e_t: scale it to gcd(p, d)
+            if f == 1:
+                break
+            j = next((j for j in range(t + 1, n) if a[t][j] % f), None)
+            if j is not None:  # column operation giving the pivot gcd(f, a_tj) < f
+                g, c, e = _xgcd(f, a[t][j])
+                q, r = a[t][j] // g, f // g
+                for row in a[t:]:
+                    row[t], row[j] = (c * row[t] + e * row[j]) % d, (q * row[t] - r * row[j]) % d
+                continue
+            bad = next((i for i in range(t + 1, n) if any(x % f for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            row_op(t, bad, ((1, 1), (0, 1)))  # the pivot must divide the rest
+        factors.append(f)
+
+    u_rows, u_inv_cols = [], []
+    for k in (k for k, f in enumerate(factors) if f > 1):
+        v = [int(j == k) for j in range(n)]  # e_k^T E_last ... E_first
+        w = v[:]                             # E_first^-1 ... E_last^-1 e_k
+        for t, i, ((p, q), (r, s)) in reversed(ops):
+            v[t], v[i] = (v[t] * p + v[i] * r) % d, (v[t] * q + v[i] * s) % d
+            w[t], w[i] = (s * w[t] - q * w[i]) % d, (p * w[i] - r * w[t]) % d
+        u_rows.append(v)
+        u_inv_cols.append(w)
+    return tuple(factors), u_rows, u_inv_cols
 
 
 def hnf_columns(m: IntMatrix) -> IntMatrix:

@@ -2,8 +2,10 @@
 
 A group is its presentation M with a coordinate map (k x N), a lift (N x k)
 and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
-of order d.  ``cokernel`` reads them off the Smith form of M; a caller that
-knows a smaller presentation uses ``certified_group``, which checks them.
+of order d.  ``cokernel`` reads them off the Smith form of M, and
+``finite_cokernel`` off the Smith form of a nonsingular M modulo |det M|,
+checked by ``certified_group``, which also serves a caller that knows a
+smaller presentation.
 
 Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Sequence
 
-from .exactmat import (
-    IntMatrix,
-    DimensionMismatchError,
-    SmithDecomposition,
-    snf,
-)
+from .exactmat import IntMatrix, DimensionMismatchError, _smith_mod, snf
 
 
 class ParentMismatchError(ValueError):
@@ -138,11 +135,27 @@ class GroupElement:
         return self.add(other.negate())
 
 
-def cokernel(m: IntMatrix, smith: SmithDecomposition | None = None) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) in the coordinates of smith, the Smith form
-    of m (computed here when not given)."""
-    smith = smith if smith is not None else snf(m)
+def cokernel(m: IntMatrix) -> FgAbelianGroup:
+    """Z^N / (column lattice of m) in the coordinates of the Smith form of m."""
+    smith = snf(m)
     return FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
+
+
+def finite_cokernel(m: IntMatrix, det: int) -> FgAbelianGroup:
+    """Z^N / (column lattice of m) for a square m with det(m) = det != 0, from
+    the Smith form of m modulo |det|, with one coordinate per torsion factor.
+
+    Certified by certified_group and by the factors multiplying to |det|: the
+    coordinate map is then onto a group of the order of Z^N / m Z^N and kills
+    m Z^N, so it is an isomorphism.
+    """
+    factors, u_rows, u_inv_cols = _smith_mod(m, abs(det))
+    if math.prod(factors) != abs(det):
+        raise ArithmeticError("invariant factors do not multiply to |det|")
+    torsion = tuple(f for f in factors if f > 1)
+    coords = tuple(tuple(x % f for x in row) for f, row in zip(torsion, u_rows))
+    return certified_group(m, IntMatrix(len(torsion), m.cols, coords),
+                           IntMatrix.from_columns(u_inv_cols, rows=m.rows), torsion)
 
 
 def certified_group(presentation: IntMatrix, coords: IntMatrix, lift: IntMatrix,

@@ -15,27 +15,37 @@ Everything here is exact integer lattice arithmetic over a validated square
 * verifiers by certificate for the lattice identity Im(I-A)_0 = (I - A^_n) Z^N
   and for the six-node exact sequence tying the two groups together.  Five
   nodes follow from I - A^ = (I - A)(I - R_1), checked by one exact product,
-  and the identity for every n from the one for n = 1; only node (4) and the
-  identity for n = 1 take a Hermite form (proofs in
-  ExtInvariantReport.exact_sequence and verify_im0_identity).
+  and the identity for every n from the one for n = 1, which is two exact
+  products; only node (4) of a singular I - A takes a Hermite form (proofs
+  in ExtInvariantReport.exact_sequence and verify_im0_identity).
 
-invariants_report computes all of them from the Smith form of I - A; exts and
-the single-invariant helpers (iota_hat, toeplitz_strong, hat_q,
-iota_kernel_generator) are views on it.  A singular I - A also gets a Smith
-form of I - A^.  For a nonsingular one, with U (I - A) V = D, factors d_j,
-torsion rows pos_1..pos_t and sigma = 1^T V, the paper's extension formula
+invariants_report computes all of them; exts and the single-invariant helpers
+(iota_hat, toeplitz_strong, hat_q, iota_kernel_generator) are views on it.
+One Bareiss elimination of [(I - A)^T | 1] gives det = det(I - A) and the
+integral row w = 1^T adj(I - A), checked by w (I - A) = det 1^T.  A singular
+I - A gets the Smith forms of I - A and I - A^.  For a nonsingular one the
+weak group comes from the Smith form of I - A modulo D = |det|
+(fgab.finite_cokernel): coordinate rows K_i, factors d_i > 1 and generators
+g_i, i = 1..t, with K_i g_j = [i = j] (mod d_i).  The paper's extension
+formula then gives the strong group:
 
-    Z^N / (I - A^) Z^N  =  Z^{1+t} / <d_i e_i - sigma_{pos_i} e_0 : i = 1..t>
+    Z^N / (I - A^) Z^N  =  Z^{1+t} / <d_i e_i - s_i e_0 : i = 1..t>,
+    s_i = d_i (w g_i) / det,
 
-holds through Phi(v) = (sum_{d_j = 1} sigma_j (U v)_j, (U v)_{pos_i}).  Each x
-is V y with D y = U (I - A) x (rows of U (I - A) are divisible by their factors
-and I - A is nonsingular), so Phi((I - A) x) is (1^T x) e_0 plus the relations
-sum_i y_{pos_i} (d_i e_i - sigma_{pos_i} e_0).  So Phi kills (I - A^) Z^N, which
-is (I - A) Z^N_0, Z^N_0 the sum-zero vectors; if Phi(v) is a relation, v is
-weakly zero, v = (I - A) x with 1^T x = 0, so the induced map is injective; and
-Psi: e_0 -> iota(1) = (I - A) e_1, e_i -> U^-1 e_{pos_i} splits it.  The Smith
-form U_R R V_R = D_R of the (1+t) x t relation matrix R makes it canonical:
-the class map is U_R Phi, the lift Psi U_R^-1, checked by fgab.certified_group.
+with e_0 standing for iota(1) = (I - A) e_1 and e_i for g_i.  (I - A^) Z^N is
+(I - A) Z^N_0, Z^N_0 the sum-zero vectors, and it is the kernel of
+v -> (w v, [v]_w) into Z + weak group: [v]_w = 0 gives v = (I - A) x with x
+integral, and then w v = det 1^T x.  The image is spanned by (det, 0), the
+image of iota(1), and (w g_i, e_i), the image of g_i.  A combination
+a_0 e_0 + sum a_i e_i maps to 0 iff a_i = d_i b_i and
+a_0 det + sum b_i d_i (w g_i) = 0, so the relations are spanned by the
+d_i e_i - s_i e_0; s_i = 1^T x_i for d_i g_i = (I - A) x_i is integral.  A
+vector v is sum_i (K_i v) g_i plus (I - A) x with 1^T x = Phi_0 v, where
+Phi_0 = (w - sum_i (w g_i) K_i) / det, so Phi = (Phi_0; K_1; ...; K_t) is the
+class map onto the presentation, and Psi = ((I - A) e_1, g_1, ..., g_t) lifts
+it.  Both divisions by det are exact, and raise if not.  The Smith form
+U_R R V_R = D_R of the (1+t) x t relation matrix R makes it canonical: the
+class map is U_R Phi, the lift Psi U_R^-1, checked by fgab.certified_group.
 """
 
 from __future__ import annotations
@@ -43,10 +53,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .exactmat import IntMatrix, SmithDecomposition, hnf_columns, snf
+from .exactmat import IntMatrix, adjugate_solve, hnf_columns, snf
 from .exactmat import determinant as _determinant
 from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
-                   cokernel, element_order)
+                   cokernel, element_order, finite_cokernel)
 
 
 class ValidationError(ValueError):
@@ -180,9 +190,15 @@ def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
     return IntMatrix.identity(a.n) - _i_minus_hat(_identity_minus(a), n)
 
 
+def _weak_group(ima: IntMatrix, det: int) -> FgAbelianGroup:
+    """Z^N / ima Z^N, modulo |det| when det = det(ima) is nonzero."""
+    return finite_cokernel(ima, det) if det else cokernel(ima)
+
+
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
     """Weak extension group: the Bowen-Franks group Z^N / (I - A) Z^N."""
-    return cokernel(_identity_minus(a))
+    ima = _identity_minus(a)
+    return _weak_group(ima, _determinant(ima))
 
 
 def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -190,17 +206,31 @@ def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
     return invariants_report(a).exts_group
 
 
-def _strong_group(ima: IntMatrix, weak: SmithDecomposition) -> FgAbelianGroup:
-    """Z^N / (I - A^) Z^N from the Smith form of a nonsingular ima = I - A."""
-    factors = weak.factors()
-    sigma = [sum(col) for col in zip(*weak.v.entries)]
-    pos = [j for j, d in enumerate(factors) if d > 1]
-    w = IntMatrix.from_rows([[s if d == 1 else 0 for s, d in zip(sigma, factors)]]
-                            + [[int(j == p) for j in range(ima.rows)] for p in pos])
-    rel = snf(IntMatrix.from_rows([[-sigma[p] for p in pos]]
-                                  + [[factors[p] * (p == q) for q in pos] for p in pos]))
-    psi = IntMatrix.from_columns([ima.column(0)] + [weak.u_inv.column(p) for p in pos])
-    return certified_group(_i_minus_hat(ima, 1), rel.u @ w @ weak.u, psi @ rel.u_inv,
+def _exact_quotient(x: int, det: int) -> int:
+    q, r = divmod(x, det)
+    if r:
+        raise ArithmeticError(f"{x} is not divisible by det(I - A) = {det}")
+    return q
+
+
+def _strong_from_weak(ima: IntMatrix, det: int, w: tuple[int, ...],
+                      weak: FgAbelianGroup) -> FgAbelianGroup:
+    """Z^N / (I - A^) Z^N for a nonsingular ima = I - A, from det = det(ima),
+    w = 1^T adj(ima) and the weak group modulo |det| (module docstring)."""
+    if any(sum(map(operator.mul, w, col)) != det for col in zip(*ima.entries)):
+        raise ArithmeticError("w (I - A) is not det(I - A) times the all-ones row")
+    factors, k_rows, gens = weak.factors, weak.coords.entries, weak.lift.columns()
+    wg = [sum(map(operator.mul, w, g)) for g in gens]
+    s = [_exact_quotient(d * x, det) for d, x in zip(factors, wg)]
+    phi0 = list(w)
+    for x, k in zip(wg, k_rows):
+        phi0 = [y - x * z for y, z in zip(phi0, k)]
+    phi = IntMatrix(1 + len(gens), ima.cols,
+                    (tuple(_exact_quotient(y, det) for y in phi0),) + k_rows)
+    rel = snf(IntMatrix.from_rows([[-x for x in s]] + [[d * (i == j) for j in range(len(s))]
+                                                       for i, d in enumerate(factors)]))
+    psi = IntMatrix.from_columns([ima.column(0)] + gens, rows=ima.rows)
+    return certified_group(_i_minus_hat(ima, 1), rel.u @ phi, psi @ rel.u_inv,
                            rel.factors())
 
 
@@ -220,7 +250,7 @@ def toeplitz_strong(a: ZeroOneMatrix) -> GroupElement:
 
 
 def weak_pair(a: ZeroOneMatrix) -> tuple[FgAbelianGroup, GroupElement]:
-    """The weak group and its Toeplitz class, from one Smith form."""
+    """The weak group and its Toeplitz class."""
     group = extw(a)
     return group, group.class_of((1,) * a.n).negate()
 
@@ -268,18 +298,26 @@ def iota_kernel_generator(a: ZeroOneMatrix) -> int:
 def verify_im0_identity(a: ZeroOneMatrix) -> bool:
     """Check Im(I - A)_0 = (I - A^_n) Z^N for every n in 1..N.
 
-    One Hermite comparison, for n = 1: Im(I - A)_0 is spanned by the column
-    differences (I - A)(e_i - e_{i+1}).  The other n follow with no form and
-    no product.  R_n R_m = R_n, as the all-ones row of R_n sums the single
-    nonzero row of R_m, so (I - R_n)(I - R_m) = I - R_m.  With
-    F_n = I - A^_n = (I - A)(I - R_n), that gives F_n = F_1 (I - R_n) and
-    F_1 = F_n (I - R_1): each column lattice lies in the other.
+    Two exact products decide n = 1.  Im(I - A)_0 is spanned by the columns of
+    im0 = (I - A) P, P with columns e_i - e_{i+1}, i < N.  (I - R_1) fixes
+    sum-zero vectors, so F_1 P = im0 for F_1 = I - A^_1 = (I - A)(I - R_1);
+    and (I - R_1) e_j = e_j - e_1 = -(e_1 - e_2) - ... - (e_{j-1} - e_j), so
+    im0 Q = F_1 for Q with column j equal to -(e_1 + ... + e_{j-1}).  Each
+    column lattice lies in the other.  Both products are taken column by
+    column, as differences and prefix sums, since P and Q have entries 0, +-1
+    in that pattern.  The other n follow with no form and no product.
+    R_n R_m = R_n, as the all-ones row of R_n sums the single nonzero row of
+    R_m, so (I - R_n)(I - R_m) = I - R_m.  With F_n = (I - A)(I - R_n), that
+    gives F_n = F_1 (I - R_n) and F_1 = F_n (I - R_1).
     """
     ima = _identity_minus(a)
-    cols = ima.columns()
-    diffs = [tuple(map(operator.sub, p, q)) for p, q in zip(cols, cols[1:])]
-    im0 = IntMatrix.from_columns(diffs, rows=a.n)
-    return hnf_columns(im0) == hnf_columns(_i_minus_hat(ima, 1))
+    cols, f1 = ima.columns(), _i_minus_hat(ima, 1).columns()
+    im0 = [tuple(map(operator.sub, p, q)) for p, q in zip(cols, cols[1:])]
+    f1_p = [tuple(map(operator.sub, p, q)) for p, q in zip(f1, f1[1:])]
+    im0_q = [(0,) * a.n]
+    for c in im0:
+        im0_q.append(tuple(map(operator.sub, im0_q[-1], c)))
+    return f1_p == im0 and im0_q == f1
 
 
 @dataclass(frozen=True)
@@ -288,7 +326,8 @@ class ExactSequenceReport:
 
         0 -> Z -> Ker(I-A^) -> Ker(I-A) -> Z -> strong group -> weak group -> 0
 
-    together with g, Im(s) = g Z, read off the Hermite form of (I-A; 1^T).
+    together with g, Im(s) = g Z: 0 when det(I - A) != 0, else read off the
+    Hermite form of (I-A; 1^T).
     """
 
     start_injects: bool
@@ -361,18 +400,22 @@ class ExtInvariantReport:
         (6) F Z^N = (I - A) J Z^N lies in (I - A) Z^N: q^ is well defined
             and onto.
 
-        (4) Im(s) = Ker(iota) is computed independently: the vectors
-        ((I - A) l, s(l)) with top N entries zero are 0 (+) Im(s), spanned by
-        the Hermite column of (I - A; 1^T) pivoted in the last row, if any; it
-        must agree with the order of iota(1) and with the report's g.
+        (4) Im(s) = Ker(iota) is computed independently and must agree with
+        the order of iota(1) and with the report's g.  When the report's
+        Bareiss determinant is nonzero, Ker(I - A) = 0 and Im(s) = 0.
+        Otherwise the vectors ((I - A) l, s(l)) with top N entries zero are
+        0 (+) Im(s), spanned by the Hermite column of (I - A; 1^T) pivoted in
+        the last row, if any.
         """
         n = self.matrix.n
         ima = _identity_minus(self.matrix)
         j = _i_minus_hat(IntMatrix.identity(n), 1)
         factorises = self.exts_group.presentation == ima @ j
-        h = hnf_columns(ima.vstack(IntMatrix.from_rows([(1,) * n])))
-        last = h.column(h.cols - 1)
-        im_s = 0 if any(last[:n]) else last[n]
+        im_s = 0
+        if not self.det_i_minus_a:
+            h = hnf_columns(ima.vstack(IntMatrix.from_rows([(1,) * n])))
+            last = h.column(h.cols - 1)
+            im_s = 0 if any(last[:n]) else last[n]
         return ExactSequenceReport(
             start_injects=factorises,
             exact_at_kernel_hat=factorises,
@@ -386,15 +429,13 @@ class ExtInvariantReport:
 
 
 def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
-    """Assemble every invariant of a from the Smith form of I - A (and of
-    I - A^ when I - A is singular), and check that the quotient map carries the
-    strong Toeplitz class to the weak one."""
+    """Assemble every invariant of a (module docstring), and check that the
+    quotient map carries the strong Toeplitz class to the weak one."""
     ima = _identity_minus(a)
-    dec = snf(ima)
-    weak = cokernel(ima, dec)
-    strong = (_strong_group(ima, dec) if all(dec.factors())
-              else cokernel(_i_minus_hat(ima, 1)))
     ones = (1,) * a.n
+    det, w = adjugate_solve(ima.transpose(), ones)
+    weak = _weak_group(ima, det)
+    strong = _strong_from_weak(ima, det, w, weak) if det else cokernel(_i_minus_hat(ima, 1))
     iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(
         matrix=a,
@@ -403,7 +444,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
         toeplitz_weak=-weak.class_of(ones),
         toeplitz_strong=-iota_one - strong.class_of(ones),
         iota_one=iota_one,
-        det_i_minus_a=_determinant(ima),
+        det_i_minus_a=det,
         iota_kernel_generator=element_order(iota_one) or 0,
     )
     if report.hat_q(report.toeplitz_strong) != report.toeplitz_weak:

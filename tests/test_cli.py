@@ -174,6 +174,17 @@ def test_compare_reflexive(tmp_path, capsys):
     assert main(["compare", p1, p1]) == EXIT_OK
 
 
+def run_cli_subprocess(*argv):
+    """Run the ckext command in a subprocess with a 60 s timeout, so that a
+    hang fails the test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from ckext.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (20, 2), (20, 3), (40, 42)])
 def test_compare_permuted_copy_beyond_walk_bound(tmp_path, n, seed):
     """A matrix and a relabelled copy are isomorphic, however large the weak
@@ -184,18 +195,24 @@ def test_compare_permuted_copy_beyond_walk_bound(tmp_path, n, seed):
     perm = list(range(n))
     rng.shuffle(perm)
     copy = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = "import sys; from ckext.cli import main; sys.exit(main(sys.argv[1:]))"
-    done = subprocess.run(
-        [sys.executable, "-c", script, "compare",
-         write_matrix(tmp_path, "a.txt", rows), write_matrix(tmp_path, "b.txt", copy)],
-        capture_output=True, text=True, timeout=60, env=env)
+    done = run_cli_subprocess("compare", write_matrix(tmp_path, "a.txt", rows),
+                              write_matrix(tmp_path, "b.txt", copy))
     assert done.returncode == EXIT_OK, done.stderr
     doc = json.loads(done.stdout)
     assert doc["isomorphic"] is True
     assert math.prod(doc["a"]["transposed_weak_pair"]["torsion"]) > DEFAULT_TORSION_BOUND
+
+
+def test_compare_reflexive_at_n50(tmp_path):
+    """compare A A on the first draw of random.Random(0) at N = 50, whose
+    exact Smith form of I - A^T took over a minute, answers within 60 s."""
+    rows = random_valid_rows(random.Random(0), 50)
+    path = write_matrix(tmp_path, "a.txt", rows)
+    done = run_cli_subprocess("compare", path, path)
+    assert done.returncode == EXIT_OK, done.stderr
+    pair = json.loads(done.stdout)["a"]["transposed_weak_pair"]
+    assert pair["free_rank"] == 0
+    assert math.prod(pair["torsion"]) == abs(determinant(validate(rows)))
 
 
 # --- verify --------------------------------------------------------------
@@ -252,9 +269,10 @@ def snf_inputs(monkeypatch):
 
 
 def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
-    """One N x N Smith form per nonsingular matrix, of I - A, off which the
-    strong group is read; two per singular one, of I - A and I - A^.  The
-    strong group's relation matrix is (1 + t) x t, never square."""
+    """No N x N Smith form for a nonsingular matrix: its weak group comes from
+    an elimination modulo |det(I - A)|, and its strong group from the (1 + t)
+    x t relation matrix, never square.  Two for a singular one, of I - A and
+    I - A^."""
     singular = write_matrix(tmp_path, "a4.txt", A4)          # det(I - A) = 0
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
     fibonacci = write_matrix(tmp_path, "f.txt", FIBONACCI)   # det(I - A) = -1
@@ -268,26 +286,28 @@ def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
 
     assert smith_forms(["compute", singular]) == (2, 2)
     assert smith_forms(["compute", singular, "--transpose", "--format", "text"]) == (2, 2)
-    assert smith_forms(["compute", nonsingular]) == (1, 2)
-    assert smith_forms(["compute", fibonacci]) == (1, 2)
-    assert smith_forms(["compare", singular, fibonacci]) == (2, 2)
+    assert smith_forms(["compute", nonsingular]) == (0, 1)
+    assert smith_forms(["compute", fibonacci]) == (0, 1)
+    # compare reads only the weak groups of the transposes.
+    assert smith_forms(["compare", singular, fibonacci]) == (1, 1)
+    assert smith_forms(["compare", nonsingular, fibonacci]) == (0, 0)
     # The verifiers work by certificate and Hermite forms: verify runs exactly
     # the Smith forms of compute.
-    for path, forms in ((singular, (2, 2)), (nonsingular, (1, 2))):
+    for path, forms in ((singular, (2, 2)), (nonsingular, (0, 1))):
         assert smith_forms(["verify", path]) == forms
         assert smith_forms(["compute", path, "--verify"]) == forms
 
-    # examples: the lattices of each entry (I - A, and I - A^ when I - A is
-    # singular), the relation matrix when it is not, and one Smith form for
-    # each of the entry's two expected marked groups, built from their
-    # descriptors.
-    lattices, expected = [], 0
+    # examples: the lattices of a singular entry (I - A and I - A^), the
+    # relation matrix of a nonsingular one, and one Smith form for each of the
+    # entry's two expected marked groups, built from their descriptors.
+    lattices, expected, total = [], 0, 0
     for entry in CORPUS:
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-        expected += 1 if determinant(a) else 2
-    assert smith_forms(["examples"])[1] == 4 * len(CORPUS)
+        expected += 0 if determinant(a) else 2
+        total += 3 if determinant(a) else 4
+    assert smith_forms(["examples"])[1] == total
     assert sum(1 for m in snf_inputs if m in lattices) == expected
 
 
@@ -320,9 +340,10 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
 
 
 def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
-    """A verify runs the same Hermite forms at N = 3 as at N = 8 or 12, and at
-    most three: one for node (4) of the exact sequence and two for the lattice
-    identity at n = 1, which gives it for every n."""
+    """A verify runs one Hermite form on singular input, for node (4) of the
+    exact sequence, and none on nonsingular input, at N = 3 as at N = 8 or
+    12: node (4) reads Im(s) = 0 off a nonzero determinant, and the lattice
+    identity is two explicit products."""
     calls = []
     real = exactmat.hnf_columns
 
@@ -341,11 +362,10 @@ def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         return len(calls)
 
-    small = hermite_forms(A4, "a4.txt", True)
-    assert small <= 3
-    assert small == hermite_forms(random_valid_rows(random.Random(0), 8), "singular8.txt", True)
-    assert hermite_forms(A1, "a1.txt", False) == \
-        hermite_forms(random_valid_rows(random.Random(0), 12), "dense12.txt", False)
+    assert hermite_forms(A4, "a4.txt", True) == 1
+    assert hermite_forms(random_valid_rows(random.Random(0), 8), "singular8.txt", True) == 1
+    assert hermite_forms(A1, "a1.txt", False) == 0
+    assert hermite_forms(random_valid_rows(random.Random(0), 12), "dense12.txt", False) == 0
 
 
 def test_examples_takes_no_torsion_bound(capsys):
@@ -369,3 +389,22 @@ def test_invariant_table_script():
         assert fields[0] == entry.name
         assert (int(fields[-2]), int(fields[-1])) == (rep.det_i_minus_a,
                                                      rep.iota_kernel_generator)
+
+
+def test_scale_table_script():
+    """scripts/scale_table.py prints one row per requested draw, whose last
+    column is the number of digits of |det(I - A)|."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
+    draws = [(6, 0), (8, 1), (12, 2)]
+    done = subprocess.run([sys.executable, str(script), "--repeats", "1", "--draws",
+                           *(f"{n}:{seed}" for n, seed in draws)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[2:]
+    assert len(rows) == len(draws)
+    for (n, seed), row in zip(draws, rows):
+        fields = [f.strip() for f in row.strip("|").split("|")]
+        det = determinant(validate(random_valid_rows(random.Random(seed), n)))
+        assert (int(fields[0]), int(fields[1])) == (n, seed)
+        assert fields[2].endswith(" s")
+        assert fields[3] == (str(len(str(abs(det)))) if det else "singular")

@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +16,8 @@ from ckext.exactmat import (
     NotUnimodularError,
     SmithDecomposition,
     _certify_reduction,
+    _smith_mod,
+    adjugate_solve,
     determinant,
     hnf_columns,
     kernel_basis,
@@ -45,8 +52,9 @@ def square_matrices(draw, max_dim=5, lo=-9, hi=9):
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, ((1, 2), (3,)))
+    # Entry types are checked at the boundary, by the public constructors.
     with pytest.raises(TypeError):
-        IntMatrix(1, 1, ((1.5,),))
+        IntMatrix.from_rows([[1.5]])
 
 
 def test_constructors_reject_non_integral_entries():
@@ -138,6 +146,83 @@ def test_determinant_requires_square():
 def test_determinant_big_entries_exact():
     m = mat([[10**20, 1], [1, 10**20]])
     assert determinant(m) == 10**40 - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(), st.data())
+def test_adjugate_solve_is_cramer(m, data):
+    """det(m) as determinant gives it, and y = adj(m) b with m y = det(m) b."""
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows))
+    det, y = adjugate_solve(m, b)
+    assert det == determinant(m)
+    if det:
+        assert m.mul_vec(y) == tuple(det * x for x in b)
+    else:
+        assert y is None
+    assert adjugate_solve(m) == (det, None)
+
+
+# --- Smith form modulo the determinant -----------------------------------
+
+def _check_smith_mod(m):
+    """_smith_mod(m, |det m|) has the invariant factors of snf(m), and its rows
+    and columns present Z^n / m Z^n: each coordinate row kills m modulo its
+    factor and the rows and columns pair to I modulo the factors."""
+    d = abs(determinant(m))
+    factors, u_rows, u_inv_cols = _smith_mod(m, d)
+    assert factors == snf(m).diagonal()
+    torsion = [f for f in factors if f > 1]
+    assert len(u_rows) == len(u_inv_cols) == len(torsion)
+    for i, (f, row) in enumerate(zip(torsion, u_rows)):
+        assert all(x % f == 0 for x in (mat([row]) @ m).entries[0])
+        assert [sum(x * y for x, y in zip(row, col)) % f for col in u_inv_cols] == \
+            [int(i == j) for j in range(len(torsion))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(max_dim=6, lo=-4, hi=4))
+def test_smith_mod_matches_snf(m):
+    if determinant(m):
+        _check_smith_mod(m)
+
+
+# Hand-built cases for the elimination's pitfalls.  [[3, 1], [3, 4]] and
+# [[2, 1], [2, 3]]: the pivot divides the entry below it (an xgcd step there
+# is a row swap, and the clearing would cycle).  diag(2, 2), [[4, 2], [2, 4]],
+# diag(2, 4, 8) and diag(6, 10, 15): torsion that is not cyclic, with
+# repeated primes.  [[4, 1], [-2, 2]]: det 10, pivot 4, and the xgcd
+# coefficient of gcd(4, 10) = 4 (-2) + 10 is not a unit mod 10, so only a
+# column that is already 4 e_1 may be scaled by it.
+PITFALL_MATRICES = [
+    [[3, 1], [3, 4]], [[2, 1], [2, 3]], [[2, 0], [0, 2]], [[4, 2], [2, 4]],
+    [[2, 0, 0], [0, 4, 0], [0, 0, 8]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+    [[4, 1], [-2, 2]], [[2, 2, 0], [2, 2, 4], [0, 4, 2]],
+]
+
+_SMITH_MOD_SCRIPT = """
+import json, sys
+from ckext.exactmat import IntMatrix, _smith_mod, determinant
+out = []
+for rows in json.load(sys.stdin):
+    m = IntMatrix.from_rows(rows)
+    out.append(list(_smith_mod(m, abs(determinant(m)))[0]))
+print(json.dumps(out))
+"""
+
+
+def test_smith_mod_terminates_on_its_pitfalls():
+    """Each hand-built case finishes (in a subprocess with a 60 s timeout, so a
+    cycle fails the test) with the factors of snf, and presents the group."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SMITH_MOD_SCRIPT],
+                          input=json.dumps(PITFALL_MATRICES), capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    for rows, factors in zip(PITFALL_MATRICES, json.loads(done.stdout), strict=True):
+        m = mat(rows)
+        assert tuple(factors) == snf(m).diagonal(), rows
+        _check_smith_mod(m)
 
 
 # --- Hermite normal form -------------------------------------------------

@@ -9,13 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix, hnf_columns, kernel_basis, lattice_equal
 from ckext.exactmat import determinant as matrix_determinant
 from ckext.fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
                         cokernel, element_order)
-from ckext import invariants
+from ckext import fgab, invariants
 from ckext.invariants import (
     ExactSequenceReport,
     IndexOutOfRangeError,
@@ -171,10 +172,10 @@ def _nonsingular_draws(per_size=3):
 
 
 def test_strong_group_agrees_with_the_smith_form_of_i_minus_a_hat():
-    """The group read off the weak Smith form against cokernel(I - A^): same
-    shape, the same verdict on whether two vectors share a class, round-trip
-    representatives and, for |T| <= 64, a marked isomorphism of the triples
-    ([T]_s, iota(1))."""
+    """The group read off the weak group modulo |det| and w = 1^T adj(I - A)
+    against cokernel(I - A^): same shape, the same verdict on whether two
+    vectors share a class, round-trip representatives and, for |T| <= 64, a
+    marked isomorphism of the triples ([T]_s, iota(1))."""
     rng = random.Random(12)
     compared = 0
     for a in _nonsingular_draws():
@@ -223,21 +224,67 @@ def test_strong_group_certificate_rejects_a_tampered_coordinate_map():
 
 
 def test_tampered_weak_witness_is_refused(monkeypatch):
-    """A column sum sigma_j of the weak group's V off by one (through a
-    tampered V handed to the strong builder) makes invariants_report raise."""
-    real = invariants.snf
+    """One entry w_j of w = 1^T adj(I - A) off by one, or one entry of a
+    coordinate row of the weak group's U modulo |det| off by one, makes
+    invariants_report raise."""
+    real_solve, real_mod = invariants.adjugate_solve, fgab._smith_mod
+    for rows in (A1, A3, random_valid_rows(random.Random(4), 9)):  # Z/3, (Z/2)^2, Z/2 + Z/20
+        a = validate(rows)
+        assert determinant(a) and extw(a).torsion
+        for j in range(a.n):
+            def bumped_w(m, b=None, j=j):
+                det, w = real_solve(m, b)
+                return det, w[:j] + (w[j] + 1,) + w[j + 1:]
 
-    def tampered(m):
-        dec = real(m)
-        if m.rows != m.cols:
-            return dec
-        v = [list(row) for row in dec.v.entries]
-        v[0][0] += 1
-        return dataclasses.replace(dec, v=IntMatrix.from_rows(v))
+            def bumped_u(m, d, j=j):
+                factors, u_rows, u_inv_cols = real_mod(m, d)
+                u_rows = [list(row) for row in u_rows]
+                u_rows[0][j] += 1
+                return factors, u_rows, u_inv_cols
 
-    monkeypatch.setattr(invariants, "snf", tampered)
-    with pytest.raises(ArithmeticError):
-        invariants_report(validate(A2))
+            for module, name, fake in ((invariants, "adjugate_solve", bumped_w),
+                                       (fgab, "_smith_mod", bumped_u)):
+                with monkeypatch.context() as patched:
+                    patched.setattr(module, name, fake)
+                    with pytest.raises(ArithmeticError):
+                        invariants_report(a)
+
+
+@st.composite
+def nonsingular_matrices(draw, max_n=12):
+    """Valid 0-1 matrices with det(I - A) != 0, N = 2..max_n."""
+    n = draw(st.integers(2, max_n))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(n)]
+    try:
+        a = validate(rows)
+    except ValidationError:
+        assume(False)
+    assume(determinant(a) != 0)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonsingular_matrices())
+def test_groups_agree_with_exact_smith_forms(a):
+    """The weak group modulo |det| and the strong group from w against
+    cokernel(I - A) and cokernel(I - A^): the same factors, marked-isomorphic
+    weak pairs, and, for |T| <= 64, marked-isomorphic strong Toeplitz pairs
+    and strong triples ([T]_s, iota(1))."""
+    n, rep = a.n, invariants_report(a)
+    ima = IntMatrix.identity(n) - a.as_int_matrix()
+    weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    assert (rep.extw_group.free_rank, rep.extw_group.torsion) == (0, weak.torsion)
+    assert (rep.exts_group.free_rank, rep.exts_group.torsion) == (1, strong.torsion)
+    ones = (1,) * n
+    assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
+                             MarkedGroup(weak, (-weak.class_of(ones),)))
+    if math.prod(strong.torsion) <= 64:
+        iota = strong.class_of(ima.column(0))
+        t_s = -iota - strong.class_of(ones)
+        assert marked_isomorphic(MarkedGroup(rep.exts_group, (rep.toeplitz_strong,)),
+                                 MarkedGroup(strong, (t_s,)))
+        assert marked_isomorphic(MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one)),
+                                 MarkedGroup(strong, (t_s, iota)))
 
 
 # --- iota ----------------------------------------------------------------
@@ -591,11 +638,13 @@ print(json.dumps({
 """
 
 
-@pytest.mark.parametrize("n, seed", [(34, 1), (40, 42), (50, 2)])
+@pytest.mark.parametrize("n, seed", [(34, 1), (40, 42), (50, 0), (50, 1), (50, 2), (60, 0),
+                                     (100, 0)])
 def test_heavy_dense_draw_report(n, seed):
-    """Draws whose Smith transforms reach thousands of bits finish within 60 s
-    (in a subprocess, so a hang fails the test) and agree with identities
-    that need no Smith form."""
+    """Draws whose exact Smith transforms reach thousands of bits, or did not
+    finish (N = 50, seeds 0 and 1; N = 60), finish within 60 s (in a
+    subprocess, so a hang fails the test) and agree with identities that
+    need no Smith form."""
     rows = random_valid_rows(random.Random(seed), n)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
