@@ -2,11 +2,11 @@
 """Print the README Scale table: invariants_report on dense random matrices.
 
 Each row is the first draw of tests/conftest.py::random_valid_rows with
-random.Random(seed) at size N, timed as the best of --repeats runs of
+random.Random(seed) at size N, timed as the best of three runs of
 invariants_report (time.perf_counter), with the digits of D = |det(I - A)|.
 
     python3 scripts/scale_table.py                      # the README ladder
-    python3 scripts/scale_table.py --draws 40:0 50:1 --repeats 1
+    python3 scripts/scale_table.py --draws 40:0 50:1
 """
 
 import argparse
@@ -33,14 +33,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", nargs="+", type=draw, default=[draw(s) for s in LADDER],
                         metavar="N:SEED", help="draws to time (default: the README ladder)")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per draw; the best is kept")
     args = parser.parse_args(argv)
     print("| N   | seed | time    | digits of D |")
     print("|-----|------|---------|-------------|")
     for n, seed in args.draws:
         a = validate(random_valid_rows(random.Random(seed), n))
         best = float("inf")
-        for _ in range(args.repeats):
+        for _ in range(3):
             start = time.perf_counter()
             rep = invariants_report(a)
             best = min(best, time.perf_counter() - start)

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_python(script: str, *argv: str, input: str | None = None):
+    """Run ``python -c script argv...`` with src/ on PYTHONPATH and a 60 s
+    timeout, so that a hang fails the calling test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *argv], input=input,
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def random_valid_rows(rng: random.Random, n: int):

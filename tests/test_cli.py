@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -21,7 +20,7 @@ from ckext.corpus import A1, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
 from ckext.invariants import a_hat, determinant, invariants_report, validate
 from ckext.markediso import DEFAULT_TORSION_BOUND
-from conftest import random_valid_rows
+from conftest import random_valid_rows, run_python
 
 
 def write_matrix(tmp_path, name, rows, header=""):
@@ -177,12 +176,8 @@ def test_compare_reflexive(tmp_path, capsys):
 def run_cli_subprocess(*argv):
     """Run the ckext command in a subprocess with a 60 s timeout, so that a
     hang fails the test."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = "import sys; from ckext.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+    return run_python(script, *argv)
 
 
 @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (20, 2), (20, 3), (40, 42)])
@@ -396,7 +391,7 @@ def test_scale_table_script():
     column is the number of digits of |det(I - A)|."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
     draws = [(6, 0), (8, 1), (12, 2)]
-    done = subprocess.run([sys.executable, str(script), "--repeats", "1", "--draws",
+    done = subprocess.run([sys.executable, str(script), "--draws",
                            *(f"{n}:{seed}" for n, seed in draws)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

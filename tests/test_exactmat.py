@@ -1,10 +1,6 @@
 import json
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +21,7 @@ from ckext.exactmat import (
     lattice_equal,
     snf,
 )
-from conftest import random_unimodular_rows
+from conftest import random_unimodular_rows, run_python
 
 
 def mat(rows):
@@ -213,12 +209,8 @@ print(json.dumps(out))
 def test_smith_mod_terminates_on_its_pitfalls():
     """Each hand-built case finishes (in a subprocess with a 60 s timeout, so a
     cycle fails the test) with the factors of snf, and presents the group."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _SMITH_MOD_SCRIPT],
-                          input=json.dumps(PITFALL_MATRICES), capture_output=True,
-                          text=True, timeout=60, env=env, check=True)
+    done = run_python(_SMITH_MOD_SCRIPT, input=json.dumps(PITFALL_MATRICES))
+    assert done.returncode == 0, done.stderr
     for rows, factors in zip(PITFALL_MATRICES, json.loads(done.stdout), strict=True):
         m = mat(rows)
         assert tuple(factors) == snf(m).diagonal(), rows

@@ -1,12 +1,8 @@
 import dataclasses
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,7 +38,7 @@ from ckext.invariants import (
     verify_im0_identity,
 )
 from ckext.markediso import MarkedGroup, marked_group, marked_isomorphic
-from conftest import random_valid_rows
+from conftest import random_valid_rows, run_python
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -646,11 +642,8 @@ def test_heavy_dense_draw_report(n, seed):
     subprocess, so a hang fails the test) and agree with identities that
     need no Smith form."""
     rows = random_valid_rows(random.Random(seed), n)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _REPORT_SCRIPT], input=json.dumps(rows),
-                          capture_output=True, text=True, timeout=60, env=env, check=True)
+    done = run_python(_REPORT_SCRIPT, input=json.dumps(rows))
+    assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
 
     ima = IntMatrix.identity(n) - IntMatrix.from_rows(rows)
