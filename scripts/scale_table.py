@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Print the README Scale table: invariants_report on dense random matrices.
+"""Print the README Scale table: invariants_report and verify on dense random
+matrices.
 
 Each row is the first draw of tests/conftest.py::random_valid_rows with
-random.Random(seed) at size N, timed as the best of three runs of
-invariants_report (time.perf_counter), with the digits of D = |det(I - A)|.
+random.Random(seed) at size N: the best of three runs of invariants_report,
+the best of three runs of the verifiers (cli.verification_document, each on
+the report just made), both timed with time.perf_counter, and the digits of
+D = |det(I - A)|.
 
     python3 scripts/scale_table.py                      # the README ladder
     python3 scripts/scale_table.py --draws 40:0 50:1
@@ -19,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from ckext import invariants_report, validate  # noqa: E402
+from ckext.cli import verification_document  # noqa: E402
 from conftest import random_valid_rows  # noqa: E402
 
 LADDER = ("40:0", "50:0", "50:1", "50:2", "60:0", "80:0", "100:0")
@@ -34,17 +38,21 @@ def main(argv=None):
     parser.add_argument("--draws", nargs="+", type=draw, default=[draw(s) for s in LADDER],
                         metavar="N:SEED", help="draws to time (default: the README ladder)")
     args = parser.parse_args(argv)
-    print("| N   | seed | time    | digits of D |")
-    print("|-----|------|---------|-------------|")
+    print("| N   | seed | time    | verify   | digits of D |")
+    print("|-----|------|---------|----------|-------------|")
     for n, seed in args.draws:
         a = validate(random_valid_rows(random.Random(seed), n))
-        best = float("inf")
+        best = best_verify = float("inf")
         for _ in range(3):
             start = time.perf_counter()
             rep = invariants_report(a)
-            best = min(best, time.perf_counter() - start)
+            mid = time.perf_counter()
+            verification_document(rep)
+            best = min(best, mid - start)
+            best_verify = min(best_verify, time.perf_counter() - mid)
         digits = len(str(abs(rep.det_i_minus_a))) if rep.det_i_minus_a else "singular"
-        print(f"| {n:<3} | {seed:<4} | {best:.2f} s  | {digits:<11} |")
+        verify = f"{best_verify * 1e3:.1f} ms"
+        print(f"| {n:<3} | {seed:<4} | {best:.2f} s  | {verify:<8} | {digits:<11} |")
 
 
 if __name__ == "__main__":

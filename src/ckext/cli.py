@@ -19,6 +19,7 @@ Exit codes: 0 success / all checks pass, 2 parse or validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,10 +29,8 @@ from .invariants import (
     ValidationError,
     ZeroOneMatrix,
     invariants_report,
-    toeplitz_d_vector,
     transpose,
     validate,
-    verify_im0_identity,
 )
 from .markediso import (
     DEFAULT_TORSION_BOUND,
@@ -120,14 +119,15 @@ def report_document(rep: ExtInvariantReport, *, verification: dict | None = None
 
 
 def verification_document(rep: ExtInvariantReport) -> dict:
-    a, strong = rep.matrix, rep.toeplitz_strong
+    strong = rep.exts_group
     seq = rep.exact_sequence()
-    m_independent = all(
-        strong.parent.class_of(toeplitz_d_vector(a, m)) == strong
-        for m in range(1, a.n + 1))
-    commutes = rep.hat_q(strong) == rep.toeplitz_weak
+    # The index vector toeplitz_d_vector(a, m) is -(I - A) e_m - 1_N, so its
+    # class is the Toeplitz class iff column m of I - A has class -t - [1_N].
+    target = -rep.toeplitz_strong - strong.class_of((1,) * rep.matrix.n)
+    m_independent = all(c == target for c in strong.classes_of_columns(rep.i_minus_a))
+    commutes = rep.hat_q(rep.toeplitz_strong) == rep.toeplitz_weak
     return {
-        "im0_identity": verify_im0_identity(a),
+        "im0_identity": rep.im0_identity(),
         "exact_sequence": {
             "start_injects": seq.start_injects,
             "exact_at_kernel_hat": seq.exact_at_kernel_hat,
@@ -262,7 +262,10 @@ def cmd_examples(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="ckext",
         description="Exact extension-group invariants of Cuntz-Krieger algebras")

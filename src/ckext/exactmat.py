@@ -87,7 +87,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) or [()] * self.cols
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -125,7 +125,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
-        cols = list(zip(*other.entries)) or [()] * other.cols
+        cols = other.columns()
         data = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
         return IntMatrix(self.rows, other.cols, data)
 

@@ -17,6 +17,7 @@ presentation always reproduces identical coordinates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Sequence
@@ -68,12 +69,23 @@ class FgAbelianGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.torsion), (0,) * self.free_rank)
 
+    @cached_property
+    def _class_map(self) -> IntMatrix:
+        """The rows of coords that give a coordinate: torsion, then free."""
+        keep = self.torsion_positions + self.free_positions
+        return IntMatrix(len(keep), self.coords.cols, tuple(self.coords.entries[i] for i in keep))
+
+    def _element(self, w: Sequence[int]) -> "GroupElement":
+        t = len(self.torsion)
+        return GroupElement(self, tuple(map(operator.mod, w[:t], self.torsion)), tuple(w[t:]))
+
     def class_of(self, v: Sequence[int]) -> "GroupElement":
         """Canonical coordinates of the class [v]."""
-        w = self.coords.mul_vec(v)
-        tcoords = tuple(w[i] % self.factors[i] for i in self.torsion_positions)
-        fcoords = tuple(w[i] for i in self.free_positions)
-        return GroupElement(self, tcoords, fcoords)
+        return self._element(self._class_map.mul_vec(v))
+
+    def classes_of_columns(self, m: IntMatrix) -> list["GroupElement"]:
+        """The class of each column of m, from one matrix product."""
+        return [self._element(w) for w in (self._class_map @ m).columns()]
 
     def representative(self, a: "GroupElement") -> tuple[int, ...]:
         """Some vector v in Z^N with class_of(v) == a."""

@@ -14,10 +14,11 @@ Everything here is exact integer lattice arithmetic over a validated square
   vector they arise from;
 * verifiers by certificate for the lattice identity Im(I-A)_0 = (I - A^_n) Z^N
   and for the six-node exact sequence tying the two groups together.  Five
-  nodes follow from I - A^ = (I - A)(I - R_1), checked by one exact product,
-  and the identity for every n from the one for n = 1, which is two exact
-  products; only node (4) of a singular I - A takes a Hermite form (proofs
-  in ExtInvariantReport.exact_sequence and verify_im0_identity).
+  nodes follow from I - A^ = (I - A)(I - R_1), checked column by column, and
+  the identity for every n from the one for n = 1, which is two products
+  taken as differences and prefix sums of columns; all of it is O(N^2), and
+  only node (4) of a singular I - A takes a Hermite form (proofs in
+  ExtInvariantReport.exact_sequence and verify_im0_identity).
 
 invariants_report computes all of them; exts and the single-invariant helpers
 (iota_hat, toeplitz_strong, hat_q, iota_kernel_generator) are views on it.
@@ -51,7 +52,7 @@ class map is U_R Phi, the lift Psi U_R^-1, checked by fgab.certified_group.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactmat import IntMatrix, adjugate_solve, hnf_columns, snf
 from .exactmat import determinant as _determinant
@@ -163,8 +164,12 @@ def transpose(a: ZeroOneMatrix) -> ZeroOneMatrix:
 
 def _identity_minus(a: ZeroOneMatrix) -> IntMatrix:
     """I - A, straight from the entries of A."""
-    return IntMatrix(a.n, a.n, tuple(tuple(int(i == j) - x for j, x in enumerate(row))
-                                     for i, row in enumerate(a.entries)))
+    rows = []
+    for i, row in enumerate(a.entries):
+        r = list(map(operator.neg, row))
+        r[i] += 1
+        rows.append(tuple(r))
+    return IntMatrix(a.n, a.n, tuple(rows))
 
 
 def _i_minus_hat(ima: IntMatrix, n: int) -> IntMatrix:
@@ -176,6 +181,11 @@ def _i_minus_hat(ima: IntMatrix, n: int) -> IntMatrix:
     c = n - 1
     return IntMatrix(ima.rows, ima.cols,
                      tuple(tuple(x - row[c] for x in row) for row in ima.entries))
+
+
+def _minus_first(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The columns of I - A^_1 from the columns of I - A (see _i_minus_hat)."""
+    return [tuple(map(operator.sub, c, cols[0])) for c in cols]
 
 
 def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
@@ -310,11 +320,16 @@ def verify_im0_identity(a: ZeroOneMatrix) -> bool:
     R_m, so (I - R_n)(I - R_m) = I - R_m.  With F_n = (I - A)(I - R_n), that
     gives F_n = F_1 (I - R_n) and F_1 = F_n (I - R_1).
     """
-    ima = _identity_minus(a)
-    cols, f1 = ima.columns(), _i_minus_hat(ima, 1).columns()
+    return _im0_identity(_identity_minus(a))
+
+
+def _im0_identity(ima: IntMatrix) -> bool:
+    """verify_im0_identity for ima = I - A."""
+    cols = ima.columns()
+    f1 = _minus_first(cols)
     im0 = [tuple(map(operator.sub, p, q)) for p, q in zip(cols, cols[1:])]
     f1_p = [tuple(map(operator.sub, p, q)) for p, q in zip(f1, f1[1:])]
-    im0_q = [(0,) * a.n]
+    im0_q = [(0,) * ima.rows]
     for c in im0:
         im0_q.append(tuple(map(operator.sub, im0_q[-1], c)))
     return f1_p == im0 and im0_q == f1
@@ -362,6 +377,7 @@ class ExtInvariantReport:
     iota_one: GroupElement
     det_i_minus_a: int
     iota_kernel_generator: int
+    i_minus_a: IntMatrix = field(repr=False, compare=False)  # I - A, for the verifiers
 
     def __post_init__(self):
         if self.toeplitz_weak.parent != self.extw_group:
@@ -372,6 +388,10 @@ class ExtInvariantReport:
             raise ParentMismatchError("iota(1) outside the strong group")
         if self.iota_kernel_generator < 0:
             raise ValueError("kernel generator must be nonnegative")
+
+    def im0_identity(self) -> bool:
+        """verify_im0_identity, on the report's I - A."""
+        return _im0_identity(self.i_minus_a)
 
     def hat_q(self, x: GroupElement) -> GroupElement:
         """The quotient map from the strong group onto the weak group.
@@ -387,9 +407,10 @@ class ExtInvariantReport:
 
         The maps are i_1(n) = n e_1, j = J = I - R_1 and s(l) = sum l_i.  J e_j
         is e_j - e_1, so j(l) = (-sum_{i>=2} l_i, l_2, ..., l_N): J e_1 = 0,
-        Ker J = Z e_1, Im J = Ker s, and J y = y - s(y) e_1, so J^2 = J.  One
-        exact product checks that the strong presentation F equals (I - A) J;
-        each node then follows:
+        Ker J = Z e_1, Im J = Ker s, and J y = y - s(y) e_1, so J^2 = J.  The
+        strong presentation F is checked to equal (I - A) J column by column:
+        column j of (I - A) J is column j minus column 1 of I - A, and column 1
+        is zero.  Each node then follows:
 
         (1) F e_1 = (I - A) J e_1 = 0, so i_1 injects Z into Ker F;
         (2) Ker j within Ker F is Ker J, which is Z e_1 = Im(i_1) by (1);
@@ -407,10 +428,8 @@ class ExtInvariantReport:
         0 (+) Im(s), spanned by the Hermite column of (I - A; 1^T) pivoted in
         the last row, if any.
         """
-        n = self.matrix.n
-        ima = _identity_minus(self.matrix)
-        j = _i_minus_hat(IntMatrix.identity(n), 1)
-        factorises = self.exts_group.presentation == ima @ j
+        n, ima = self.matrix.n, self.i_minus_a
+        factorises = self.exts_group.presentation.columns() == _minus_first(ima.columns())
         im_s = 0
         if not self.det_i_minus_a:
             h = hnf_columns(ima.vstack(IntMatrix.from_rows([(1,) * n])))
@@ -446,6 +465,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
         iota_one=iota_one,
         det_i_minus_a=det,
         iota_kernel_generator=element_order(iota_one) or 0,
+        i_minus_a=ima,
     )
     if report.hat_q(report.toeplitz_strong) != report.toeplitz_weak:
         raise ArithmeticError("hat_q does not carry the strong Toeplitz class to the weak one")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -7,17 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from ckext import exactmat, fgab, invariants
+from ckext import cli, exactmat, fgab, invariants
 from ckext.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_ISOMORPHIC,
     EXIT_OK,
+    EXIT_VERIFICATION_FAILED,
     ParseError,
+    build_parser,
     main,
     parse_matrix_text,
+    verification_document,
 )
-from ckext.corpus import A1, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
+from ckext.corpus import A1, A2, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
+from ckext.fgab import GroupElement
 from ckext.invariants import a_hat, determinant, invariants_report, validate
 from ckext.markediso import DEFAULT_TORSION_BOUND
 from conftest import random_valid_rows, run_python
@@ -229,6 +234,63 @@ def test_verify_flags_degenerate_determinant(tmp_path, capsys):
     assert doc["kernel_sum_generator"] == 0
 
 
+@pytest.mark.parametrize("rows", [A2, random_valid_rows(random.Random(5), 9)],
+                         ids=["A2", "z5-draw"])
+def test_verify_flags_a_tampered_toeplitz_class(tmp_path, capsys, monkeypatch, rows):
+    """toeplitz_m_independence and hat_q_commutation each turn false on a
+    report whose Toeplitz class is moved, and verify then exits 4.  Adding
+    iota(1), which is not 0 in the strong group but is 0 in the weak one,
+    moves the strong class off every column's class and keeps hat_q
+    commuting; a nonzero weak shift breaks hat_q only."""
+    rep = invariants_report(validate(rows))
+    weak = rep.extw_group
+    assert not rep.iota_one.is_zero() and weak.torsion
+    shift = GroupElement(weak, (1,) + (0,) * (len(weak.torsion) - 1), (0,) * weak.free_rank)
+    strong_moved = dataclasses.replace(
+        rep, toeplitz_strong=rep.toeplitz_strong + rep.iota_one)
+    weak_moved = dataclasses.replace(rep, toeplitz_weak=rep.toeplitz_weak + shift)
+    path = write_matrix(tmp_path, "a.txt", rows)
+    for tampered, m_independent, commutes in ((rep, True, True),
+                                              (strong_moved, False, True),
+                                              (weak_moved, True, False)):
+        doc = verification_document(tampered)
+        assert (doc["toeplitz_m_independence"], doc["hat_q_commutation"]) == \
+            (m_independent, commutes)
+        assert doc["im0_identity"] and all(doc["exact_sequence"].values())
+        monkeypatch.setattr(cli, "invariants_report", lambda a, r=tampered: r)
+        passed = m_independent and commutes
+        assert main(["verify", path]) == (EXIT_OK if passed else EXIT_VERIFICATION_FAILED)
+        assert json.loads(capsys.readouterr().out)["all_passed"] is passed
+
+
+def test_parser_state_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+    """One parser serves every call in a process, and no option of one call
+    carries over to the next."""
+    assert build_parser() is build_parser()
+    path = write_matrix(tmp_path, "a1.txt", A1)
+    assert main(["compute", path, "--verify"]) == EXIT_OK
+    assert "verification" in json.loads(capsys.readouterr().out)
+    assert main(["compute", path]) == EXIT_OK
+    assert "verification" not in json.loads(capsys.readouterr().out)
+
+    bounds, real = [], cli.marked_isomorphic
+
+    def spy(a, b, *, torsion_bound):
+        bounds.append(torsion_bound)
+        return real(a, b, torsion_bound=torsion_bound)
+
+    monkeypatch.setattr(cli, "marked_isomorphic", spy)
+    assert main(["compare", path, path, "--torsion-bound", "1"]) == EXIT_OK
+    assert main(["compare", path, path]) == EXIT_OK
+    assert bounds == [1, DEFAULT_TORSION_BOUND]
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", path, "--no-such-flag"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+    capsys.readouterr()
+
+
 # --- examples ------------------------------------------------------------
 
 def test_examples_all_pass(capsys):
@@ -310,27 +372,44 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
     """I - A^_n is read off the columns of I - A, so a verify makes as many
     matrix products at N = 3 as at N = 8 or 12, between matrices that take the
     same path: singular, with a Smith form of I - A^, or nonsingular, with the
-    strong group read off the weak one."""
-    calls = []
-    real = IntMatrix.__matmul__
+    strong group read off the weak one.  Its certificates multiply no two
+    N x N matrices, singular or not, and on nonsingular input no step of the
+    call does."""
+    shapes, certifying = [], []
+    real_matmul, real_document = IntMatrix.__matmul__, cli.verification_document
 
-    def counting(self, other):
-        calls.append(1)
-        return real(self, other)
+    def recording(self, other):
+        shapes.append(((self.rows, self.cols), (other.rows, other.cols), bool(certifying)))
+        return real_matmul(self, other)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    def document(rep):
+        certifying.append(True)
+        try:
+            return real_document(rep)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", recording)
+    monkeypatch.setattr(cli, "verification_document", document)
 
     def products(rows, name, singular):
+        n = len(rows)
         assert (determinant(validate(rows)) == 0) == singular
         path = write_matrix(tmp_path, name, rows)
-        calls.clear()
+        shapes.clear()
         assert main(["verify", path]) == EXIT_OK
         capsys.readouterr()
-        return len(calls)
+        square = [inside for left, right, inside in shapes if left == right == (n, n)]
+        assert not any(square)
+        if not singular:
+            assert not square
+        return len(shapes)
 
     assert products(A4, "a4.txt", True) == \
-        products(random_valid_rows(random.Random(0), 8), "singular8.txt", True)
+        products(random_valid_rows(random.Random(0), 8), "singular8.txt", True) == \
+        products(random_valid_rows(random.Random(21), 12), "singular12.txt", True)
     assert products(A1, "a1.txt", False) == \
+        products(random_valid_rows(random.Random(2), 8), "dense8.txt", False) == \
         products(random_valid_rows(random.Random(0), 12), "dense12.txt", False)
 
 
@@ -387,19 +466,23 @@ def test_invariant_table_script():
 
 
 def test_scale_table_script():
-    """scripts/scale_table.py prints one row per requested draw, whose last
-    column is the number of digits of |det(I - A)|."""
+    """scripts/scale_table.py prints a header and one row per requested draw:
+    the report's time in s, the verifiers' time in ms, and the number of
+    digits of |det(I - A)|."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
     draws = [(6, 0), (8, 1), (12, 2)]
     done = subprocess.run([sys.executable, str(script), "--draws",
                            *(f"{n}:{seed}" for n, seed in draws)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()[2:]
+    lines = done.stdout.splitlines()
+    assert [f.strip() for f in lines[0].strip("|").split("|")] == \
+        ["N", "seed", "time", "verify", "digits of D"]
+    rows = lines[2:]
     assert len(rows) == len(draws)
     for (n, seed), row in zip(draws, rows):
         fields = [f.strip() for f in row.strip("|").split("|")]
         det = determinant(validate(random_valid_rows(random.Random(seed), n)))
         assert (int(fields[0]), int(fields[1])) == (n, seed)
-        assert fields[2].endswith(" s")
-        assert fields[3] == (str(len(str(abs(det)))) if det else "singular")
+        assert fields[2].endswith(" s") and fields[3].endswith(" ms")
+        assert fields[4] == (str(len(str(abs(det)))) if det else "singular")
