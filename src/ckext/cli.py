@@ -33,7 +33,6 @@ from .invariants import (
     validate,
 )
 from .markediso import (
-    DEFAULT_TORSION_BOUND,
     MarkedGroup,
     TorsionTooLargeError,
     marked_isomorphic,
@@ -198,7 +197,7 @@ def cmd_compare(args) -> int:
     a = load_matrix(args.path_a)
     b = load_matrix(args.path_b)
     pair_a, pair_b = transposed_weak_pair(a), transposed_weak_pair(b)
-    verdict = marked_isomorphic(pair_a, pair_b, torsion_bound=args.torsion_bound)
+    verdict = marked_isomorphic(pair_a, pair_b)
     doc = {
         "a": {"matrix": [list(r) for r in a.entries],
               "transposed_weak_pair": {**_group_doc(pair_a.group),
@@ -289,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="decide isomorphism of two algebras")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--torsion-bound", type=int, default=DEFAULT_TORSION_BOUND,
-                   help="largest torsion subgroup the orbit walk will search; a marker "
-                        "with zero free part is decided without it")
     add_format(p)
     p.set_defaults(func=cmd_compare)
 

@@ -17,12 +17,12 @@ Z^r -> T, so the decision splits into
       psi-shifts form an explicit subgroup of T^k generated by the free parts
       against each torsion generator.
 
-One marker with zero free part (every marker of a finite group, so every
-nonsingular classification) needs no search.  Such a marker a is moved only
-by Aut(T), and Aut(T) is the product of the Aut(T_p) over the primes p of
-|T|.  In a finite abelian p-group two elements share an Aut-orbit exactly
-when they share the height sequence h(a), h(p a), h(p^2 a), ... (Baer,
-Proc. LMS 1935; Kaplansky, Infinite Abelian Groups, 1954, Thm 24).  With
+One marker needs no search.  A marker a with zero free part (every marker of
+a finite group, so every nonsingular classification) is moved only by
+Aut(T), and Aut(T) is the product of the Aut(T_p) over the primes p of |T|.
+In a finite abelian p-group two elements share an Aut-orbit exactly when
+they share the height sequence h(a), h(p a), h(p^2 a), ... (Baer, Proc. LMS
+1935; Kaplansky, Infinite Abelian Groups, 1954, Thm 24).  With
 T_p = + Z/p^(E_j) and a_j of valuation F_j (F_j = E_j when a_j = 0),
 
     h(p^i a) = i + min{F_j : F_j + i < E_j}      (infinite when empty).
@@ -40,11 +40,18 @@ have the same g(0), g(1), g(2), ..., the b-height sequence
 h_b(a), h_b(b a) - 1, h_b(b^2 a) - 2, ...  Comparing those over the base
 costs a few gcds and divisions per invariant factor, polynomial in log|T|.
 
-Every other case (k >= 2 markers, or a marker with a nonzero free part)
-walks the orbit of the torsion-part tuple under a classical generating set
-of Aut(T) (unit scalings of each cyclic factor plus the compatible
-elementary transvections between factors), testing each orbit point for
-membership in the shift coset of the target tuple.  Orbits live in T^k, so
+A marker x = (f, tau) with f != 0 has infinite order, so (G, x) is an
+extension 0 -> Z -> G -> Q -> 0 with Q = G/<x>, decided up to Aut(Q) by Q and
+the Aut(T_Q)-orbit of its class chi in Ext(Q, Z) = Hom(T_Q, Q/Z) (Fuchs,
+Infinite Abelian Groups I, 1970, Sec. 52).  A torsion generator of Q of order
+q_i lifts to g_i in G with q_i g_i = k_i x, so chi = (k_i mod q_i) in the dual
+basis.  The dual group is again + Z/q_i, acted on by all its automorphisms,
+so chi's orbit is settled by the height sequences above.
+
+Two or more markers walk the orbit of the torsion-part tuple under a
+classical generating set of Aut(T) (unit scalings of each cyclic factor plus
+the compatible elementary transvections between factors), testing each orbit
+point for membership in the shift coset of the target tuple.  Orbits live in T^k, so
 the walk is bounded by |T|^k rather than |Aut(T)|; it builds a |T|^2
 addition table and refuses torsion subgroups above a bound.
 
@@ -69,7 +76,7 @@ class MarkerCountMismatchError(ValueError):
 
 
 class TorsionTooLargeError(ValueError):
-    """Torsion subgroup exceeds the configured search bound."""
+    """Torsion subgroup exceeds the orbit walk's search bound."""
 
 
 class NotFiniteError(ValueError):
@@ -107,16 +114,16 @@ def marked_group(free_rank: int, torsion: tuple[int, ...] | list[int],
     free coordinates first.
     """
     torsion = tuple(map(index, torsion))
-    r, t = free_rank, len(torsion)
-    n = r + t
-    cols = []
-    for s, d in enumerate(torsion):
-        col = [0] * n
-        col[r + s] = d
-        cols.append(col)
-    group = cokernel(IntMatrix.from_columns(cols, rows=n))
+    group = cokernel(_presentation(free_rank, torsion))
     elems = tuple(group.class_of(tuple(map(index, coords))) for coords in markers)
     return MarkedGroup(group, elems)
+
+
+def _presentation(r: int, ds: tuple[int, ...], *extra) -> IntMatrix:
+    """The relations d_s e_(r+s) that present Z^r + T in Z^(r+t), then extra."""
+    n = r + len(ds)
+    return IntMatrix.from_columns([[d * (i == r + s) for i in range(n)]
+                                   for s, d in enumerate(ds)] + list(extra), rows=n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +349,37 @@ def _height_sequence(coords: tuple[int, ...], ds: tuple[int, ...], b: int) -> tu
                  for m in range(max(e for _, e in exps)))
 
 
-def _same_height_sequences(a: GroupElement, b: GroupElement) -> bool:
-    """Whether Aut(T) carries the torsion part of a to that of b, for elements
-    of groups with the same invariant factors (see the module docstring)."""
-    ds = a.parent.torsion
-    xs, ys = a.torsion_coords, b.torsion_coords
+def _same_height_sequences(xs: tuple[int, ...], ys: tuple[int, ...],
+                           ds: tuple[int, ...]) -> bool:
+    """Whether Aut(+ Z/d_j) carries the element with coordinates xs to the one
+    with coordinates ys (see the module docstring)."""
     base = _coprime_base([*ds, *(math.gcd(c, d) for c, d in zip(xs + ys, ds + ds))])
     return all(_height_sequence(xs, ds, q) == _height_sequence(ys, ds, q) for q in base)
 
 
-def marked_isomorphic(x: MarkedGroup, y: MarkedGroup, *,
-                      torsion_bound: int = DEFAULT_TORSION_BOUND) -> bool:
+def _marker_class(x: MarkedGroup) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Free rank, invariant factors and coordinates that decide the single
+    marker (f, tau) of x: those of the group and tau when f = 0, else those of
+    Q = G/<x> and the extension class chi (see the module docstring)."""
+    (m,) = x.markers
+    r, ds, f = x.group.free_rank, x.group.torsion, m.free_coords
+    if not any(f):
+        return r, ds, m.torsion_coords
+    q = cokernel(_presentation(r, ds, f + m.torsion_coords))
+    j = next(j for j, c in enumerate(f) if c)
+    qg = [d * q.lift.entries[j][i] for d, i in zip(q.torsion, q.torsion_positions)]
+    if any(c % f[j] for c in qg):
+        raise ArithmeticError("q_i g_i is not a multiple of the marker")
+    return q.free_rank, q.torsion, tuple(c // f[j] % d for c, d in zip(qg, q.torsion))
+
+
+def marked_isomorphic(x: MarkedGroup, y: MarkedGroup) -> bool:
     """Decide whether some isomorphism carries the markers of x to those of y
     in order.
 
-    Exact and complete.  One marker with zero free part is decided by height
-    sequences, for torsion of any size.  Every other case walks the Aut(T)
-    orbit, and torsion subgroups larger than ``torsion_bound`` are rejected
+    Exact and complete.  One marker is decided by height sequences, for
+    torsion of any size.  Two or more markers walk the Aut(T) orbit, and
+    torsion subgroups larger than ``DEFAULT_TORSION_BOUND`` are rejected
     loudly rather than searched approximately.
     """
     if len(x.markers) != len(y.markers):
@@ -367,13 +388,13 @@ def marked_isomorphic(x: MarkedGroup, y: MarkedGroup, *,
     gx, gy = x.group, y.group
     if gx.free_rank != gy.free_rank or gx.torsion != gy.torsion:
         return False
-    if len(x.markers) == 1 and not any(x.markers[0].free_coords + y.markers[0].free_coords):
-        return _same_height_sequences(x.markers[0], y.markers[0])
-    return _orbit_walk(x, y, torsion_bound)
+    if len(x.markers) == 1:
+        (r, ds, xs), (s, es, ys) = _marker_class(x), _marker_class(y)
+        return (r, ds) == (s, es) and _same_height_sequences(xs, ys, ds)
+    return _orbit_walk(x, y)
 
 
-def _orbit_walk(x: MarkedGroup, y: MarkedGroup,
-                torsion_bound: int = DEFAULT_TORSION_BOUND) -> bool:
+def _orbit_walk(x: MarkedGroup, y: MarkedGroup) -> bool:
     """The Aut(T) orbit walk, for marked groups whose free ranks and invariant
     factors are equal."""
     ds = x.group.torsion
@@ -381,10 +402,10 @@ def _orbit_walk(x: MarkedGroup, y: MarkedGroup,
     if k == 0:
         return True
     t_order = math.prod(ds)
-    if t_order > torsion_bound:
+    if t_order > DEFAULT_TORSION_BOUND:
         raise TorsionTooLargeError(
             f"TorsionTooLarge: |T| = {t_order} (invariant factors {list(ds)}) "
-            f"with k = {k} markers exceeds the orbit-walk bound {torsion_bound}")
+            f"with k = {k} markers exceeds the orbit-walk bound {DEFAULT_TORSION_BOUND}")
     if not _marker_orders_match(x, y) or not _mod_p_orders_match(x, y):
         return False
     if hnf_columns(_free_parts_matrix(x)) != hnf_columns(_free_parts_matrix(y)):
@@ -513,16 +534,14 @@ def marked_iso_bruteforce(x: MarkedGroup, y: MarkedGroup, *,
 # the classification criterion
 
 
-def ck_isomorphic(a: ZeroOneMatrix, b: ZeroOneMatrix, *,
-                  torsion_bound: int = DEFAULT_TORSION_BOUND) -> bool:
+def ck_isomorphic(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
     """Whether the Cuntz-Krieger algebras of a and b are isomorphic.
 
     The complete invariant is the weak extension group of the *transposed*
     matrix together with its Toeplitz class, compared as single-marker marked
     groups.
     """
-    return marked_isomorphic(transposed_weak_pair(a), transposed_weak_pair(b),
-                             torsion_bound=torsion_bound)
+    return marked_isomorphic(transposed_weak_pair(a), transposed_weak_pair(b))
 
 
 def transposed_weak_pair(a: ZeroOneMatrix) -> MarkedGroup:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckext import cli, exactmat, fgab, invariants
+from ckext import cli, exactmat, fgab, invariants, markediso
 from ckext.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_ISOMORPHIC,
@@ -178,6 +178,29 @@ def test_compare_reflexive(tmp_path, capsys):
     assert main(["compare", p1, p1]) == EXIT_OK
 
 
+@pytest.mark.parametrize("draw_a, draw_b, code, marker_free", [
+    ((0, 8), (3, 9), EXIT_OK, ([1], [1])),
+    ((4, 5), (20, 7), EXIT_NOT_ISOMORPHIC, ([5], [2])),
+])
+def test_compare_singular_without_orbit_walk(tmp_path, capsys, monkeypatch,
+                                             draw_a, draw_b, code, marker_free):
+    """Singular draws of random_valid_rows(random.Random(seed), n), whose
+    markers have a nonzero free part, are decided with the orbit walk
+    disabled: Z + Z/2 marked (1, 0) against (1, 1) is one orbit, Z marked 5
+    against Z marked 2 is not."""
+    def no_walk(*args):
+        raise AssertionError("compare reached the orbit walk")
+
+    monkeypatch.setattr(markediso, "_orbit_walk", no_walk)
+    paths = [write_matrix(tmp_path, f"{seed}_{n}.txt", random_valid_rows(random.Random(seed), n))
+             for seed, n in (draw_a, draw_b)]
+    assert main(["compare", *paths]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["a"]["transposed_weak_pair"]["marker"]["free"],
+            doc["b"]["transposed_weak_pair"]["marker"]["free"]) == marker_free
+    assert doc["isomorphic"] is (code == EXIT_OK)
+
+
 def run_cli_subprocess(*argv):
     """Run the ckext command in a subprocess with a 60 s timeout, so that a
     hang fails the test."""
@@ -263,7 +286,7 @@ def test_verify_flags_a_tampered_toeplitz_class(tmp_path, capsys, monkeypatch, r
         assert json.loads(capsys.readouterr().out)["all_passed"] is passed
 
 
-def test_parser_state_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+def test_parser_state_does_not_leak_between_calls(tmp_path, capsys):
     """One parser serves every call in a process, and no option of one call
     carries over to the next."""
     assert build_parser() is build_parser()
@@ -273,17 +296,10 @@ def test_parser_state_does_not_leak_between_calls(tmp_path, capsys, monkeypatch)
     assert main(["compute", path]) == EXIT_OK
     assert "verification" not in json.loads(capsys.readouterr().out)
 
-    bounds, real = [], cli.marked_isomorphic
-
-    def spy(a, b, *, torsion_bound):
-        bounds.append(torsion_bound)
-        return real(a, b, torsion_bound=torsion_bound)
-
-    monkeypatch.setattr(cli, "marked_isomorphic", spy)
-    assert main(["compare", path, path, "--torsion-bound", "1"]) == EXIT_OK
+    assert main(["compare", path, path, "--format", "text"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("isomorphic: yes\n")
     assert main(["compare", path, path]) == EXIT_OK
-    assert bounds == [1, DEFAULT_TORSION_BOUND]
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["isomorphic"] is True
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
             main(["compute", path, "--no-such-flag"])
@@ -442,9 +458,14 @@ def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
     assert hermite_forms(random_valid_rows(random.Random(0), 12), "dense12.txt", False) == 0
 
 
-def test_examples_takes_no_torsion_bound(capsys):
+def test_examples_takes_no_torsion_bound(tmp_path, capsys):
+    """Neither examples nor compare has a torsion-bound option."""
     with pytest.raises(SystemExit):
         main(["examples", "--torsion-bound", "3"])
+    path = write_matrix(tmp_path, "a1.txt", A1)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", path, path, "--torsion-bound", "3"])
+    assert exc.value.code == EXIT_INPUT_ERROR
     capsys.readouterr()
 
 

@@ -86,27 +86,35 @@ def test_marker_count_mismatch_raises():
         marked_iso_bruteforce(marked_group(0, (2,), ((1,),)), marked_group(0, (2,), ()))
 
 
-def test_torsion_bound_enforced():
-    """The bound limits the orbit walk: two markers, or one marker with a
-    nonzero free part.  The refusal reports what it saw."""
+def _refuse_walk(*args):
+    raise AssertionError("one marker reached the orbit walk")
+
+
+def test_torsion_bound_enforced(monkeypatch):
+    """The bound limits the orbit walk, which only two or more markers take;
+    the refusal reports what it saw.  One marker with a nonzero free part is
+    answered above the bound, as the walk answers it with a larger bound."""
     pair = marked_group(0, (1024,), ((1,), (2,)))
     with pytest.raises(TorsionTooLargeError,
                        match=r"\|T\| = 1024 \(invariant factors \[1024\]\) with k = 2 .* 512"):
         marked_isomorphic(pair, pair)
-    assert marked_isomorphic(pair, pair, torsion_bound=2048)
-    free = marked_group(1, (1024,), ((1, 1),))
-    with pytest.raises(TorsionTooLargeError, match=r"\|T\| = 1024 .* k = 1 markers"):
-        marked_isomorphic(free, free)
+    free = [(marked_group(1, (1024,), (a,)), marked_group(1, (1024,), (b,)))
+            for a, b in (((1, 1), (-1, 0)), ((2, 1), (2, 3)), ((2, 1), (2, 0)))]
+    verdicts = [marked_isomorphic(x, y) for x, y in free]
+    monkeypatch.setattr(markediso, "DEFAULT_TORSION_BOUND", 2048)
+    assert marked_isomorphic(pair, pair)
+    assert verdicts == [_orbit_walk(x, y) for x, y in free] == [True, True, False]
 
 
-def test_one_marker_with_zero_free_part_needs_no_bound():
+def test_one_marker_with_zero_free_part_needs_no_bound(monkeypatch):
+    monkeypatch.setattr(markediso, "_orbit_walk", _refuse_walk)
     big = marked_group(0, (1024,), ((1,),))
-    assert marked_isomorphic(big, big, torsion_bound=1)
-    assert marked_isomorphic(big, marked_group(0, (1024,), ((3,),)), torsion_bound=1)
-    assert not marked_isomorphic(big, marked_group(0, (1024,), ((2,),)), torsion_bound=1)
+    assert marked_isomorphic(big, big)
+    assert marked_isomorphic(big, marked_group(0, (1024,), ((3,),)))
+    assert not marked_isomorphic(big, marked_group(0, (1024,), ((2,),)))
     mixed = marked_group(1, (1024,), ((0, 6),))
-    assert marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 10),)), torsion_bound=1)
-    assert not marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 4),)), torsion_bound=1)
+    assert marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 10),)))
+    assert not marked_isomorphic(mixed, marked_group(1, (1024,), ((0, 4),)))
 
 
 def _automorphisms(ds):
@@ -242,18 +250,24 @@ def test_agrees_with_bruteforce_on_random_finite_cases():
             assert marked_isomorphic(x, y) == marked_iso_bruteforce(x, y)
 
 
-def _one_marker_pairs(rng, max_order, cases):
-    """Single-marker pairs over every invariant-factor chain with |T| <=
-    max_order: y is a unit multiple of x (the same orbit) or random."""
+def _one_marker_pairs(rng, max_order, cases, free_rank=0):
+    """Single-marker pairs in Z^free_rank + T over every invariant-factor chain
+    with |T| <= max_order.  Free parts lie in [-6, 6], and y keeps the free
+    part of x with probability 0.7.  The torsion part of y is a unit multiple
+    of that of x (the same orbit) or random."""
     for ds in abelian_group_types(max_order):
         for _ in range(cases(math.prod(ds))):
+            fx = tuple(rng.randint(-6, 6) for _ in range(free_rank))
+            fy = fx if free_rank and rng.random() < 0.7 else \
+                tuple(rng.randint(-6, 6) for _ in range(free_rank))
             x = tuple(rng.randrange(d) for d in ds)
             if ds and rng.random() < 0.3:
                 unit = rng.choice([u for u in range(1, ds[-1] + 1) if math.gcd(u, ds[-1]) == 1])
                 y = tuple(unit * c % d for c, d in zip(x, ds))
             else:
                 y = tuple(rng.randrange(d) for d in ds)
-            yield marked_group(0, ds, (x,)), marked_group(0, ds, (y,))
+            yield (marked_group(free_rank, ds, (fx + x,)),
+                   marked_group(free_rank, ds, (fy + y,)))
 
 
 def test_height_sequences_agree_with_orbit_walk():
@@ -264,6 +278,38 @@ def test_height_sequences_agree_with_orbit_walk():
         assert fast == _orbit_walk(x, y), (x.group.torsion, x.markers, y.markers)
         verdicts.append(fast)
     assert len(verdicts) > 500 and 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_extension_class_agrees_with_orbit_walk():
+    """One marker with a nonzero free part, decided by the class of
+    0 -> Z -> G -> G/<x> -> 0, against the orbit walk on every chain with
+    |T| <= 160 and free rank 1 or 2."""
+    rng = random.Random(41)
+    verdicts = []
+    for free_rank in (1, 2):
+        for x, y in _one_marker_pairs(rng, 160, lambda order: 1, free_rank):
+            fast = marked_isomorphic(x, y)
+            assert fast == _orbit_walk(x, y), (x.group.torsion, x.markers, y.markers)
+            verdicts.append(fast)
+    assert sum(verdicts) >= 100 and len(verdicts) - sum(verdicts) >= 100
+
+
+def test_extension_class_at_large_primes_needs_no_walk(monkeypatch):
+    """In Z + Z/p + Z/(32pq) with p, q > 10^12, an explicit automorphism
+    (a transvection e_1 -> e_1 + 32q e_2, the unit 3, the shift by
+    psi(e_free) = 5 e_2 and the sign of the free part) carries (p, 1, 0) to
+    (-p, 3, 96q + 5p).  (p, 0, 0) and (2, 0, 1) differ from their partners in
+    G/<x>: (p, 1, 0) leaves Z/p + Z/(32 p^2 q) against Z/p + Z/p + Z/(32pq),
+    and (2, 0, 1) leaves Z/p + Z/(64pq) against Z/2 + Z/p + Z/(32pq)."""
+    monkeypatch.setattr(markediso, "_orbit_walk", _refuse_walk)
+    ds = (P, 32 * P * Q)
+
+    def iso(a, b):
+        return marked_isomorphic(marked_group(1, ds, (a,)), marked_group(1, ds, (b,)))
+
+    assert iso((P, 1, 0), (-P, 3, 96 * Q + 5 * P))
+    assert not iso((P, 1, 0), (P, 0, 0))
+    assert not iso((2, 0, 1), (2, 0, 0))
 
 
 def test_height_sequences_agree_with_bruteforce():
@@ -298,7 +344,8 @@ def _prime_height_sequence(coords, ds, p):
                  for i in range(max(e for _, e in vals)))
 
 
-def test_height_sequences_on_composite_base_match_prime_reference():
+def test_height_sequences_on_composite_base_match_prime_reference(monkeypatch):
+    monkeypatch.setattr(markediso, "_orbit_walk", _refuse_walk)
     ds = (P * Q, (P * Q) ** 2 * 32)
     rng = random.Random(40)
 
@@ -323,8 +370,7 @@ def test_height_sequences_on_composite_base_match_prime_reference():
         assert P * Q in base
         expected = all(_prime_height_sequence(x, ds, p) == _prime_height_sequence(y, ds, p)
                        for p in (2, P, Q))
-        got = marked_isomorphic(marked_group(0, ds, (x,)), marked_group(0, ds, (y,)),
-                                torsion_bound=1)
+        got = marked_isomorphic(marked_group(0, ds, (x,)), marked_group(0, ds, (y,)))
         assert got == expected, (x, y)
         verdicts.append(got)
     assert 50 < sum(verdicts) < len(verdicts) - 50
