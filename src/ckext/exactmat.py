@@ -90,9 +90,7 @@ class IntMatrix:
         return list(zip(*self.entries)) or [()] * self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if other.rows != self.rows:

@@ -3,7 +3,8 @@
 A group is its presentation M with a coordinate map (k x N), a lift (N x k)
 and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
 of order d.  ``cokernel`` reads them off the Smith form of M, and
-``finite_cokernel`` off the Smith form of a nonsingular M modulo |det M|,
+``finite_cokernel``, for a nonsingular M, off a row w with gcd(w, |det M|) = 1
+that kills M modulo |det M|, or else off the Smith form of M modulo |det M|,
 checked by ``certified_group``, which also serves a caller that knows a
 smaller presentation.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Sequence
 
-from .exactmat import IntMatrix, DimensionMismatchError, _smith_mod, snf
+from .exactmat import IntMatrix, DimensionMismatchError, _smith_mod, _xgcd, snf
 
 
 class ParentMismatchError(ValueError):
@@ -153,21 +154,45 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
     return FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
 
 
-def finite_cokernel(m: IntMatrix, det: int) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) for a square m with det(m) = det != 0, from
-    the Smith form of m modulo |det|, with one coordinate per torsion factor.
+def finite_cokernel(m: IntMatrix, det: int, w: Sequence[int]) -> FgAbelianGroup:
+    """Z^N / (column lattice of m) for a square m with det(m) = det != 0, with
+    one coordinate per torsion factor, given a row w with w m = 0 (mod det),
+    such as w = 1^T adj(m), for which w m = det 1^T.
 
-    Certified by certified_group and by the factors multiplying to |det|: the
-    coordinate map is then onto a group of the order of Z^N / m Z^N and kills
-    m Z^N, so it is an isomorphism.
+    With D = |det|, v -> w v mod D kills m Z^N.  When gcd(w_1, ..., w_N, D) = 1
+    it is onto Z/D, so, as Z^N / m Z^N has order D, an isomorphism: the group
+    is cyclic, with factor D (none when D = 1), coordinate row w mod D and a
+    lift g with w g = 1 (mod D).  Otherwise the Smith form of m modulo D
+    gives the coordinates.  Both are certified by certified_group and by the
+    factors multiplying to D: the coordinate map is then onto a group of the
+    order of Z^N / m Z^N and kills m Z^N, so it is an isomorphism.
     """
-    factors, u_rows, u_inv_cols = _smith_mod(m, abs(det))
-    if math.prod(factors) != abs(det):
+    d = abs(det)
+    if math.gcd(d, *w) == 1:
+        factors = (d,)
+        u_rows, u_inv_cols = ([w], [_unit_lift(w, d)]) if d > 1 else ([], [])
+    else:
+        factors, u_rows, u_inv_cols = _smith_mod(m, d)
+    if math.prod(factors) != d:
         raise ArithmeticError("invariant factors do not multiply to |det|")
     torsion = tuple(f for f in factors if f > 1)
     coords = tuple(tuple(x % f for x in row) for f, row in zip(torsion, u_rows))
     return certified_group(m, IntMatrix(len(torsion), m.cols, coords),
                            IntMatrix.from_columns(u_inv_cols, rows=m.rows), torsion)
+
+
+def _unit_lift(w: Sequence[int], d: int) -> list[int]:
+    """A vector g with w g = 1 (mod d), for gcd(w_1, ..., w_N, d) = 1: the
+    running gcd r = gcd(d, w_1, ..., w_j) is kept as r = w g (mod d), and the
+    fold stops once r = 1."""
+    g, r = [0] * len(w), d
+    for j, x in enumerate(w):
+        if r == 1:
+            break
+        r, c, e = _xgcd(r, x)
+        g[:j] = [c * y % d for y in g[:j]]
+        g[j] = e % d
+    return g
 
 
 def certified_group(presentation: IntMatrix, coords: IntMatrix, lift: IntMatrix,

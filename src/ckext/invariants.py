@@ -25,7 +25,8 @@ invariants_report computes all of them; exts and the single-invariant helpers
 One Bareiss elimination of [(I - A)^T | 1] gives det = det(I - A) and the
 integral row w = 1^T adj(I - A), checked by w (I - A) = det 1^T.  A singular
 I - A gets the Smith forms of I - A and I - A^.  For a nonsingular one the
-weak group comes from the Smith form of I - A modulo D = |det|
+weak group is cyclic with coordinate row w mod D, D = |det|, when
+gcd(w, D) = 1, and comes from the Smith form of I - A modulo D otherwise
 (fgab.finite_cokernel): coordinate rows K_i, factors d_i > 1 and generators
 g_i, i = 1..t, with K_i g_j = [i = j] (mod d_i).  The paper's extension
 formula then gives the strong group:
@@ -95,9 +96,9 @@ class ZeroOneMatrix:
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValueError("entries do not form an n-by-n matrix")
         for row in self.entries:
-            for x in row:
-                if x not in (0, 1):
-                    raise NotZeroOneError(f"NotZeroOne: entry {x} is not 0 or 1")
+            if not {*row} <= {0, 1}:
+                x = next(x for x in row if x not in (0, 1))
+                raise NotZeroOneError(f"NotZeroOne: entry {x} is not 0 or 1")
         if self.n <= 1:
             raise TooSmallError("TooSmall: matrix size must exceed 1")
 
@@ -127,6 +128,14 @@ def _strongly_connected(entries, n) -> bool:
     return reachable(True) and reachable(False)
 
 
+def _integer_row(row, i: int) -> tuple[int, ...]:
+    """Row i (1-based) as ints; a non-integer entry is named by position."""
+    try:
+        return tuple(map(operator.index, row))
+    except TypeError:
+        return tuple(_integer_entry(x, i, j) for j, x in enumerate(row, start=1))
+
+
 def _integer_entry(x, i: int, j: int) -> int:
     try:
         return operator.index(x)
@@ -142,8 +151,7 @@ def validate(raw, *, force: bool = False) -> ZeroOneMatrix:
     skipped: the lattice formulas stay well defined for such matrices, but
     the operator-algebra meaning of the results is not covered.
     """
-    rows = [tuple(_integer_entry(x, i, j) for j, x in enumerate(row, start=1))
-            for i, row in enumerate(raw, start=1)]
+    rows = [_integer_row(row, i) for i, row in enumerate(raw, start=1)]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValidationError("NotSquare: row lengths differ from row count")
@@ -200,15 +208,16 @@ def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
     return IntMatrix.identity(a.n) - _i_minus_hat(_identity_minus(a), n)
 
 
-def _weak_group(ima: IntMatrix, det: int) -> FgAbelianGroup:
-    """Z^N / ima Z^N, modulo |det| when det = det(ima) is nonzero."""
-    return finite_cokernel(ima, det) if det else cokernel(ima)
+def _weak_group(ima: IntMatrix) -> tuple[int, tuple[int, ...] | None, FgAbelianGroup]:
+    """det = det(ima), w = 1^T adj(ima) (None when det = 0) and Z^N / ima Z^N,
+    from w modulo |det| when det is nonzero (fgab.finite_cokernel)."""
+    det, w = adjugate_solve(ima.transpose(), (1,) * ima.rows)
+    return det, w, finite_cokernel(ima, det, w) if det else cokernel(ima)
 
 
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
     """Weak extension group: the Bowen-Franks group Z^N / (I - A) Z^N."""
-    ima = _identity_minus(a)
-    return _weak_group(ima, _determinant(ima))
+    return _weak_group(_identity_minus(a))[2]
 
 
 def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -452,8 +461,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
     quotient map carries the strong Toeplitz class to the weak one."""
     ima = _identity_minus(a)
     ones = (1,) * a.n
-    det, w = adjugate_solve(ima.transpose(), ones)
-    weak = _weak_group(ima, det)
+    det, w, weak = _weak_group(ima)
     strong = _strong_from_weak(ima, det, w, weak) if det else cokernel(_i_minus_hat(ima, 1))
     iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(

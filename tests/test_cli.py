@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,7 +24,7 @@ from ckext.cli import (
 from ckext.corpus import A1, A2, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
 from ckext.fgab import GroupElement
-from ckext.invariants import a_hat, determinant, invariants_report, validate
+from ckext.invariants import a_hat, determinant, extw, invariants_report, validate
 from ckext.markediso import DEFAULT_TORSION_BOUND
 from conftest import random_valid_rows, run_python
 
@@ -488,8 +489,10 @@ def test_invariant_table_script():
 
 def test_scale_table_script():
     """scripts/scale_table.py prints a header and one row per requested draw:
-    the report's time in s, the verifiers' time in ms, and the number of
-    digits of |det(I - A)|."""
+    the report's time in s, the verifiers' time in ms, the number of digits
+    of |det(I - A)|, and the weak group's path: "w" exactly when
+    gcd(w, |det|) = 1, "mod D" for the other nonsingular draws, "snf" for a
+    singular one."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
     draws = [(6, 0), (8, 1), (12, 2)]
     done = subprocess.run([sys.executable, str(script), "--draws",
@@ -498,12 +501,19 @@ def test_scale_table_script():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [f.strip() for f in lines[0].strip("|").split("|")] == \
-        ["N", "seed", "time", "verify", "digits of D"]
+        ["N", "seed", "time", "verify", "digits of D", "weak"]
     rows = lines[2:]
     assert len(rows) == len(draws)
+    sources = set()
     for (n, seed), row in zip(draws, rows):
         fields = [f.strip() for f in row.strip("|").split("|")]
-        det = determinant(validate(random_valid_rows(random.Random(seed), n)))
+        sources.add(fields[5])
+        a = validate(random_valid_rows(random.Random(seed), n))
+        det = determinant(a)
         assert (int(fields[0]), int(fields[1])) == (n, seed)
         assert fields[2].endswith(" s") and fields[3].endswith(" ms")
         assert fields[4] == (str(len(str(abs(det)))) if det else "singular")
+        with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
+            extw(a)
+        assert fields[5] == ("snf" if not det else "mod D" if smith_mod.called else "w")
+    assert sources == {"w", "mod D", "snf"}

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -61,8 +62,11 @@ def test_validate_rejects_reducible():
 
 
 def test_validate_rejects_non_zero_one():
-    with pytest.raises(NotZeroOneError):
-        validate([[2, 0], [1, 1]])
+    """The first entry outside {0, 1} in row-major order is named."""
+    for raw, bad in (([[2, 0], [1, 1]], 2), ([[1, 0], [7, 2]], 7), (((0, 1), (-1, 1)), -1)):
+        with pytest.raises(NotZeroOneError) as raised:
+            validate(raw)
+        assert str(raised.value) == f"NotZeroOne: entry {bad} is not 0 or 1"
 
 
 def test_validate_rejects_too_small():
@@ -87,6 +91,11 @@ def test_validate_rejects_non_integral_entries():
         validate([[0.5, 1], [1, 1.9]])
     with pytest.raises(ValidationError, match=r"entry \(2, 2\) = 1.9"):
         validate([[0, 1], [1, 1.9]])
+    for raw, message in (([range(2), [1, "x"]], "entry (2, 2) = 'x'"),
+                         ([[1, None], [1.0, 1]], "entry (1, 2) = None")):
+        with pytest.raises(ValidationError) as raised:
+            validate(raw)
+        assert str(raised.value) == f"NotInteger: {message} is not an integer"
     assert validate([[True, 1], [1, 0]]).entries == ((1, 1), (1, 0))
 
 
@@ -220,13 +229,20 @@ def test_strong_group_certificate_rejects_a_tampered_coordinate_map():
 
 
 def test_tampered_weak_witness_is_refused(monkeypatch):
-    """One entry w_j of w = 1^T adj(I - A) off by one, or one entry of a
-    coordinate row of the weak group's U modulo |det| off by one, makes
-    invariants_report raise."""
+    """One entry w_j of w = 1^T adj(I - A) off by one makes invariants_report
+    raise.  So does one entry of a coordinate row of the weak group's U modulo
+    |det| off by one, where gcd(w, |det|) > 1; where it is 1 (A1) the weak
+    group is read off w and the modular Smith form is never run."""
     real_solve, real_mod = invariants.adjugate_solve, fgab._smith_mod
-    for rows in (A1, A3, random_valid_rows(random.Random(4), 9)):  # Z/3, (Z/2)^2, Z/2 + Z/20
+
+    def no_smith_mod(m, d):
+        raise AssertionError("modular Smith form run although gcd(w, |det|) = 1")
+
+    # Z/3 from w; (Z/2)^2 and Z/2 + Z/20 from the modular Smith form
+    for rows, by_w in ((A1, True), (A3, False), (random_valid_rows(random.Random(4), 9), False)):
         a = validate(rows)
-        assert determinant(a) and extw(a).torsion
+        det, w, weak = invariants._weak_group(invariants._identity_minus(a))
+        assert det and weak.torsion and (math.gcd(det, *w) == 1) == by_w
         for j in range(a.n):
             def bumped_w(m, b=None, j=j):
                 det, w = real_solve(m, b)
@@ -238,12 +254,18 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
                 u_rows[0][j] += 1
                 return factors, u_rows, u_inv_cols
 
-            for module, name, fake in ((invariants, "adjugate_solve", bumped_w),
-                                       (fgab, "_smith_mod", bumped_u)):
+            fakes = [(invariants, "adjugate_solve", bumped_w)]
+            if not by_w:
+                fakes.append((fgab, "_smith_mod", bumped_u))
+            for module, name, fake in fakes:
                 with monkeypatch.context() as patched:
                     patched.setattr(module, name, fake)
                     with pytest.raises(ArithmeticError):
                         invariants_report(a)
+        if by_w:
+            with monkeypatch.context() as patched:
+                patched.setattr(fgab, "_smith_mod", no_smith_mod)
+                invariants_report(a)
 
 
 @st.composite
@@ -259,14 +281,26 @@ def nonsingular_matrices(draw, max_n=12):
     return a
 
 
+def _weak_paths(a):
+    """The report of a, whether gcd(w, |det|) = 1, and how many times the
+    report ran the modular Smith form."""
+    det, w, _ = invariants._weak_group(invariants._identity_minus(a))
+    with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
+        rep = invariants_report(a)
+    return rep, math.gcd(det, *w) == 1, smith_mod.call_count
+
+
 @settings(max_examples=150, deadline=None)
 @given(nonsingular_matrices())
 def test_groups_agree_with_exact_smith_forms(a):
     """The weak group modulo |det| and the strong group from w against
     cokernel(I - A) and cokernel(I - A^): the same factors, marked-isomorphic
     weak pairs, and, for |T| <= 64, marked-isomorphic strong Toeplitz pairs
-    and strong triples ([T]_s, iota(1))."""
-    n, rep = a.n, invariants_report(a)
+    and strong triples ([T]_s, iota(1)).  The modular Smith form runs once,
+    and never when gcd(w, |det|) = 1."""
+    n = a.n
+    rep, by_w, calls = _weak_paths(a)
+    assert calls == (0 if by_w else 1)
     ima = IntMatrix.identity(n) - a.as_int_matrix()
     weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
     assert (rep.extw_group.free_rank, rep.extw_group.torsion) == (0, weak.torsion)
@@ -281,6 +315,24 @@ def test_groups_agree_with_exact_smith_forms(a):
                                  MarkedGroup(strong, (t_s,)))
         assert marked_isomorphic(MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one)),
                                  MarkedGroup(strong, (t_s, iota)))
+
+
+def test_both_weak_paths_agree_with_exact_smith_forms():
+    """Dense draws with N <= 20: the weak pair read off w and the one from
+    the modular Smith form are both marked-isomorphic to the exact Smith
+    form's, with at least 20 draws on each path."""
+    paths = {True: 0, False: 0}
+    for seed in range(120):
+        a = validate(random_valid_rows(random.Random(seed), 2 + seed % 19))
+        if not determinant(a):
+            continue
+        rep, by_w, calls = _weak_paths(a)
+        assert calls == (0 if by_w else 1)
+        weak = cokernel(IntMatrix.identity(a.n) - a.as_int_matrix())
+        assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
+                                 MarkedGroup(weak, (-weak.class_of((1,) * a.n),)))
+        paths[by_w] += 1
+    assert min(paths.values()) >= 20, paths
 
 
 # --- iota ----------------------------------------------------------------
