@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Print the README Scale table: invariants_report and verify on dense random
-matrices.
+and singular matrices.
 
-Each row is the first draw of tests/conftest.py::random_valid_rows with
-random.Random(seed) at size N: the best of three runs of invariants_report,
-the best of three runs of the verifiers (cli.verification_document, each on
-the report just made), both timed with time.perf_counter, the digits of
-D = |det(I - A)|, and where the weak group came from: "w" when
-gcd(w, D) = 1 for w = 1^T adj(I - A), so the group is cyclic and read off w,
-"mod D" when the Smith form modulo D gave it, and "snf" for a singular I - A.
+A draw N:SEED is the first draw of tests/conftest.py::random_valid_rows with
+random.Random(seed) at size N, and sN:SEED is tests/conftest.py::singular_draw
+(seed, N), whose I - A kills e_1 - e_2.  Each row gives the best of three runs
+of invariants_report, the best of three runs of the verifiers
+(cli.verification_document, each on the report just made), both timed with
+time.perf_counter, the digits of D = |det(I - A)|, and where the weak group
+came from: "w" when gcd(w, D) = 1 for w = 1^T adj(I - A), so the group is
+cyclic and read off w, "mod D" when the Smith form modulo D gave it,
+"rank N-1" when I - A has rank N - 1, so the group was read off its kernel
+vectors and a Smith form modulo its torsion order, and "snf" for a lower rank.
 
     python3 scripts/scale_table.py                      # the README ladder
-    python3 scripts/scale_table.py --draws 40:0 50:1
+    python3 scripts/scale_table.py --draws 40:0 s50:1
 """
 
 import argparse
@@ -27,25 +30,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from ckext import invariants_report, validate  # noqa: E402
 from ckext.cli import verification_document  # noqa: E402
 from ckext.exactmat import adjugate_solve  # noqa: E402
-from conftest import random_valid_rows  # noqa: E402
+from conftest import random_valid_rows, singular_draw  # noqa: E402
 
-LADDER = ("40:0", "50:0", "50:1", "50:2", "60:0", "80:0", "100:0")
+LADDER = ("40:0", "50:0", "50:1", "50:2", "60:0", "80:0", "100:0",
+          "s40:0", "s50:0", "s50:1", "s60:0", "s80:0", "s100:0")
 
 
-def draw(spec: str) -> tuple[int, int]:
-    n, seed = spec.split(":")
-    return int(n), int(seed)
+def draw(spec: str) -> tuple[bool, int, int]:
+    """(singular, N, seed) from N:SEED or sN:SEED."""
+    singular = spec.startswith("s")
+    n, seed = spec.removeprefix("s").split(":")
+    return singular, int(n), int(seed)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", nargs="+", type=draw, default=[draw(s) for s in LADDER],
-                        metavar="N:SEED", help="draws to time (default: the README ladder)")
+                        metavar="[s]N:SEED", help="draws to time (default: the README ladder)")
     args = parser.parse_args(argv)
-    print("| N   | seed | time    | verify   | digits of D | weak  |")
-    print("|-----|------|---------|----------|-------------|-------|")
-    for n, seed in args.draws:
-        a = validate(random_valid_rows(random.Random(seed), n))
+    print("| N   | seed | draw     | time    | verify   | digits of D | weak     |")
+    print("|-----|------|----------|---------|----------|-------------|----------|")
+    for singular, n, seed in args.draws:
+        rows = singular_draw(seed, n) if singular else random_valid_rows(random.Random(seed), n)
+        a = validate(rows)
         best = best_verify = float("inf")
         for _ in range(3):
             start = time.perf_counter()
@@ -56,15 +63,16 @@ def main(argv=None):
             best_verify = min(best_verify, time.perf_counter() - mid)
         digits = len(str(abs(rep.det_i_minus_a))) if rep.det_i_minus_a else "singular"
         verify = f"{best_verify * 1e3:.1f} ms"
-        print(f"| {n:<3} | {seed:<4} | {best:.2f} s  | {verify:<8} | {digits:<11} "
-              f"| {weak_source(rep):<5} |")
+        kind = "singular" if singular else "random"
+        print(f"| {n:<3} | {seed:<4} | {kind:<8} | {best:.2f} s  | {verify:<8} | {digits:<11} "
+              f"| {weak_source(rep):<8} |")
 
 
 def weak_source(rep) -> str:
-    """Which path of fgab.finite_cokernel gave the report's weak group."""
+    """Which path of invariants._weak_group gave the report's weak group."""
     det = rep.det_i_minus_a
     if not det:
-        return "snf"
+        return "snf" if rep.kernel_vector is None else "rank N-1"
     _, w = adjugate_solve(rep.i_minus_a.transpose(), (1,) * rep.matrix.n)
     return "w" if math.gcd(det, *w) == 1 else "mod D"
 

@@ -2,16 +2,18 @@
 
 Dense arbitrary-precision integer matrices with the normal forms and lattice
 predicates everything else is built on: Smith normal form with unimodular
-transforms, the Smith form of a nonsingular matrix modulo its determinant, a
-canonical column-style Hermite normal form, Bareiss determinants and adjugate
-solves, integer kernels, and column-lattice equality/membership.
+transforms, the Smith form modulo d of a matrix whose column lattice holds
+d Z^n, a canonical column-style Hermite normal form, Bareiss determinants and
+adjugate solves, integer kernels, and column-lattice equality/membership.
 
 All values are immutable; every function is pure.  Matrices are dense.  The
 Smith form carries U, U^-1 and V, the witness of the reduction, certified by
 exact products; integer kernels are read off the U of the transposed form.
-The modular form records its row operations modulo d and replays U and U^-1
-only for the rows with a factor, so its entries stay below d; its caller
-certifies it.  README.md gives measured sizes and times.
+The Bareiss elimination skips one column with no pivot, so on a matrix of
+rank n - 1 it names a nonsingular (n-1)-minor and a kernel vector instead of
+stopping at det = 0.  The modular form records its row operations modulo d
+and replays U and U^-1 only for the rows with a factor, so its entries stay
+below d; its caller certifies it.  README.md gives measured sizes and times.
 """
 
 from __future__ import annotations
@@ -210,12 +212,31 @@ def determinant(m: IntMatrix) -> int:
 
 def adjugate_solve(m: IntMatrix, b: Sequence[int] | None = None
                    ) -> tuple[int, tuple[int, ...] | None]:
-    """det(m) and adj(m) b = det(m) m^-1 b, by one Bareiss elimination of [m | b].
+    """det(m) and adj(m) b = det(m) m^-1 b; the second value is None when b
+    is None or m is singular (adjugate_or_kernel)."""
+    return adjugate_or_kernel(m, b)[:2]
+
+
+def adjugate_or_kernel(m: IntMatrix, b: Sequence[int] | None = None
+                       ) -> tuple[int, tuple[int, ...] | None,
+                                  tuple[int, int, tuple[int, ...]] | None]:
+    """det(m), adj(m) b = det(m) m^-1 b, and, for m of rank n - 1, a kernel
+    certificate (r, c, v), all by one Bareiss elimination of [m | b].
 
     After the elimination row i reads a_ii x_i + sum_{j>i} a_ij x_j = c_i,
     and y = delta x, delta the last pivot, is integral by Cramer's rule, so the
     fraction-free back substitution y_i = (delta c_i - sum_{j>i} a_ij y_j) / a_ii
     divides exactly.  The second value is None when b is None or m is singular.
+    A row with a zero below the pivot is only rescaled by pivot / prev, which
+    is skipped when the two are equal, as they often are on sparse input.
+
+    A column of m with no pivot is skipped, and a second one ends the
+    elimination: the rank is below n - 1, and the third value is None.  With
+    exactly one skipped column c, the pivots lie in the rows other than the
+    one, r, left over, and deleting row r and column c of m leaves a minor M
+    with det M = +-delta != 0.  Setting v_c = delta and back-substituting the
+    pivot rows gives v with m v = 0: off c, v is -delta M^-1 times column c
+    of m without row r, integral by Cramer's rule.
     """
     if m.rows != m.cols:
         raise NotSquareError("determinant of a non-square matrix")
@@ -226,28 +247,45 @@ def adjugate_solve(m: IntMatrix, b: Sequence[int] | None = None
             raise DimensionMismatchError("vector length differs from row count")
         for row, x in zip(a, b):
             row.append(index(x))
+    order = list(range(n))
     sign = prev = 1
+    r, skipped = 0, None
     for k in range(n):
-        if a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if a[r][k] == 0:
+            i = next((i for i in range(r + 1, n) if a[i][k]), None)
             if i is None:
-                return 0, None
-            a[k], a[i] = a[i], a[k]
+                if skipped is not None:
+                    return 0, None, None
+                skipped = k
+                continue
+            a[r], a[i] = a[i], a[r]
+            order[r], order[i] = order[i], order[r]
             sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for i in range(k + 1, n):
+        pivot, row_r = a[r][k], a[r]
+        for i in range(r + 1, n):
             row_i, c = a[i], a[i][k]
-            a[i][k + 1:] = [(x * pivot - c * y) // prev
-                            for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
-            row_i[k] = 0
+            if c:
+                row_i[k + 1:] = [(x * pivot - c * y) // prev
+                                 for x, y in zip(row_i[k + 1:], row_r[k + 1:])]
+                row_i[k] = 0
+            elif pivot != prev:
+                row_i[k + 1:] = [x * pivot // prev for x in row_i[k + 1:]]
         prev = pivot
+        r += 1
+    if skipped is not None:
+        v = [0] * n
+        v[skipped] = prev
+        for i in range(n - 2, -1, -1):
+            row, p = a[i], i + (i >= skipped)
+            v[p] = -sum(map(mul, row[p + 1:n], v[p + 1:])) // row[p]
+        return 0, None, (order[n - 1], skipped, tuple(v))
     if b is None:
-        return sign * prev, None
+        return sign * prev, None, None
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
         y[i] = (prev * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-    return sign * prev, tuple(sign * v for v in y)
+    return sign * prev, tuple(sign * v for v in y), None
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -356,8 +394,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 
 def _smith_mod(m: IntMatrix, d: int) -> tuple[tuple[int, ...], list[list[int]],
                                               list[list[int]]]:
-    """Smith form of a square m over Z/d, for d > 0 with d Z^n inside m Z^n
-    (d = |det m| for nonsingular m).
+    """Smith form over Z/d of an n x k matrix m, k >= n, for d > 0 with
+    d Z^n inside m Z^n (d = |det m| for a nonsingular square m).
 
     Returns the factor f_i of each row, a divisibility chain of divisors of d,
     and, for the rows with f_i > 1, row i of U and column i of U^-1 (entries in
@@ -371,7 +409,7 @@ def _smith_mod(m: IntMatrix, d: int) -> tuple[tuple[int, ...], list[list[int]],
     only row i, so it is dropped.  U and U^-1 are replayed from the record for
     the rows that carry a factor, at O(1) a step.
     """
-    n = m.rows
+    n, k = m.rows, m.cols
     a = [[x % d for x in row] for row in m.entries]
     ops = []  # (t, i, ((p, q), (r, s))): rows (t, i) <- that matrix times rows (t, i)
 
@@ -398,7 +436,7 @@ def _smith_mod(m: IntMatrix, d: int) -> tuple[tuple[int, ...], list[list[int]],
             f = a[t][t] = _xgcd(a[t][t], d)[0]  # column t is p e_t: scale it to gcd(p, d)
             if f == 1:
                 break
-            j = next((j for j in range(t + 1, n) if a[t][j] % f), None)
+            j = next((j for j in range(t + 1, k) if a[t][j] % f), None)
             if j is not None:  # column operation giving the pivot gcd(f, a_tj) < f
                 g, c, e = _xgcd(f, a[t][j])
                 q, r = a[t][j] // g, f // g
@@ -412,9 +450,9 @@ def _smith_mod(m: IntMatrix, d: int) -> tuple[tuple[int, ...], list[list[int]],
         factors.append(f)
 
     u_rows, u_inv_cols = [], []
-    for k in (k for k, f in enumerate(factors) if f > 1):
-        v = [int(j == k) for j in range(n)]  # e_k^T E_last ... E_first
-        w = v[:]                             # E_first^-1 ... E_last^-1 e_k
+    for c in (c for c, f in enumerate(factors) if f > 1):
+        v = [int(j == c) for j in range(n)]  # e_c^T E_last ... E_first
+        w = v[:]                             # E_first^-1 ... E_last^-1 e_c
         for t, i, ((p, q), (r, s)) in reversed(ops):
             v[t], v[i] = (v[t] * p + v[i] * r) % d, (v[t] * q + v[i] * s) % d
             w[t], w[i] = (s * w[t] - q * w[i]) % d, (p * w[i] - r * w[t]) % d

@@ -2,11 +2,14 @@
 
 A group is its presentation M with a coordinate map (k x N), a lift (N x k)
 and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
-of order d.  ``cokernel`` reads them off the Smith form of M, and
-``finite_cokernel``, for a nonsingular M, off a row w with gcd(w, |det M|) = 1
-that kills M modulo |det M|, or else off the Smith form of M modulo |det M|,
-checked by ``certified_group``, which also serves a caller that knows a
-smaller presentation.
+of order d.  ``cokernel`` reads them off the Smith form of M.
+``finite_cokernel``, for a nonsingular M, reads them off a row w with
+gcd(w, |det M|) = 1 that kills M modulo |det M|, or else off the Smith form of
+M modulo |det M|.  ``corank_one_cokernel``, for M of rank N - 1, takes the
+free coordinate from a primitive row y with y M = 0 and the torsion from the
+Smith form of [M | z] modulo its order, y z = 1.  Both are checked by
+``certified_group``, which also serves a caller that knows a smaller
+presentation.
 
 Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
@@ -173,25 +176,59 @@ def finite_cokernel(m: IntMatrix, det: int, w: Sequence[int]) -> FgAbelianGroup:
         u_rows, u_inv_cols = ([w], [_unit_lift(w, d)]) if d > 1 else ([], [])
     else:
         factors, u_rows, u_inv_cols = _smith_mod(m, d)
+    return _modular_group(m, d, factors, u_rows, u_inv_cols)
+
+
+def corank_one_cokernel(m: IntMatrix, y: Sequence[int], delta: int) -> FgAbelianGroup:
+    """Z^N / (column lattice of m) = Z + T for a square m of rank N - 1, given
+    a primitive row y with y m = 0 and the order delta > 0 of T.
+
+    v -> y v kills m Z^N and is onto Z, split by an integral z with y z = 1,
+    so T = Z^N / (m Z^N + Z z), and delta Z^N lies in m Z^N + Z z.  Its
+    coordinates come from the Smith form of [m | z] modulo delta, each lift g
+    moved to g - (y g) z so that y kills it; y is the free coordinate row,
+    with lift z.  certified_group and the factors multiplying to delta make
+    the coordinate map an onto map Z + T -> Z + T' with |T'| = |T|, whose
+    kernel, finite and so inside T, is then 0.
+    """
+    z = _unit_lift(y, 0)
+    factors, u_rows, lifts = ((), [], []) if delta == 1 else _smith_mod(
+        m.hstack(IntMatrix.from_columns([z], rows=m.rows)), delta)
+    for g in lifts:
+        c = sum(map(operator.mul, y, g))
+        g[:] = [p - c * q for p, q in zip(g, z)]
+    return _modular_group(m, delta, factors, u_rows, lifts, (y, z))
+
+
+def _modular_group(m: IntMatrix, d: int, factors, u_rows, lifts,
+                   free: tuple | None = None) -> FgAbelianGroup:
+    """The group of finite_cokernel and corank_one_cokernel: coordinate rows
+    u_rows modulo the factors > 1, whose product must be d, with their lifts,
+    and then, when free = (y, z), the free coordinate row y with lift z."""
     if math.prod(factors) != d:
-        raise ArithmeticError("invariant factors do not multiply to |det|")
+        raise ArithmeticError("invariant factors do not multiply to the torsion order")
     torsion = tuple(f for f in factors if f > 1)
-    coords = tuple(tuple(x % f for x in row) for f, row in zip(torsion, u_rows))
-    return certified_group(m, IntMatrix(len(torsion), m.cols, coords),
-                           IntMatrix.from_columns(u_inv_cols, rows=m.rows), torsion)
+    coords = [tuple(x % f for x in row) for f, row in zip(torsion, u_rows)]
+    lifts = list(lifts)
+    if free:
+        coords.append(tuple(free[0]))
+        lifts.append(free[1])
+    return certified_group(m, IntMatrix(len(coords), m.cols, tuple(coords)),
+                           IntMatrix.from_columns(lifts, rows=m.rows),
+                           torsion + (0,) * bool(free))
 
 
 def _unit_lift(w: Sequence[int], d: int) -> list[int]:
-    """A vector g with w g = 1 (mod d), for gcd(w_1, ..., w_N, d) = 1: the
-    running gcd r = gcd(d, w_1, ..., w_j) is kept as r = w g (mod d), and the
-    fold stops once r = 1."""
+    """A vector g with w g = 1 (mod d), for gcd(w_1, ..., w_N, d) = 1, and
+    exactly when d = 0: the running gcd r = gcd(d, w_1, ..., w_j) is kept as
+    r = w g (mod d), and the fold stops once r = 1."""
     g, r = [0] * len(w), d
     for j, x in enumerate(w):
         if r == 1:
             break
         r, c, e = _xgcd(r, x)
-        g[:j] = [c * y % d for y in g[:j]]
-        g[j] = e % d
+        g[:j] = [c * y % d if d else c * y for y in g[:j]]
+        g[j] = e % d if d else e
     return g
 
 

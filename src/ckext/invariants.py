@@ -17,48 +17,75 @@ Everything here is exact integer lattice arithmetic over a validated square
   nodes follow from I - A^ = (I - A)(I - R_1), checked column by column, and
   the identity for every n from the one for n = 1, which is two products
   taken as differences and prefix sums of columns; all of it is O(N^2), and
-  only node (4) of a singular I - A takes a Hermite form (proofs in
-  ExtInvariantReport.exact_sequence and verify_im0_identity).
+  only node (4) of an I - A of rank below N - 1 takes a Hermite form (proofs
+  in ExtInvariantReport.exact_sequence and verify_im0_identity).
 
 invariants_report computes all of them; exts and the single-invariant helpers
 (iota_hat, toeplitz_strong, hat_q, iota_kernel_generator) are views on it.
-One Bareiss elimination of [(I - A)^T | 1] gives det = det(I - A) and the
-integral row w = 1^T adj(I - A), checked by w (I - A) = det 1^T.  A singular
-I - A gets the Smith forms of I - A and I - A^.  For a nonsingular one the
-weak group is cyclic with coordinate row w mod D, D = |det|, when
-gcd(w, D) = 1, and comes from the Smith form of I - A modulo D otherwise
-(fgab.finite_cokernel): coordinate rows K_i, factors d_i > 1 and generators
-g_i, i = 1..t, with K_i g_j = [i = j] (mod d_i).  The paper's extension
-formula then gives the strong group:
 
-    Z^N / (I - A^) Z^N  =  Z^{1+t} / <d_i e_i - s_i e_0 : i = 1..t>,
-    s_i = d_i (w g_i) / det,
+The weak group.  One Bareiss elimination of [(I - A)^T | 1]
+(exactmat.adjugate_or_kernel) gives det = det(I - A) and, when det != 0, the
+integral row w = 1^T adj(I - A).  The weak group is then cyclic with
+coordinate row w mod D, D = |det|, when gcd(w, D) = 1, and comes from the
+Smith form of I - A modulo D otherwise (fgab.finite_cokernel).  When det = 0
+the elimination skips the column with no pivot; if it meets no second one,
+I - A has rank N - 1, and deleting a row i0 and a column j0 leaves a
+nonsingular minor M_0, with the elimination's kernel vector Y, Y (I - A) = 0
+and Y_i0 = +-det M_0.  One solve on M_0 gives X with (I - A) X = 0 and
+X_j0 = det M_0.  As adj(I - A) = c x y^T for the primitive x and y in the
+direction of X and Y, and its (j0, i0) entry is +-det M_0, the torsion order
+|c| (the (N-1)-th determinantal divisor) is content(X) content(Y) / |det M_0|,
+and fgab.corank_one_cokernel builds Z + T from y, oriented so that -[1_N]
+has a nonnegative free coordinate.  Below rank N - 1 the exact Smith form
+U (I - A) V = D gives the weak group.  Either way the group has coordinate
+rows K_c, factors d_c and lifts l_c for its coordinates c = 1..k with
+d_c != 1 (d_c = 0 for a free one), K_c l_c' = [c = c'] (mod d_c).
 
-with e_0 standing for iota(1) = (I - A) e_1 and e_i for g_i.  (I - A^) Z^N is
-(I - A) Z^N_0, Z^N_0 the sum-zero vectors, and it is the kernel of
-v -> (w v, [v]_w) into Z + weak group: [v]_w = 0 gives v = (I - A) x with x
-integral, and then w v = det 1^T x.  The image is spanned by (det, 0), the
-image of iota(1), and (w g_i, e_i), the image of g_i.  A combination
-a_0 e_0 + sum a_i e_i maps to 0 iff a_i = d_i b_i and
-a_0 det + sum b_i d_i (w g_i) = 0, so the relations are spanned by the
-d_i e_i - s_i e_0; s_i = 1^T x_i for d_i g_i = (I - A) x_i is integral.  A
-vector v is sum_i (K_i v) g_i plus (I - A) x with 1^T x = Phi_0 v, where
-Phi_0 = (w - sum_i (w g_i) K_i) / det, so Phi = (Phi_0; K_1; ...; K_t) is the
-class map onto the presentation, and Psi = ((I - A) e_1, g_1, ..., g_t) lifts
-it.  Both divisions by det are exact, and raise if not.  The Smith form
-U_R R V_R = D_R of the (1+t) x t relation matrix R makes it canonical: the
-class map is U_R Phi, the lift Psi U_R^-1, checked by fgab.certified_group.
+The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
+g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
+
+    Z^N / (I - A^) Z^N  =  Z^{1+k} / <d_c e_c - s_c e_0 (d_c > 0), g e_0>,
+
+with e_0 standing for iota(1) = (I - A) e_1, e_c for l_c, s_c = 1^T x_c for
+any integral x_c with (I - A) x_c = d_c l_c, and the class map
+Phi = (Phi_0; K_1; ...; K_k), where Phi_0 v = 1^T x (mod g) for
+v - sum_c (K_c v) l_c = (I - A) x, lifted by Psi = ((I - A) e_1, l_1, ...,
+l_k).  (I - A^) Z^N is (I - A) Z^N_0, Z^N_0 the sum-zero vectors.  If
+[v]_w = 0 then v = (I - A) x, with x fixed up to Ker(I - A) and so 1^T x up
+to g Z, and v lies in (I - A) Z^N_0 iff 1^T x = 0 (mod g): (I - A^) Z^N is the
+kernel of v -> (Phi_0 v mod g, [v]_w).  A combination a_0 e_0 + sum a_c e_c
+of the images of iota(1) and the l_c maps to 0 iff a_c = d_c b_c and
+a_0 + sum b_c s_c = 0 (mod g), so the relations are spanned by the
+d_c e_c - s_c e_0 and g e_0.  The inputs (s, Phi_0, g) come from a row phi
+with phi (I - A) u = 1^T u (mod g) for integral u, as s_c = phi (d_c l_c) and
+Phi_0 = phi - sum_c (phi l_c) K_c:
+
+* det != 0: g = 0 and phi = w / det, as w (I - A) = det 1^T;
+* rank N - 1: Ker(I - A) = Z x, g = |1^T x|, and with alpha x = 1 the row
+  1^T - (1^T x) alpha is orthogonal to x, so it is phi (I - A) for a phi
+  from one more solve on M_0^T, phi = Phi' / det M_0 with Phi'_i0 = 0;
+* rank below N - 1: x_c = V e_c gives s_c = sigma_c for sigma = 1^T V, the
+  columns of V with d_i = 1 give Phi_0 = sum_{d_i = 1} sigma_i U_i, and
+  those with d_i = 0 span Ker(I - A), so g = gcd(sigma_i : d_i = 0).
+
+phi (I - A) is checked, and the divisions by det or det M_0 are exact, and
+raise if not.  The Smith form U_R R V_R = D_R of the (1+k) x (t + [g != 0])
+relation matrix R, t the number of torsion coordinates, makes the group
+canonical: the class map is U_R Phi, the lift Psi U_R^-1, checked by
+fgab.certified_group.  So no N x N Smith or Hermite form runs unless I - A
+has rank below N - 1.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
-from .exactmat import IntMatrix, adjugate_solve, hnf_columns, snf
+from .exactmat import IntMatrix, adjugate_or_kernel, adjugate_solve, hnf_columns, snf
 from .exactmat import determinant as _determinant
-from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
-                   cokernel, element_order, finite_cokernel)
+from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _unit_lift,
+                   certified_group, corank_one_cokernel, element_order, finite_cokernel)
 
 
 class ValidationError(ValueError):
@@ -208,11 +235,40 @@ def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
     return IntMatrix.identity(a.n) - _i_minus_hat(_identity_minus(a), n)
 
 
-def _weak_group(ima: IntMatrix) -> tuple[int, tuple[int, ...] | None, FgAbelianGroup]:
-    """det = det(ima), w = 1^T adj(ima) (None when det = 0) and Z^N / ima Z^N,
-    from w modulo |det| when det is nonzero (fgab.finite_cokernel)."""
-    det, w = adjugate_solve(ima.transpose(), (1,) * ima.rows)
-    return det, w, finite_cokernel(ima, det, w) if det else cokernel(ima)
+def _weak_group(ima: IntMatrix):
+    """(det, w, weak, x, strong) for ima = I - A: det = det(ima), w = 1^T adj(ima)
+    (None when det = 0), the weak group Z^N / ima Z^N, the primitive x with
+    Ker(ima) = Z x when ima has rank N - 1 (else None), and a function giving
+    _strong_group's inputs (s, Phi_0, g); see the module docstring."""
+    n = ima.rows
+    det, w, kernel = adjugate_or_kernel(ima.transpose(), (1,) * n)
+    if det:
+        weak = finite_cokernel(ima, det, w)
+        return det, w, weak, None, lambda: _through_phi(ima, weak, w, det, (1,) * n, 0)
+    if kernel is None:
+        smith = snf(ima)
+        weak = FgAbelianGroup(ima, smith.u, smith.u_inv, smith.factors())
+        return 0, None, weak, None, lambda: _through_smith(smith, weak)
+    j0, i0, y = kernel  # y ima = 0, and ima minus row i0 and column j0 is nonsingular
+    rows = [r for k, r in enumerate(ima.entries) if k != i0]
+    m0 = IntMatrix(n - 1, n - 1, tuple(r[:j0] + r[j0 + 1:] for r in rows))
+    d0, x = adjugate_solve(m0, tuple(-r[j0] for r in rows))
+    x = x[:j0] + (d0,) + x[j0:]
+    if any(ima.mul_vec(x)) or abs(y[i0]) != abs(d0):
+        raise ArithmeticError("the kernel vectors of I - A do not check")
+    # y is oriented so that -[1_N] gets a nonnegative free coordinate
+    cx, cy = math.gcd(*x), math.gcd(*y) * (-1 if sum(y) > 0 else 1)
+    x = tuple(v // cx for v in x)
+    weak = corank_one_cokernel(ima, tuple(v // cy for v in y),
+                               _exact_quotient(abs(cx * cy), abs(d0)))
+
+    def strong():
+        t = sum(x)
+        target = [1 - t * v for v in _unit_lift(x, 0)]
+        phi = adjugate_solve(m0.transpose(), target[:j0] + target[j0 + 1:])[1]
+        return _through_phi(ima, weak, phi[:i0] + (0,) + phi[i0:], d0, target, abs(t))
+
+    return 0, None, weak, x, strong
 
 
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -225,30 +281,59 @@ def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
     return invariants_report(a).exts_group
 
 
-def _exact_quotient(x: int, det: int) -> int:
-    q, r = divmod(x, det)
+def _exact_quotient(x: int, den: int) -> int:
+    q, r = divmod(x, den)
     if r:
-        raise ArithmeticError(f"{x} is not divisible by det(I - A) = {det}")
+        raise ArithmeticError(f"{x} is not divisible by {den}")
     return q
 
 
-def _strong_from_weak(ima: IntMatrix, det: int, w: tuple[int, ...],
-                      weak: FgAbelianGroup) -> FgAbelianGroup:
-    """Z^N / (I - A^) Z^N for a nonsingular ima = I - A, from det = det(ima),
-    w = 1^T adj(ima) and the weak group modulo |det| (module docstring)."""
-    if any(sum(map(operator.mul, w, col)) != det for col in zip(*ima.entries)):
-        raise ArithmeticError("w (I - A) is not det(I - A) times the all-ones row")
-    factors, k_rows, gens = weak.factors, weak.coords.entries, weak.lift.columns()
-    wg = [sum(map(operator.mul, w, g)) for g in gens]
-    s = [_exact_quotient(d * x, det) for d, x in zip(factors, wg)]
-    phi0 = list(w)
-    for x, k in zip(wg, k_rows):
-        phi0 = [y - x * z for y, z in zip(phi0, k)]
-    phi = IntMatrix(1 + len(gens), ima.cols,
-                    (tuple(_exact_quotient(y, det) for y in phi0),) + k_rows)
-    rel = snf(IntMatrix.from_rows([[-x for x in s]] + [[d * (i == j) for j in range(len(s))]
-                                                       for i, d in enumerate(factors)]))
-    psi = IntMatrix.from_columns([ima.column(0)] + gens, rows=ima.rows)
+def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g: int):
+    """_strong_group's inputs (s, Phi_0, g) from a row phi with
+    phi ima = den target, target = 1^T - (1^T x) alpha for Ker(ima) = Z x and
+    alpha x = 1 (1^T when det != 0): s_c = d_c (phi l_c) / den and
+    Phi_0 = (phi - sum_c (phi l_c) K_c) / den (module docstring)."""
+    if any(sum(map(operator.mul, phi, col)) != den * t for col, t in zip(zip(*ima.entries),
+                                                                         target)):
+        raise ArithmeticError("phi (I - A) is not den (1^T - (1^T x) alpha)")
+    keep = weak.torsion_positions + weak.free_positions
+    lifts, k_rows = weak.lift.columns(), weak.coords.entries
+    pl = [sum(map(operator.mul, phi, lifts[c])) for c in keep]
+    phi0 = list(phi)
+    for v, c in zip(pl, keep):
+        phi0 = [p - v * q for p, q in zip(phi0, k_rows[c])]
+    return ([_exact_quotient(d * v, den) for d, v in zip(weak.torsion, pl)],
+            [_exact_quotient(p, den) for p in phi0], g)
+
+
+def _through_smith(smith, weak: FgAbelianGroup):
+    """_strong_group's inputs (s, Phi_0, g) from the Smith form
+    U (I - A) V = D of a rank below N - 1, with sigma = 1^T V: s_c = sigma_c,
+    Phi_0 = the sum of sigma_i U_i over d_i = 1, g = gcd(sigma_i : d_i = 0)."""
+    sigma = [sum(c) for c in smith.v.columns()]
+    phi0 = [0] * smith.u.cols
+    for f, row, v in zip(weak.factors, smith.u.entries, sigma):
+        if f == 1:
+            phi0 = [p + v * q for p, q in zip(phi0, row)]
+    return ([sigma[c] for c in weak.torsion_positions], phi0,
+            math.gcd(*(sigma[c] for c in weak.free_positions)))
+
+
+def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAbelianGroup:
+    """Z^N / (I - A^) Z^N as Z^{1+k} / <d_c e_c - s_c e_0, g e_0>, e_0 for
+    iota(1) and e_1..e_k for the weak coordinates with factor other than 1,
+    canonicalised by the Smith form of the relation matrix (module docstring)."""
+    keep = weak.torsion_positions + weak.free_positions
+    t, extra = len(s), [g] if g else []
+    rel = snf(IntMatrix.from_rows(
+        [[-x for x in s] + extra]
+        + [[d * (i == j) for j in range(t)] + [0] * len(extra)
+           for i, d in enumerate(weak.torsion)]
+        + [[0] * (t + len(extra))] * weak.free_rank))
+    lifts = weak.lift.columns()
+    phi = IntMatrix(1 + len(keep), ima.cols,
+                    (tuple(phi0),) + tuple(weak.coords.entries[c] for c in keep))
+    psi = IntMatrix.from_columns([ima.column(0)] + [lifts[c] for c in keep], rows=ima.rows)
     return certified_group(_i_minus_hat(ima, 1), rel.u @ phi, psi @ rel.u_inv,
                            rel.factors())
 
@@ -350,8 +435,9 @@ class ExactSequenceReport:
 
         0 -> Z -> Ker(I-A^) -> Ker(I-A) -> Z -> strong group -> weak group -> 0
 
-    together with g, Im(s) = g Z: 0 when det(I - A) != 0, else read off the
-    Hermite form of (I-A; 1^T).
+    together with g, Im(s) = g Z: 0 when det(I - A) != 0, |1^T x| when
+    Ker(I - A) = Z x (rank N - 1), else read off the Hermite form of
+    (I-A; 1^T).
     """
 
     start_injects: bool
@@ -387,6 +473,8 @@ class ExtInvariantReport:
     det_i_minus_a: int
     iota_kernel_generator: int
     i_minus_a: IntMatrix = field(repr=False, compare=False)  # I - A, for the verifiers
+    # The primitive x with Ker(I - A) = Z x when I - A has rank N - 1, for node (4)
+    kernel_vector: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.toeplitz_weak.parent != self.extw_group:
@@ -430,17 +518,23 @@ class ExtInvariantReport:
         (6) F Z^N = (I - A) J Z^N lies in (I - A) Z^N: q^ is well defined
             and onto.
 
-        (4) Im(s) = Ker(iota) is computed independently and must agree with
-        the order of iota(1) and with the report's g.  When the report's
-        Bareiss determinant is nonzero, Ker(I - A) = 0 and Im(s) = 0.
-        Otherwise the vectors ((I - A) l, s(l)) with top N entries zero are
-        0 (+) Im(s), spanned by the Hermite column of (I - A; 1^T) pivoted in
-        the last row, if any.
+        (4) Im(s) = Ker(iota) is computed apart from the strong group and
+        must agree with the order of iota(1) and with the report's g.  When
+        the report's Bareiss determinant is nonzero, Ker(I - A) = 0 and
+        Im(s) = 0.  At rank N - 1 the report's kernel vector x has
+        (I - A) x = 0 and gcd(x) = 1, both checked here, and a nonzero
+        (N-1)-minor, checked when the report was built, so Ker(I - A) = Z x
+        and Im(s) = |1^T x| Z.  Below rank N - 1 the vectors
+        ((I - A) l, s(l)) with top N entries zero are 0 (+) Im(s), spanned by
+        the Hermite column of (I - A; 1^T) pivoted in the last row, if any.
         """
-        n, ima = self.matrix.n, self.i_minus_a
+        n, ima, x = self.matrix.n, self.i_minus_a, self.kernel_vector
         factorises = self.exts_group.presentation.columns() == _minus_first(ima.columns())
-        im_s = 0
-        if not self.det_i_minus_a:
+        im_s, kernel_certified = 0, True
+        if x is not None:
+            im_s = abs(sum(x))
+            kernel_certified = math.gcd(*x) == 1 and not any(ima.mul_vec(x))
+        elif not self.det_i_minus_a:
             h = hnf_columns(ima.vstack(IntMatrix.from_rows([(1,) * n])))
             last = h.column(h.cols - 1)
             im_s = 0 if any(last[:n]) else last[n]
@@ -448,8 +542,8 @@ class ExtInvariantReport:
             start_injects=factorises,
             exact_at_kernel_hat=factorises,
             exact_at_kernel=factorises,
-            exact_at_integers=((element_order(self.iota_one) or 0)
-                               == self.iota_kernel_generator == im_s),
+            exact_at_integers=kernel_certified and ((element_order(self.iota_one) or 0)
+                                                    == self.iota_kernel_generator == im_s),
             exact_at_strong_group=factorises,
             quotient_surjective=factorises,
             kernel_sum_generator=im_s,
@@ -461,8 +555,8 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
     quotient map carries the strong Toeplitz class to the weak one."""
     ima = _identity_minus(a)
     ones = (1,) * a.n
-    det, w, weak = _weak_group(ima)
-    strong = _strong_from_weak(ima, det, w, weak) if det else cokernel(_i_minus_hat(ima, 1))
+    det, _, weak, x, strong_inputs = _weak_group(ima)
+    strong = _strong_group(ima, weak, *strong_inputs())
     iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(
         matrix=a,
@@ -474,6 +568,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
         det_i_minus_a=det,
         iota_kernel_generator=element_order(iota_one) or 0,
         i_minus_a=ima,
+        kernel_vector=x,
     )
     if report.hat_q(report.toeplitz_strong) != report.toeplitz_weak:
         raise ArithmeticError("hat_q does not carry the strong Toeplitz class to the weak one")

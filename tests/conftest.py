@@ -46,6 +46,17 @@ def random_valid_rows(rng: random.Random, n: int):
         return rows
 
 
+def singular_draw(seed: int, n: int):
+    """random_valid_rows(random.Random(seed), n) with column 2 set equal to
+    column 1 below row 2 and the top-left 2 x 2 block set to the identity
+    (1-based), so that (I - A)(e_1 - e_2) = 0."""
+    rows = random_valid_rows(random.Random(seed), n)
+    for row in rows[2:]:
+        row[1] = row[0]
+    rows[0][:2], rows[1][:2] = [1, 0], [0, 1]
+    return rows
+
+
 def _partitions(n):
     def gen(n, largest):
         if n == 0:

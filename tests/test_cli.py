@@ -25,8 +25,8 @@ from ckext.corpus import A1, A2, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
 from ckext.fgab import GroupElement
 from ckext.invariants import a_hat, determinant, extw, invariants_report, validate
-from ckext.markediso import DEFAULT_TORSION_BOUND
-from conftest import random_valid_rows, run_python
+from ckext.markediso import DEFAULT_TORSION_BOUND, marked_isomorphic, transposed_weak_pair
+from conftest import random_valid_rows, run_python, singular_draw
 
 
 def write_matrix(tmp_path, name, rows, header=""):
@@ -227,6 +227,26 @@ def test_compare_permuted_copy_beyond_walk_bound(tmp_path, n, seed):
     assert math.prod(doc["a"]["transposed_weak_pair"]["torsion"]) > DEFAULT_TORSION_BOUND
 
 
+def test_compare_singular_draws_at_n60(tmp_path):
+    """singular_draw(0, 60), whose exact Smith forms did not finish in 200 s,
+    is isomorphic to a relabelled copy, and against singular_draw(1, 60)
+    compare gives the verdict of the two transposed weak pairs; each call in
+    a subprocess with a 60 s timeout."""
+    rows, other = singular_draw(0, 60), singular_draw(1, 60)
+    perm = list(range(60))
+    random.Random(0).shuffle(perm)
+    copy = [[rows[perm[i]][perm[j]] for j in range(60)] for i in range(60)]
+    path = write_matrix(tmp_path, "a.txt", rows)
+    done = run_cli_subprocess("compare", path, write_matrix(tmp_path, "copy.txt", copy))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["a"]["transposed_weak_pair"]["free_rank"] == 1
+    verdict = marked_isomorphic(transposed_weak_pair(validate(rows)),
+                                transposed_weak_pair(validate(other)))
+    done = run_cli_subprocess("compare", path, write_matrix(tmp_path, "b.txt", other))
+    assert done.returncode == (EXIT_OK if verdict else EXIT_NOT_ISOMORPHIC), done.stderr
+    assert json.loads(done.stdout)["isomorphic"] is verdict
+
+
 def test_compare_reflexive_at_n50(tmp_path):
     """compare A A on the first draw of random.Random(0) at N = 50, whose
     exact Smith form of I - A^T took over a minute, answers within 60 s."""
@@ -342,47 +362,81 @@ def snf_inputs(monkeypatch):
     return inputs
 
 
-def test_smith_forms_per_command(tmp_path, capsys, snf_inputs):
-    """No N x N Smith form for a nonsingular matrix: its weak group comes from
-    an elimination modulo |det(I - A)|, and its strong group from the (1 + t)
-    x t relation matrix, never square.  Two for a singular one, of I - A and
-    I - A^."""
-    singular = write_matrix(tmp_path, "a4.txt", A4)          # det(I - A) = 0
+@pytest.fixture
+def hnf_inputs(monkeypatch):
+    """Records the input of every Hermite form that ckext.invariants computes
+    while the test runs (markediso's Hermite forms of the k x r matrix of
+    free parts of k markers are not counted)."""
+    inputs = []
+    real = exactmat.hnf_columns
+
+    def counting(m):
+        inputs.append(m)
+        return real(m)
+
+    for module in (exactmat, invariants):
+        monkeypatch.setattr(module, "hnf_columns", counting)
+    return inputs
+
+
+# Rank 4 of 6: the first draw of random.Random(1892) at N = 6.
+LOW_RANK = random_valid_rows(random.Random(1892), 6)
+
+
+def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
+    """No N x N Smith or Hermite form unless I - A has rank below N - 1.  A
+    nonsingular weak group comes from w or an elimination modulo
+    |det(I - A)|, one of rank N - 1 (A4) from kernel vectors and an
+    elimination modulo its torsion order, and the strong group from the
+    relation matrix, never square.  Rank below N - 1 takes the Smith form of
+    I - A, and verify a Hermite form for node (4)."""
+    singular = write_matrix(tmp_path, "a4.txt", A4)          # rank N - 1
+    low_rank = write_matrix(tmp_path, "low.txt", LOW_RANK)   # rank N - 2
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
     fibonacci = write_matrix(tmp_path, "f.txt", FIBONACCI)   # det(I - A) = -1
 
-    def smith_forms(argv):
-        """(square Smith forms, all Smith forms) run by one command."""
+    def normal_forms(argv):
+        """(square Smith forms, all Smith forms, Hermite forms) run by one
+        command."""
         snf_inputs.clear()
+        hnf_inputs.clear()
         main(argv)
         capsys.readouterr()
-        return sum(1 for m in snf_inputs if m.rows == m.cols), len(snf_inputs)
+        return (sum(1 for m in snf_inputs if m.rows == m.cols), len(snf_inputs),
+                len(hnf_inputs))
 
-    assert smith_forms(["compute", singular]) == (2, 2)
-    assert smith_forms(["compute", singular, "--transpose", "--format", "text"]) == (2, 2)
-    assert smith_forms(["compute", nonsingular]) == (0, 1)
-    assert smith_forms(["compute", fibonacci]) == (0, 1)
+    assert normal_forms(["compute", singular]) == (0, 1, 0)
+    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 1, 0)
+    assert normal_forms(["compute", low_rank]) == (1, 2, 0)
+    assert normal_forms(["compute", nonsingular]) == (0, 1, 0)
+    assert normal_forms(["compute", fibonacci]) == (0, 1, 0)
     # compare reads only the weak groups of the transposes.
-    assert smith_forms(["compare", singular, fibonacci]) == (1, 1)
-    assert smith_forms(["compare", nonsingular, fibonacci]) == (0, 0)
-    # The verifiers work by certificate and Hermite forms: verify runs exactly
-    # the Smith forms of compute.
-    for path, forms in ((singular, (2, 2)), (nonsingular, (0, 1))):
-        assert smith_forms(["verify", path]) == forms
-        assert smith_forms(["compute", path, "--verify"]) == forms
+    assert normal_forms(["compare", singular, fibonacci]) == (0, 0, 0)
+    assert normal_forms(["compare", low_rank, fibonacci]) == (1, 1, 0)
+    assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 0, 0)
+    # The verifiers work by certificate: verify runs the Smith forms of
+    # compute, and a Hermite form only below rank N - 1.
+    for path, forms in ((singular, (0, 1, 0)), (low_rank, (1, 2, 1)),
+                        (nonsingular, (0, 1, 0))):
+        assert normal_forms(["verify", path]) == forms
+        assert normal_forms(["compute", path, "--verify"]) == forms
+    # The same at N = 20, rank N - 1: singular_draw(0, 20).
+    drawn = write_matrix(tmp_path, "s20.txt", singular_draw(0, 20))
+    assert normal_forms(["compute", drawn, "--verify"]) == (0, 1, 0)
+    assert normal_forms(["compare", drawn, drawn]) == (0, 0, 0)
 
-    # examples: the lattices of a singular entry (I - A and I - A^), the
-    # relation matrix of a nonsingular one, and one Smith form for each of the
-    # entry's two expected marked groups, built from their descriptors.
-    lattices, expected, total = [], 0, 0
+    # examples: the relation matrix of each entry (every one has rank N - 1
+    # or more, so no lattice is put in Smith form), and one Smith form for
+    # each of the entry's two expected marked groups, built from their
+    # descriptors.
+    lattices = []
     for entry in CORPUS:
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-        expected += 0 if determinant(a) else 2
-        total += 3 if determinant(a) else 4
-    assert smith_forms(["examples"])[1] == total
-    assert sum(1 for m in snf_inputs if m in lattices) == expected
+        assert determinant(a) or invariants_report(a).kernel_vector is not None
+    assert normal_forms(["examples"])[1:] == (3 * len(CORPUS), 0)
+    assert not any(m in lattices for m in snf_inputs)
 
 
 def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
@@ -430,31 +484,25 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
         products(random_valid_rows(random.Random(0), 12), "dense12.txt", False)
 
 
-def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
-    """A verify runs one Hermite form on singular input, for node (4) of the
-    exact sequence, and none on nonsingular input, at N = 3 as at N = 8 or
-    12: node (4) reads Im(s) = 0 off a nonzero determinant, and the lattice
-    identity is two explicit products."""
-    calls = []
-    real = exactmat.hnf_columns
-
-    def counting(m):
-        calls.append(1)
-        return real(m)
-
-    for module in (exactmat, invariants):
-        monkeypatch.setattr(module, "hnf_columns", counting)
-
+def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, hnf_inputs):
+    """A verify runs one Hermite form when I - A has rank below N - 1, for
+    node (4) of the exact sequence, and none otherwise, at N = 3 as at N = 6
+    to 12: node (4) reads Im(s) = 0 off a nonzero determinant, and
+    Im(s) = |1^T x| off the certified kernel generator x at rank N - 1; the
+    lattice identity is two explicit products."""
     def hermite_forms(rows, name, singular):
         assert (determinant(validate(rows)) == 0) == singular
         path = write_matrix(tmp_path, name, rows)
-        calls.clear()
+        hnf_inputs.clear()
         assert main(["verify", path]) == EXIT_OK
         capsys.readouterr()
-        return len(calls)
+        return len(hnf_inputs)
 
-    assert hermite_forms(A4, "a4.txt", True) == 1
-    assert hermite_forms(random_valid_rows(random.Random(0), 8), "singular8.txt", True) == 1
+    assert hermite_forms(A4, "a4.txt", True) == 0
+    assert hermite_forms(random_valid_rows(random.Random(0), 8), "singular8.txt", True) == 0
+    assert hermite_forms(LOW_RANK, "low6.txt", True) == 1
+    # Rank 5 of 7: the first draw of random.Random(48) at N = 7.
+    assert hermite_forms(random_valid_rows(random.Random(48), 7), "low7.txt", True) == 1
     assert hermite_forms(A1, "a1.txt", False) == 0
     assert hermite_forms(random_valid_rows(random.Random(0), 12), "dense12.txt", False) == 0
 
@@ -491,29 +539,36 @@ def test_scale_table_script():
     """scripts/scale_table.py prints a header and one row per requested draw:
     the report's time in s, the verifiers' time in ms, the number of digits
     of |det(I - A)|, and the weak group's path: "w" exactly when
-    gcd(w, |det|) = 1, "mod D" for the other nonsingular draws, "snf" for a
-    singular one."""
+    gcd(w, |det|) = 1, "mod D" for the other nonsingular draws, "rank N-1"
+    when I - A has rank N - 1 and "snf" below.  A draw sN:SEED is
+    singular_draw(SEED, N)."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
-    draws = [(6, 0), (8, 1), (12, 2)]
+    draws = [(False, 6, 0), (False, 8, 1), (False, 12, 2), (True, 10, 0), (False, 6, 1892)]
     done = subprocess.run([sys.executable, str(script), "--draws",
-                           *(f"{n}:{seed}" for n, seed in draws)],
+                           *(f"{'s' * singular}{n}:{seed}" for singular, n, seed in draws)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [f.strip() for f in lines[0].strip("|").split("|")] == \
-        ["N", "seed", "time", "verify", "digits of D", "weak"]
+        ["N", "seed", "draw", "time", "verify", "digits of D", "weak"]
     rows = lines[2:]
     assert len(rows) == len(draws)
     sources = set()
-    for (n, seed), row in zip(draws, rows):
+    for (singular, n, seed), row in zip(draws, rows):
         fields = [f.strip() for f in row.strip("|").split("|")]
-        sources.add(fields[5])
-        a = validate(random_valid_rows(random.Random(seed), n))
+        sources.add(fields[6])
+        a = validate(singular_draw(seed, n) if singular
+                     else random_valid_rows(random.Random(seed), n))
         det = determinant(a)
         assert (int(fields[0]), int(fields[1])) == (n, seed)
-        assert fields[2].endswith(" s") and fields[3].endswith(" ms")
-        assert fields[4] == (str(len(str(abs(det)))) if det else "singular")
-        with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
+        assert fields[2] == ("singular" if singular else "random")
+        assert fields[3].endswith(" s") and fields[4].endswith(" ms")
+        assert fields[5] == (str(len(str(abs(det)))) if det else "singular")
+        with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod, \
+                mock.patch.object(invariants, "snf", wraps=invariants.snf) as smith:
             extw(a)
-        assert fields[5] == ("snf" if not det else "mod D" if smith_mod.called else "w")
-    assert sources == {"w", "mod D", "snf"}
+        if det:
+            assert fields[6] == ("mod D" if smith_mod.called else "w")
+        else:
+            assert fields[6] == ("snf" if smith.called else "rank N-1")
+    assert sources == {"w", "mod D", "rank N-1", "snf"}

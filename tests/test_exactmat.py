@@ -13,6 +13,7 @@ from ckext.exactmat import (
     SmithDecomposition,
     _certify_reduction,
     _smith_mod,
+    adjugate_or_kernel,
     adjugate_solve,
     determinant,
     hnf_columns,
@@ -158,6 +159,34 @@ def test_adjugate_solve_is_cramer(m, data):
     assert adjugate_solve(m) == (det, None)
 
 
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(), st.data())
+def test_adjugate_or_kernel_certifies_rank_n_minus_1(m, data):
+    """m with column j replaced by a combination of the others is singular.
+    At rank n - 1 the elimination returns (r, c, v) with m v = 0 and
+    v_c = +-det of the minor without row r and column c, which is nonzero;
+    below rank n - 1 it returns None, and so it does for nonsingular m."""
+    n = m.rows
+    if determinant(m):
+        assert adjugate_or_kernel(m)[2] is None
+    j = data.draw(st.integers(0, n - 1))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rows = [list(row) for row in m.entries]
+    for row in rows:
+        row[j] = sum(c * x for k, (c, x) in enumerate(zip(coeffs, row)) if k != j)
+    m = IntMatrix.from_rows(rows)
+    det, y, kernel = adjugate_or_kernel(m, (1,) * n)
+    assert (det, y) == (0, None) == adjugate_solve(m, (1,) * n)
+    if sum(1 for d in snf(m).diagonal() if d) < n - 1:
+        assert kernel is None
+        return
+    r, c, v = kernel
+    minor = IntMatrix.from_rows([row[:c] + row[c + 1:]
+                                 for k, row in enumerate(m.entries) if k != r])
+    assert abs(v[c]) == abs(determinant(minor)) != 0
+    assert not any(m.mul_vec(v))
+
+
 # --- Smith form modulo the determinant -----------------------------------
 
 def _check_smith_mod(m):
@@ -180,6 +209,26 @@ def _check_smith_mod(m):
 def test_smith_mod_matches_snf(m):
     if determinant(m):
         _check_smith_mod(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(lo=-4, hi=4), st.data())
+def test_smith_mod_of_a_wide_matrix_matches_snf(m, data):
+    """An n x (n + 1) matrix of rank n, modulo d = the product of its
+    invariant factors (so that d Z^n lies in its column lattice): the factors
+    of snf, and rows and columns that present the group."""
+    extra = data.draw(st.lists(st.integers(-4, 4), min_size=m.rows, max_size=m.rows))
+    m = m.hstack(IntMatrix.from_columns([extra]))
+    diag = snf(m).diagonal()
+    if not all(diag):
+        return
+    factors, u_rows, u_inv_cols = _smith_mod(m, math.prod(diag))
+    assert factors == diag
+    torsion = [f for f in factors if f > 1]
+    for i, (f, row) in enumerate(zip(torsion, u_rows)):
+        assert all(x % f == 0 for x in (IntMatrix.from_rows([row]) @ m).entries[0])
+        assert [sum(x * y for x, y in zip(row, col)) % f for col in u_inv_cols] == \
+            [int(i == j) for j in range(len(torsion))]
 
 
 # Hand-built cases for the elimination's pitfalls.  [[3, 1], [3, 4]] and

@@ -39,7 +39,7 @@ from ckext.invariants import (
     verify_im0_identity,
 )
 from ckext.markediso import MarkedGroup, marked_group, marked_isomorphic
-from conftest import random_valid_rows, run_python
+from conftest import random_valid_rows, run_python, singular_draw
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -233,7 +233,7 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
     raise.  So does one entry of a coordinate row of the weak group's U modulo
     |det| off by one, where gcd(w, |det|) > 1; where it is 1 (A1) the weak
     group is read off w and the modular Smith form is never run."""
-    real_solve, real_mod = invariants.adjugate_solve, fgab._smith_mod
+    real_solve, real_mod = invariants.adjugate_or_kernel, fgab._smith_mod
 
     def no_smith_mod(m, d):
         raise AssertionError("modular Smith form run although gcd(w, |det|) = 1")
@@ -241,12 +241,12 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
     # Z/3 from w; (Z/2)^2 and Z/2 + Z/20 from the modular Smith form
     for rows, by_w in ((A1, True), (A3, False), (random_valid_rows(random.Random(4), 9), False)):
         a = validate(rows)
-        det, w, weak = invariants._weak_group(invariants._identity_minus(a))
+        det, w, weak, *_ = invariants._weak_group(invariants._identity_minus(a))
         assert det and weak.torsion and (math.gcd(det, *w) == 1) == by_w
         for j in range(a.n):
             def bumped_w(m, b=None, j=j):
-                det, w = real_solve(m, b)
-                return det, w[:j] + (w[j] + 1,) + w[j + 1:]
+                det, w, kernel = real_solve(m, b)
+                return det, w[:j] + (w[j] + 1,) + w[j + 1:], kernel
 
             def bumped_u(m, d, j=j):
                 factors, u_rows, u_inv_cols = real_mod(m, d)
@@ -254,7 +254,7 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
                 u_rows[0][j] += 1
                 return factors, u_rows, u_inv_cols
 
-            fakes = [(invariants, "adjugate_solve", bumped_w)]
+            fakes = [(invariants, "adjugate_or_kernel", bumped_w)]
             if not by_w:
                 fakes.append((fgab, "_smith_mod", bumped_u))
             for module, name, fake in fakes:
@@ -284,7 +284,7 @@ def nonsingular_matrices(draw, max_n=12):
 def _weak_paths(a):
     """The report of a, whether gcd(w, |det|) = 1, and how many times the
     report ran the modular Smith form."""
-    det, w, _ = invariants._weak_group(invariants._identity_minus(a))
+    det, w, *_ = invariants._weak_group(invariants._identity_minus(a))
     with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
         rep = invariants_report(a)
     return rep, math.gcd(det, *w) == 1, smith_mod.call_count
@@ -502,6 +502,85 @@ def _singular_draws(per_size=8):
     return draws
 
 
+def _singular_against_exact_path(a):
+    """The report of a against cokernel(I - A) and cokernel(I - A^): weak
+    pairs and strong triples ([T]_s, iota(1)) marked-isomorphic, and the
+    same g.  Returns the report."""
+    n = a.n
+    rep = invariants_report(a)
+    assert rep.extw_group == extw(a) and rep.det_i_minus_a == 0
+    ima = IntMatrix.identity(n) - a.as_int_matrix()
+    weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    ones = (1,) * n
+    iota = strong.class_of(ima.column(0))
+    assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
+                             MarkedGroup(weak, (-weak.class_of(ones),)))
+    assert marked_isomorphic(MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one)),
+                             MarkedGroup(strong, (-iota - strong.class_of(ones), iota)))
+    assert rep.iota_kernel_generator == (element_order(iota) or 0)
+    return rep
+
+
+def _valid_or_none(rows):
+    try:
+        return validate(rows)
+    except ValidationError:
+        return None
+
+
+# Natural singular draws: the first draw of random.Random(seed) at N = 20 for
+# the only 3 of 3000 seeds that are singular, and draws of rank below N - 1.
+NATURAL_SINGULAR = ((20, 282), (20, 867), (20, 1160))
+LOW_RANK_DRAWS = ((6, 1892), (7, 48), (8, 841), (10, 564), (10, 1851), (8, 2344))
+
+
+def test_singular_groups_agree_with_exact_smith_forms():
+    """Both groups of a singular I - A, from its kernel vectors at rank N - 1
+    and from sigma = 1^T V of its Smith form below, against the exact Smith
+    forms of I - A and I - A^: the seeded singular draws, singular_draw for
+    N <= 20, natural singular draws, A4 and criterion 11's matrix.  The rank
+    N - 1 inputs cover g = 0 and g > 0, each with |T| = 1 and |T| > 1."""
+    draws = _singular_draws() + [validate(rows) for rows in (A4, INJECTIVITY_GAP)]
+    draws += [a for a in (_valid_or_none(singular_draw(seed, n))
+                          for n in range(4, 21) for seed in range(2)) if a]
+    draws += [validate(random_valid_rows(random.Random(seed), n))
+              for n, seed in NATURAL_SINGULAR + LOW_RANK_DRAWS]
+    cases, low_rank = set(), 0
+    for a in draws:
+        rep = _singular_against_exact_path(a)
+        if rep.kernel_vector is None:
+            low_rank += 1
+        else:
+            cases.add((rep.iota_kernel_generator > 0, math.prod(rep.extw_group.torsion) > 1))
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
+    assert low_rank >= len(LOW_RANK_DRAWS)
+
+
+@st.composite
+def low_rank_matrices(draw, max_n=10):
+    """Valid 0-1 matrices with singular_draw's tweak applied to two disjoint
+    column pairs (p, q) and (r, s), so that (I - A)(e_p - e_q) and
+    (I - A)(e_r - e_s) vanish and I - A has rank below N - 1."""
+    n = draw(st.integers(4, max_n))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(n)]
+    p, q, r, s = draw(st.permutations(range(n)))[:4]
+    for u, v in ((p, q), (r, s)):
+        for i, row in enumerate(rows):
+            if i not in (u, v):
+                row[v] = row[u]
+        rows[u][u], rows[u][v], rows[v][u], rows[v][v] = 1, 0, 0, 1
+    a = _valid_or_none(rows)
+    assume(a is not None)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_matrices())
+def test_low_rank_groups_agree_with_exact_smith_forms(a):
+    rep = _singular_against_exact_path(a)
+    assert rep.kernel_vector is None and rep.extw_group.free_rank >= 2
+
+
 def test_kernel_generator_matches_kernel_sums():
     """g, the order of iota(1), is the gcd of the coordinate sums of a basis
     of Ker(I - A)."""
@@ -710,3 +789,47 @@ def test_heavy_dense_draw_report(n, seed):
     ratio = Fraction(doc["toeplitz_strong_free"][0], doc["iota_one_free"][0])
     assert ratio == Fraction(-matrix_determinant(ima + ones), det)
     assert doc["commutes"]
+
+
+_SINGULAR_REPORT_SCRIPT = """
+import json, sys
+from ckext.cli import _verification_passed, verification_document
+from ckext.invariants import invariants_report, validate
+rep = invariants_report(validate(json.load(sys.stdin)))
+weak = rep.extw_group
+print(json.dumps({
+    "det": rep.det_i_minus_a,
+    "weak": [weak.free_rank, list(weak.torsion)],
+    "x": list(rep.kernel_vector),
+    "y": [list(weak.coords.entries[i]) for i in weak.free_positions],
+    "g": rep.iota_kernel_generator,
+    "strong_free_rank": rep.exts_group.free_rank,
+    "all_passed": _verification_passed(verification_document(rep)),
+}))
+"""
+
+
+@pytest.mark.parametrize("n, seed", [(50, 0), (50, 1), (60, 0), (100, 0)])
+def test_heavy_singular_draw_report(n, seed):
+    """singular_draw at N = 50 to 100, whose exact Smith forms took 191 s or
+    more, finishes within 60 s (in a subprocess) and agrees with identities
+    that need no Smith form: (I - A) x = 0 with x primitive, y (I - A) = 0
+    for the free coordinate row y, |T| = |det M_0| / |x_j y_i| for the minor
+    M_0 without row i and column j, g = |1^T x|, a strong free rank of
+    1 + [g = 0], and all verifiers passing."""
+    rows = singular_draw(seed, n)
+    done = run_python(_SINGULAR_REPORT_SCRIPT, input=json.dumps(rows))
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    ima = IntMatrix.identity(n) - IntMatrix.from_rows(rows)
+    x, (y,) = doc["x"], doc["y"]
+    assert doc["det"] == 0 and doc["weak"][0] == 1
+    assert not any(ima.mul_vec(x)) and math.gcd(*x) == 1
+    assert not any(sum(p * q for p, q in zip(y, col)) for col in ima.columns())
+    i = next(k for k, v in enumerate(y) if v)
+    j = next(k for k, v in enumerate(x) if v)
+    minor = IntMatrix.from_rows([r[:j] + r[j + 1:] for k, r in enumerate(ima.entries) if k != i])
+    assert math.prod(doc["weak"][1]) * abs(x[j] * y[i]) == abs(matrix_determinant(minor))
+    assert doc["g"] == abs(sum(x))
+    assert doc["strong_free_rank"] == 1 + (doc["g"] == 0)
+    assert doc["all_passed"]
