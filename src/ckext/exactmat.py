@@ -1,19 +1,23 @@
 """Exact integer matrix algebra.
 
-Dense arbitrary-precision integer matrices with the normal forms and lattice
-predicates everything else is built on: Smith normal form with unimodular
-transforms, the Smith form modulo d of a matrix whose column lattice holds
-d Z^n, a canonical column-style Hermite normal form, Bareiss determinants and
-adjugate solves, integer kernels, and column-lattice equality/membership.
+Dense arbitrary-precision integer matrices with the normal forms everything
+else is built on: the elimination of a square matrix on +-1 pivots, Smith
+normal form with unimodular transforms, the Smith form modulo d of a matrix
+whose column lattice holds d Z^n, a canonical column-style Hermite normal
+form, and Bareiss determinants and adjugate solves.
 
 All values are immutable; every function is pure.  Matrices are dense.  The
-Smith form carries U, U^-1 and V, the witness of the reduction, certified by
-exact products; integer kernels are read off the U of the transposed form.
-The Bareiss elimination skips one column with no pivot, so on a matrix of
-rank n - 1 it names a nonsingular (n-1)-minor and a kernel vector instead of
-stopping at det = 0.  The modular form records its row operations modulo d
-and replays U and U^-1 only for the rows with a factor, so its entries stay
-below d; its caller certifies it.  README.md gives measured sizes and times.
+unit reduction records its row transvections and folds its column
+operations into one row, sigma = 1^T V, so a 0-1 matrix's I - A is left as
+a small residual with the same cokernel and determinant up to sign; its
+caller certifies it and carries vectors back through the record.  The Smith
+form carries U, U^-1 and V, the witness of the reduction, certified by exact
+products.  The Bareiss elimination skips one column with no pivot, so on a
+matrix of rank n - 1 it names a nonsingular (n-1)-minor and a kernel vector
+instead of stopping at det = 0.  The modular form records its row
+operations modulo d and replays U and U^-1 only for the rows with a factor,
+so its entries stay below d; its caller certifies it.  README.md gives
+measured sizes and times.
 """
 
 from __future__ import annotations
@@ -55,18 +59,18 @@ class IntMatrix:
             raise ValueError("negative dimensions")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        if any(len(row) != self.cols for row in self.entries):
+        if self.rows and {*map(len, self.entries)} != {self.cols}:
             raise ValueError("ragged rows")
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(map(index, row)) for row in rows)
+        data = tuple([tuple([*map(index, row)]) for row in rows])
         ncols = len(data[0]) if data else 0
         return IntMatrix(len(data), ncols, data)
 
     @staticmethod
     def from_columns(columns: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(map(index, c)) for c in columns]
+        cols = [tuple([*map(index, c)]) for c in columns]
         if rows is None:
             if not cols:
                 raise ValueError("row count required for a matrix with no columns")
@@ -74,7 +78,7 @@ class IntMatrix:
         for c in cols:
             if len(c) != rows:
                 raise DimensionMismatchError("column lengths differ")
-        data = tuple(tuple(c[i] for c in cols) for i in range(rows))
+        data = tuple([tuple([c[i] for c in cols]) for i in range(rows)])
         return IntMatrix(rows, len(cols), data)
 
     @staticmethod
@@ -86,7 +90,7 @@ class IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.entries)) or [()] * self.cols
@@ -126,13 +130,13 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
         cols = other.columns()
-        data = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
+        data = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
         return IntMatrix(self.rows, other.cols, data)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length differs from column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class SmithDecomposition:
             raise NotUnimodularError("u does not multiply with u_inv to I")
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
+        return tuple([self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))])
 
     def factors(self) -> tuple[int, ...]:
         """The invariant factor of each row of u: the diagonal, then zeros."""
@@ -185,8 +189,8 @@ def _certify_reduction(m: IntMatrix, dec: SmithDecomposition) -> None:
     factor, and zero where the factor is 0, puts U M Z^k inside D Z^k.
     """
     diag = dec.diagonal()  # U^-1 D: column j of U^-1 times d_j, then zero columns
-    u_inv_d = tuple(tuple(map(mul, row, diag)) + (0,) * (dec.d.cols - len(diag))
-                    for row in dec.u_inv.entries)
+    u_inv_d = tuple([tuple([*map(mul, row, diag)]) + (0,) * (dec.d.cols - len(diag))
+                     for row in dec.u_inv.entries])
     if (m @ dec.v).entries != u_inv_d or any(
             x % f if f else x for f, row in zip(dec.factors(), (dec.u @ m).entries) for x in row):
         raise ArithmeticError("Smith transforms do not reduce the matrix")
@@ -285,7 +289,161 @@ def adjugate_or_kernel(m: IntMatrix, b: Sequence[int] | None = None
     for i in range(n - 1, -1, -1):
         row = a[i]
         y[i] = (prev * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-    return sign * prev, tuple(sign * v for v in y), None
+    return sign * prev, tuple([sign * v for v in y]), None
+
+
+@dataclass(frozen=True)
+class _UnitReduction:
+    """L M V = S for a square M, from _unit_reduction: L is the product of the
+    recorded row transvections, V = C_1 ... C_r the implied column operations,
+    and S has the pivot e_k at (p_k, c_k) for each pivot, the residual on the
+    rows and columns left, and zeros elsewhere.  L and V have determinant 1, so
+    det M = sign det(residual) and Z^N / M Z^N = Z^k / residual Z^k.
+
+    With the pivot rows and columns first, in pivot order, L is unit lower
+    triangular and V unit upper triangular: L^-1 leaves a vector's entries
+    on the residual's rows as they are, and so fixes a vector that is zero
+    at the pivot rows, and V leaves those on the residual's columns.
+    """
+
+    residual: IntMatrix
+    rows: tuple[int, ...]                      # the rows of M the residual keeps
+    cols: tuple[int, ...]                      # and its columns
+    pivots: tuple[tuple[int, int, int], ...]   # (p_k, c_k, e_k) in pivot order
+    pivot_rows: tuple[tuple[int, ...], ...]    # row p_k of L M
+    record: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    # (p_k, (i, ...), (f, ...)) in pivot order: row i -= f row p_k for each i
+    sigma: tuple[int, ...]                     # 1^T V
+    sign: int                                  # det M / det(residual)
+
+    def __post_init__(self):
+        if any(e not in (1, -1) for _, _, e in self.pivots):
+            raise ArithmeticError("a pivot of the unit reduction is not +-1")
+
+    def certify(self, m: IntMatrix) -> None:
+        """Raise unless 1^T L m = 1^T R, R the L m that the reduction records:
+        row p_k is rho_k, and a row of the residual is the residual's row on
+        its columns and zero in the pivot columns.  A residual entry off by
+        any amount changes one column sum of R but not 1^T L m."""
+        sums = [sum(col) for col in zip(*self.pivot_rows)] or [0] * m.cols
+        for j, s in zip(self.cols, map(sum, zip(*self.residual.entries))):
+            sums[j] += s
+        ones = self._times_l([1] * m.rows)
+        if [sum(map(mul, ones, col)) for col in m.columns()] != sums:
+            raise ArithmeticError("the unit reduction does not reduce the matrix")
+
+    def _times_l(self, r: list[int]) -> tuple[int, ...]:
+        """r L, by the record replayed in reverse: r E for E, row i -= f row
+        p, subtracts f r_i from r_p, and the transvections of one pivot
+        change r_p only."""
+        for p, rows, fs in reversed(self.record):
+            r[p] -= sum(map(mul, fs, map(r.__getitem__, rows)))
+        return tuple(r)
+
+    def carry_row(self, live: Sequence[int], scale: int = 0) -> tuple[int, ...]:
+        """r L for the row r that is `live` on the residual's rows and
+        scale e_k sigma_{c_k} at p_k: r L M = r S V^-1, and the entry at p_k is
+        what makes r S agree with scale sigma in column c_k."""
+        r = [0] * len(self.sigma)
+        for i, v in zip(self.rows, live):
+            r[i] = v
+        if scale:
+            for p, c, e in self.pivots:
+                r[p] = scale * e * self.sigma[c]
+        return self._times_l(r)
+
+    def carry_lift(self, live: Sequence[int]) -> tuple[int, ...]:
+        """L^-1 c for the column c that is `live` on the residual's rows and
+        zero at the pivot rows, which is c itself."""
+        c = [0] * len(self.sigma)
+        for i, v in zip(self.rows, live):
+            c[i] = v
+        return tuple(c)
+
+    def carry_solution(self, live: Sequence[int]) -> tuple[int, ...]:
+        """V c for the column c that is `live` on the residual's columns and
+        zero at the pivot columns: C_k c = c - e_k (rho_k c) e_{c_k}, rho_k row
+        p_k of L M off column c_k, applied for k = r, ..., 1.  M V c = 0 when
+        the residual kills `live`."""
+        x = [0] * len(self.sigma)
+        for j, v in zip(self.cols, live):
+            x[j] = v
+        for (_, c, e), rho in zip(reversed(self.pivots), reversed(self.pivot_rows)):
+            x[c] = -e * sum(map(mul, rho, x))  # x_c is still 0 here
+        return tuple(x)
+
+
+def _unit_reduction(m: IntMatrix) -> _UnitReduction:
+    """Eliminate a square m on +-1 pivots until none is left.
+
+    The pivot is the first +-1 of the first live row that has one; row
+    transvections clear its column in the other live rows, so the rows
+    already pivoted are zero in it.  The column operations that would clear
+    the pivot row then touch that row only; they are not applied but folded
+    into sigma = 1^T V, C_k = I - e_k e_{c_k} rho_k^T with rho_k the pivot row
+    off c_k, so sigma C_k = sigma - e_k sigma_{c_k} rho_k, which leaves
+    sigma_{c_k} as it is.  A pivoted column is zero in every live row, so it
+    is deleted from them, and the live rows hold the live columns only.
+    Havas, Holt and Rees (Linear Algebra Appl. 192, 1993) use this as the
+    first phase of an integer Smith form.
+    """
+    if m.rows != m.cols:
+        raise NotSquareError("unit reduction of a non-square matrix")
+    n = m.rows
+    a = [list(row) for row in m.entries]
+    live, cols, pivots, pivot_rows, record = list(range(n)), list(range(n)), [], [], []
+    sigma, live_sigma = [1] * n, [1] * n  # sigma on every column, and on the live ones
+    while True:
+        for p in live:
+            row = a[p]
+            c = min((row.index(x) for x in (1, -1) if x in row), default=None)
+            if c is not None:
+                break
+        else:
+            break
+        e = row[c]
+        live.remove(p)
+        support = [(j, y) for j, y in enumerate(row) if y]
+        hit, fs = [], []
+        for i in live:
+            r = a[i]
+            f = r[c] * e
+            if f:
+                for j, y in support:
+                    r[j] -= f * y
+                hit.append(i)
+                fs.append(f)
+            del r[c]
+        record.append((p, tuple(hit), tuple(fs)))
+        rho = [0] * n
+        for j, x in zip(cols, row):
+            rho[j] = x
+        s = live_sigma[c]
+        if s:
+            live_sigma = [x - s * e * y for x, y in zip(live_sigma, row)]
+        del live_sigma[c]
+        c = cols.pop(c)
+        sigma[c] = s
+        pivots.append((p, c, e))
+        pivot_rows.append(tuple(rho))
+    for j, x in zip(cols, live_sigma):
+        sigma[j] = x
+    # det S: the product of the pivots times the sign of the permutation
+    # p_k -> c_k, rows[i] -> cols[i], one transposition per swap that sorts it
+    perm, sign = [0] * n, 1
+    for i, j in zip(live, cols):
+        perm[i] = j
+    for p, c, e in pivots:
+        perm[p] = c
+        sign *= e
+    for i in range(n):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            sign = -sign
+    return _UnitReduction(
+        IntMatrix(len(live), len(cols), tuple([tuple(a[i]) for i in live])), tuple(live),
+        tuple(cols), tuple(pivots), tuple(pivot_rows), tuple(record), tuple(sigma), sign)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -501,40 +659,3 @@ def hnf_columns(m: IntMatrix) -> IntMatrix:
                     colj[i] -= q * colc[i]
         c += 1
     return IntMatrix.from_columns(cols[:c], rows=nr)
-
-
-def lattice_equal(m1: IntMatrix, m2: IntMatrix) -> bool:
-    """Whether two generating sets span the same column lattice."""
-    if m1.rows != m2.rows:
-        raise DimensionMismatchError("lattices live in different ambient ranks")
-    return hnf_columns(m1) == hnf_columns(m2)
-
-
-def lattice_contains(m: IntMatrix, v: Sequence[int]) -> bool:
-    """Whether v lies in the column lattice of m (exact integer solvability)."""
-    if len(v) != m.rows:
-        raise DimensionMismatchError("vector length differs from ambient rank")
-    h = hnf_columns(m)
-    resid = [index(x) for x in v]
-    for j in range(h.cols):
-        r = next(i for i in range(h.rows) if h.entries[i][j])
-        q, rem = divmod(resid[r], h.entries[r][j])
-        if rem:
-            return False
-        if q:
-            for i in range(r, h.rows):
-                resid[i] -= q * h.entries[i][j]
-    return not any(resid)
-
-
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer nullspace {x : m @ x = 0}, as columns.
-
-    Returns a matrix with cols(m) rows and one column per kernel generator
-    (zero columns when the kernel is trivial): the zero-factor rows of the U of
-    snf(m^T), a basis as U is unimodular and the other rows of U m^T independent.
-    """
-    dec = snf(m.transpose())
-    return IntMatrix.from_columns(
-        [row for f, row in zip(dec.factors(), dec.u.entries) if f == 0], rows=m.cols)
-

@@ -8,8 +8,11 @@ gcd(w, |det M|) = 1 that kills M modulo |det M|, or else off the Smith form of
 M modulo |det M|.  ``corank_one_cokernel``, for M of rank N - 1, takes the
 free coordinate from a primitive row y with y M = 0 and the torsion from the
 Smith form of [M | z] modulo its order, y z = 1.  Both are checked by
-``certified_group``, which also serves a caller that knows a smaller
-presentation.
+``certified_group``.  It also serves a caller that builds a group from a
+smaller presentation with the same cokernel and carries its coordinate rows
+and lifts over: invariants runs all of these on the small residual that
+eliminating I - A on +-1 pivots leaves, and certifies the carried group
+against I - A itself.
 
 Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
@@ -208,7 +211,7 @@ def _modular_group(m: IntMatrix, d: int, factors, u_rows, lifts,
     if math.prod(factors) != d:
         raise ArithmeticError("invariant factors do not multiply to the torsion order")
     torsion = tuple(f for f in factors if f > 1)
-    coords = [tuple(x % f for x in row) for f, row in zip(torsion, u_rows)]
+    coords = [tuple([x % f for x in row]) for f, row in zip(torsion, u_rows)]
     lifts = list(lifts)
     if free:
         coords.append(tuple(free[0]))

@@ -23,23 +23,48 @@ Everything here is exact integer lattice arithmetic over a validated square
 invariants_report computes all of them; exts and the single-invariant helpers
 (iota_hat, toeplitz_strong, hat_q, iota_kernel_generator) are views on it.
 
-The weak group.  One Bareiss elimination of [(I - A)^T | 1]
-(exactmat.adjugate_or_kernel) gives det = det(I - A) and, when det != 0, the
-integral row w = 1^T adj(I - A).  The weak group is then cyclic with
-coordinate row w mod D, D = |det|, when gcd(w, D) = 1, and comes from the
-Smith form of I - A modulo D otherwise (fgab.finite_cokernel).  When det = 0
-the elimination skips the column with no pivot; if it meets no second one,
-I - A has rank N - 1, and deleting a row i0 and a column j0 leaves a
-nonsingular minor M_0, with the elimination's kernel vector Y, Y (I - A) = 0
-and Y_i0 = +-det M_0.  One solve on M_0 gives X with (I - A) X = 0 and
-X_j0 = det M_0.  As adj(I - A) = c x y^T for the primitive x and y in the
-direction of X and Y, and its (j0, i0) entry is +-det M_0, the torsion order
-|c| (the (N-1)-th determinantal divisor) is content(X) content(Y) / |det M_0|,
-and fgab.corank_one_cokernel builds Z + T from y, oriented so that -[1_N]
-has a nonnegative free coordinate.  Below rank N - 1 the exact Smith form
-U (I - A) V = D gives the weak group.  Either way the group has coordinate
-rows K_c, factors d_c and lifts l_c for its coordinates c = 1..k with
-d_c != 1 (d_c = 0 for a free one), K_c l_c' = [c = c'] (mod d_c).
+The unit reduction.  The entries of I - A lie in {-1, 0, 1}, so it is first
+eliminated on +-1 pivots (exactmat._unit_reduction): L (I - A) V = S, L the
+product of the recorded row transvections, V the implied column
+operations, and S the pivots +-1 and a k x k residual M' with no +-1 left,
+k < N (README, Scale, gives k on random draws).  det(I - A) =
++-det M', Z^N / (I - A) Z^N = Z^k / M' Z^k, and sigma = 1^T V is folded in
+as the reduction runs; sigma' is sigma on the residual's columns.  Every
+Bareiss pass and Smith form below runs on M' or a minor of it, and the
+results are carried back to I - A: a row r on the residual's rows becomes
+r L (the record replayed in reverse), with entries at the pivot rows where
+it must agree with a multiple of sigma in the pivot columns; a lift keeps its
+entries on the residual's rows and is zero at the pivot rows, which L^-1
+fixes; and a kernel vector x' of M' becomes V x' by back substitution on
+the pivot rows.  As 1^T x = sigma V^-1 x, the sums 1^T x that the strong
+group needs are sigma' on the residual plus sigma at the pivot columns.
+The reduction is checked by 1^T L (I - A) = 1^T R, R the L (I - A) it
+records, which a wrong residual entry fails.
+
+The weak group.  One Bareiss elimination of [M'^T | sigma']
+(exactmat.adjugate_or_kernel) gives det M' and, when it is nonzero, the row
+u with u M' = det(I - A) sigma'.  Carried back with det(I - A) e_k sigma_c
+at the pivot row of column c, u becomes w = 1^T adj(I - A), as
+w (I - A) V = det(I - A) sigma.  The pivot entries are multiples of
+D = |det(I - A)| and L is unimodular, so gcd(w, D) = gcd(u, D).  The weak
+group of M' is cyclic with coordinate row u mod D when that gcd is 1, and
+comes from the Smith form of M' modulo D otherwise (fgab.finite_cokernel);
+carried back, a cyclic group has coordinate row w mod D.  When
+det M' = 0 the elimination skips the column with no pivot; if it meets no
+second one, M' has rank k - 1 (and I - A rank N - 1), and deleting a row i0
+and a column j0 leaves a nonsingular minor M_0, with the elimination's
+kernel vector Y, Y M' = 0 and Y_i0 = +-det M_0.  One solve on M_0 gives X
+with M' X = 0 and X_j0 = det M_0.  As adj(M') = c x y^T for the primitive x
+and y in the direction of X and Y, and its (j0, i0) entry is +-det M_0, the
+torsion order |c| (the (k-1)-th determinantal divisor) is
+content(X) content(Y) / |det M_0|, and fgab.corank_one_cokernel builds
+Z + T on M' from y, oriented so that -[1_N] has a nonnegative free
+coordinate; V x is the kernel generator of I - A.  Below rank N - 1 the
+exact Smith form U M' V' = D gives the weak group of M'.  The group is
+carried back to I - A and checked there by fgab.certified_group; it has
+coordinate rows K_c, factors d_c and lifts l_c for its coordinates
+c = 1..k with d_c != 1 (d_c = 0 for a free one), K_c l_c' = [c = c']
+(mod d_c).
 
 The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
 g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
@@ -62,18 +87,24 @@ Phi_0 = phi - sum_c (phi l_c) K_c:
 
 * det != 0: g = 0 and phi = w / det, as w (I - A) = det 1^T;
 * rank N - 1: Ker(I - A) = Z x, g = |1^T x|, and with alpha x = 1 the row
-  1^T - (1^T x) alpha is orthogonal to x, so it is phi (I - A) for a phi
-  from one more solve on M_0^T, phi = Phi' / det M_0 with Phi'_i0 = 0;
-* rank below N - 1: x_c = V e_c gives s_c = sigma_c for sigma = 1^T V, the
-  columns of V with d_i = 1 give Phi_0 = sum_{d_i = 1} sigma_i U_i, and
-  those with d_i = 0 span Ker(I - A), so g = gcd(sigma_i : d_i = 0).
+  tau = 1^T - (1^T x) alpha is orthogonal to x, so it is phi (I - A) for a
+  phi from one more solve on M_0^T.  alpha is zero at the pivot columns and
+  alpha' x' = 1 on the residual's, so tau V is sigma' - (1^T x) alpha' there
+  and sigma at the pivot columns; the solve takes the former, and its row,
+  zero at i0, is carried back with det M_0 e_k sigma_c at the pivot rows:
+  phi = Phi' / det M_0;
+* rank below N - 1: with sigma'' = sigma' V', x_c = V V' e_c gives
+  s_c = sigma''_c, the columns of V' with d_i = 1 give Phi_0, the sum of
+  sigma''_i U_i over d_i = 1, carried back with e_k sigma_c at the pivot
+  rows, and those with d_i = 0 span Ker M', so g = gcd(sigma''_i : d_i = 0).
 
 phi (I - A) is checked, and the divisions by det or det M_0 are exact, and
 raise if not.  The Smith form U_R R V_R = D_R of the (1+k) x (t + [g != 0])
 relation matrix R, t the number of torsion coordinates, makes the group
 canonical: the class map is U_R Phi, the lift Psi U_R^-1, checked by
-fgab.certified_group.  So no N x N Smith or Hermite form runs unless I - A
-has rank below N - 1.
+fgab.certified_group.  So no Bareiss pass and no Smith form runs on an
+N x N matrix; the one N x N normal form left is node (4)'s Hermite form
+when I - A has rank below N - 1.
 """
 
 from __future__ import annotations
@@ -82,7 +113,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .exactmat import IntMatrix, adjugate_or_kernel, adjugate_solve, hnf_columns, snf
+from .exactmat import (IntMatrix, _UnitReduction, _unit_reduction, adjugate_or_kernel,
+                       adjugate_solve, hnf_columns, snf)
 from .exactmat import determinant as _determinant
 from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _unit_lift,
                    certified_group, corank_one_cokernel, element_order, finite_cokernel)
@@ -215,7 +247,7 @@ def _i_minus_hat(ima: IntMatrix, n: int) -> IntMatrix:
     """
     c = n - 1
     return IntMatrix(ima.rows, ima.cols,
-                     tuple(tuple(x - row[c] for x in row) for row in ima.entries))
+                     tuple([tuple([x - row[c] for x in row]) for row in ima.entries]))
 
 
 def _minus_first(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -236,44 +268,74 @@ def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
 
 
 def _weak_group(ima: IntMatrix):
-    """(det, w, weak, x, strong) for ima = I - A: det = det(ima), w = 1^T adj(ima)
-    (None when det = 0), the weak group Z^N / ima Z^N, the primitive x with
-    Ker(ima) = Z x when ima has rank N - 1 (else None), and a function giving
-    _strong_group's inputs (s, Phi_0, g); see the module docstring."""
+    """(det, weak, x, strong) for ima = I - A: det = det(ima), the weak group
+    Z^N / ima Z^N, the primitive x with Ker(ima) = Z x when ima has rank
+    N - 1 (else None), and a function giving _strong_group's inputs
+    (s, Phi_0, g).  The rank dispatch runs on the residual of the unit
+    reduction, and its results are carried back (module docstring)."""
     n = ima.rows
-    det, w, kernel = adjugate_or_kernel(ima.transpose(), (1,) * n)
-    if det:
-        weak = finite_cokernel(ima, det, w)
-        return det, w, weak, None, lambda: _through_phi(ima, weak, w, det, (1,) * n, 0)
+    red = _unit_reduction(ima)
+    red.certify(ima)
+    m, sigma = red.residual, [red.sigma[j] for j in red.cols]
+    det, u, kernel = adjugate_or_kernel(m.transpose(), sigma)
+    if det:  # u m = det(ima) sigma on the residual; w = 1^T adj(ima) is u carried back
+        det, u = red.sign * det, [red.sign * v for v in u]
+        weak = _transported(red, ima, finite_cokernel(m, det, u))
+        return det, weak, None, lambda: _through_phi(ima, weak, red.carry_row(u, det), det,
+                                                     (1,) * n, 0)
     if kernel is None:
-        smith = snf(ima)
-        weak = FgAbelianGroup(ima, smith.u, smith.u_inv, smith.factors())
-        return 0, None, weak, None, lambda: _through_smith(smith, weak)
-    j0, i0, y = kernel  # y ima = 0, and ima minus row i0 and column j0 is nonsingular
-    rows = [r for k, r in enumerate(ima.entries) if k != i0]
-    m0 = IntMatrix(n - 1, n - 1, tuple(r[:j0] + r[j0 + 1:] for r in rows))
-    d0, x = adjugate_solve(m0, tuple(-r[j0] for r in rows))
+        smith = snf(m)
+        local = FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
+
+        def strong():
+            s, phi0, g = _through_smith(smith, local, sigma)
+            return s, red.carry_row(phi0, 1), g
+
+        return 0, _transported(red, ima, local), None, strong
+    j0, i0, y = kernel  # y m = 0, and m minus row i0 and column j0 is nonsingular
+    rows = [r for k, r in enumerate(m.entries) if k != i0]
+    m0 = IntMatrix(m.rows - 1, m.rows - 1, tuple([r[:j0] + r[j0 + 1:] for r in rows]))
+    d0, x = adjugate_solve(m0, [-r[j0] for r in rows])
     x = x[:j0] + (d0,) + x[j0:]
-    if any(ima.mul_vec(x)) or abs(y[i0]) != abs(d0):
+    full_x = red.carry_solution(x)
+    if any(ima.mul_vec(full_x)) or abs(y[i0]) != abs(d0):
         raise ArithmeticError("the kernel vectors of I - A do not check")
     # y is oriented so that -[1_N] gets a nonnegative free coordinate
-    cx, cy = math.gcd(*x), math.gcd(*y) * (-1 if sum(y) > 0 else 1)
-    x = tuple(v // cx for v in x)
-    weak = corank_one_cokernel(ima, tuple(v // cy for v in y),
-                               _exact_quotient(abs(cx * cy), abs(d0)))
+    cx, cy = math.gcd(*x), math.gcd(*y) * (-1 if sum(red.carry_row(y)) > 0 else 1)
+    x, full_x = [v // cx for v in x], tuple([v // cx for v in full_x])
+    weak = _transported(red, ima, corank_one_cokernel(
+        m, [v // cy for v in y], _exact_quotient(abs(cx * cy), abs(d0))))
 
     def strong():
-        t = sum(x)
-        target = [1 - t * v for v in _unit_lift(x, 0)]
+        t, alpha = sum(full_x), _unit_lift(x, 0)
+        target = [s - t * v for s, v in zip(sigma, alpha)]  # target V, off the pivot columns
         phi = adjugate_solve(m0.transpose(), target[:j0] + target[j0 + 1:])[1]
-        return _through_phi(ima, weak, phi[:i0] + (0,) + phi[i0:], d0, target, abs(t))
+        full_target = [1] * n
+        for j, v in zip(red.cols, alpha):
+            full_target[j] -= t * v
+        return _through_phi(ima, weak, red.carry_row(phi[:i0] + (0,) + phi[i0:], d0), d0,
+                            full_target, abs(t))
 
-    return 0, None, weak, x, strong
+    return 0, weak, full_x, strong
+
+
+def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> FgAbelianGroup:
+    """The group `local` of the residual carried to Z^N / ima Z^N: a coordinate
+    row K becomes K L, zero at the pivot rows, and a lift keeps its entries on
+    the residual's rows, zero at the pivot rows; the coordinates with factor 1
+    are dropped.  Checked by certified_group against ima."""
+    keep = local.torsion_positions + local.free_positions
+    lifts = local.lift.columns()
+    return certified_group(
+        ima, IntMatrix(len(keep), ima.cols, tuple([red.carry_row(local.coords.entries[c])
+                                                   for c in keep])),
+        IntMatrix.from_columns([red.carry_lift(lifts[c]) for c in keep], rows=ima.rows),
+        tuple(local.factors[c] for c in keep))
 
 
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
     """Weak extension group: the Bowen-Franks group Z^N / (I - A) Z^N."""
-    return _weak_group(_identity_minus(a))[2]
+    return _weak_group(_identity_minus(a))[1]
 
 
 def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -306,11 +368,12 @@ def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g:
             [_exact_quotient(p, den) for p in phi0], g)
 
 
-def _through_smith(smith, weak: FgAbelianGroup):
-    """_strong_group's inputs (s, Phi_0, g) from the Smith form
-    U (I - A) V = D of a rank below N - 1, with sigma = 1^T V: s_c = sigma_c,
-    Phi_0 = the sum of sigma_i U_i over d_i = 1, g = gcd(sigma_i : d_i = 0)."""
-    sigma = [sum(c) for c in smith.v.columns()]
+def _through_smith(smith, weak: FgAbelianGroup, sigma):
+    """_strong_group's inputs (s, Phi_0, g) on the residual M' from its Smith
+    form U M' V = D at a rank below k - 1, with sigma V in place of 1^T V:
+    s_c = (sigma V)_c, Phi_0 = the sum of (sigma V)_i U_i over d_i = 1,
+    g = gcd((sigma V)_i : d_i = 0); Phi_0 is still to be carried back."""
+    sigma = [sum(map(operator.mul, sigma, c)) for c in smith.v.columns()]
     phi0 = [0] * smith.u.cols
     for f, row, v in zip(weak.factors, smith.u.entries, sigma):
         if f == 1:
@@ -388,7 +451,10 @@ def hat_q(a: ZeroOneMatrix, x: GroupElement) -> GroupElement:
 
 def determinant(a: ZeroOneMatrix) -> int:
     """det(I - A); nonzero iff the weak extension group is finite."""
-    return _determinant(_identity_minus(a))
+    ima = _identity_minus(a)
+    red = _unit_reduction(ima)
+    red.certify(ima)
+    return red.sign * _determinant(red.residual)
 
 
 def iota_kernel_generator(a: ZeroOneMatrix) -> int:
@@ -520,7 +586,7 @@ class ExtInvariantReport:
 
         (4) Im(s) = Ker(iota) is computed apart from the strong group and
         must agree with the order of iota(1) and with the report's g.  When
-        the report's Bareiss determinant is nonzero, Ker(I - A) = 0 and
+        the report's determinant is nonzero, Ker(I - A) = 0 and
         Im(s) = 0.  At rank N - 1 the report's kernel vector x has
         (I - A) x = 0 and gcd(x) = 1, both checked here, and a nonzero
         (N-1)-minor, checked when the report was built, so Ker(I - A) = Z x
@@ -555,7 +621,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
     quotient map carries the strong Toeplitz class to the weak one."""
     ima = _identity_minus(a)
     ones = (1,) * a.n
-    det, _, weak, x, strong_inputs = _weak_group(ima)
+    det, weak, x, strong_inputs = _weak_group(ima)
     strong = _strong_group(ima, weak, *strong_inputs())
     iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(

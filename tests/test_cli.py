@@ -384,46 +384,36 @@ LOW_RANK = random_valid_rows(random.Random(1892), 6)
 
 
 def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
-    """No N x N Smith or Hermite form unless I - A has rank below N - 1.  A
-    nonsingular weak group comes from w or an elimination modulo
-    |det(I - A)|, one of rank N - 1 (A4) from kernel vectors and an
-    elimination modulo its torsion order, and the strong group from the
-    relation matrix, never square.  Rank below N - 1 takes the Smith form of
-    I - A, and verify a Hermite form for node (4)."""
+    """No N x N Smith or Hermite form unless I - A has rank below N - 1, and
+    then the Smith form is of the k x k residual that the unit reduction
+    leaves, k < N.  A nonsingular weak group comes from w or an elimination
+    of the residual modulo |det(I - A)|, one of rank N - 1 (A4) from kernel
+    vectors and an elimination of the residual modulo its torsion order, and
+    the strong group from the relation matrix, never square.  Rank below
+    N - 1 takes the Smith form of the residual, and verify a Hermite form of
+    (I - A; 1^T) for node (4)."""
     singular = write_matrix(tmp_path, "a4.txt", A4)          # rank N - 1
     low_rank = write_matrix(tmp_path, "low.txt", LOW_RANK)   # rank N - 2
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
     fibonacci = write_matrix(tmp_path, "f.txt", FIBONACCI)   # det(I - A) = -1
+    # The residuals of I - A and I - A^T for every matrix used below.
+    residuals = []
+    for rows in (A4, LOW_RANK, A1, FIBONACCI, singular_draw(0, 20)):
+        for a in (validate(rows), invariants.transpose(validate(rows))):
+            residuals.append(exactmat._unit_reduction(invariants._identity_minus(a)).residual)
+            assert residuals[-1].rows < a.n
 
     def normal_forms(argv):
         """(square Smith forms, all Smith forms, Hermite forms) run by one
-        command."""
+        command; every square Smith form of compute, compare and verify is
+        of a residual."""
         snf_inputs.clear()
         hnf_inputs.clear()
         main(argv)
         capsys.readouterr()
-        return (sum(1 for m in snf_inputs if m.rows == m.cols), len(snf_inputs),
-                len(hnf_inputs))
-
-    assert normal_forms(["compute", singular]) == (0, 1, 0)
-    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 1, 0)
-    assert normal_forms(["compute", low_rank]) == (1, 2, 0)
-    assert normal_forms(["compute", nonsingular]) == (0, 1, 0)
-    assert normal_forms(["compute", fibonacci]) == (0, 1, 0)
-    # compare reads only the weak groups of the transposes.
-    assert normal_forms(["compare", singular, fibonacci]) == (0, 0, 0)
-    assert normal_forms(["compare", low_rank, fibonacci]) == (1, 1, 0)
-    assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 0, 0)
-    # The verifiers work by certificate: verify runs the Smith forms of
-    # compute, and a Hermite form only below rank N - 1.
-    for path, forms in ((singular, (0, 1, 0)), (low_rank, (1, 2, 1)),
-                        (nonsingular, (0, 1, 0))):
-        assert normal_forms(["verify", path]) == forms
-        assert normal_forms(["compute", path, "--verify"]) == forms
-    # The same at N = 20, rank N - 1: singular_draw(0, 20).
-    drawn = write_matrix(tmp_path, "s20.txt", singular_draw(0, 20))
-    assert normal_forms(["compute", drawn, "--verify"]) == (0, 1, 0)
-    assert normal_forms(["compare", drawn, drawn]) == (0, 0, 0)
+        square = [m for m in snf_inputs if m.rows == m.cols]
+        assert argv[0] == "examples" or all(m in residuals for m in square)
+        return len(square), len(snf_inputs), len(hnf_inputs)
 
     # examples: the relation matrix of each entry (every one has rank N - 1
     # or more, so no lattice is put in Smith form), and one Smith form for
@@ -538,9 +528,11 @@ def test_invariant_table_script():
 def test_scale_table_script():
     """scripts/scale_table.py prints a header and one row per requested draw:
     the report's time in s, the verifiers' time in ms, the number of digits
-    of |det(I - A)|, and the weak group's path: "w" exactly when
-    gcd(w, |det|) = 1, "mod D" for the other nonsingular draws, "rank N-1"
-    when I - A has rank N - 1 and "snf" below.  A draw sN:SEED is
+    of |det(I - A)|, the size k of the unit reduction's residual, and the
+    weak group's path: "w" exactly when gcd(w, |det|) = 1, "mod D" for the
+    other nonsingular draws, where the modular Smith form runs once on the
+    residual, "rank N-1" when I - A has rank N - 1 and "snf" below, where the
+    exact Smith form runs on the residual.  A draw sN:SEED is
     singular_draw(SEED, N)."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
     draws = [(False, 6, 0), (False, 8, 1), (False, 12, 2), (True, 10, 0), (False, 6, 1892)]
@@ -550,25 +542,30 @@ def test_scale_table_script():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [f.strip() for f in lines[0].strip("|").split("|")] == \
-        ["N", "seed", "draw", "time", "verify", "digits of D", "weak"]
+        ["N", "seed", "draw", "time", "verify", "digits of D", "k", "weak"]
     rows = lines[2:]
     assert len(rows) == len(draws)
     sources = set()
     for (singular, n, seed), row in zip(draws, rows):
         fields = [f.strip() for f in row.strip("|").split("|")]
-        sources.add(fields[6])
+        sources.add(fields[7])
         a = validate(singular_draw(seed, n) if singular
                      else random_valid_rows(random.Random(seed), n))
         det = determinant(a)
+        residual = exactmat._unit_reduction(invariants._identity_minus(a)).residual
         assert (int(fields[0]), int(fields[1])) == (n, seed)
         assert fields[2] == ("singular" if singular else "random")
         assert fields[3].endswith(" s") and fields[4].endswith(" ms")
         assert fields[5] == (str(len(str(abs(det)))) if det else "singular")
+        assert int(fields[6]) == residual.rows < n
         with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod, \
                 mock.patch.object(invariants, "snf", wraps=invariants.snf) as smith:
             extw(a)
         if det:
-            assert fields[6] == ("mod D" if smith_mod.called else "w")
+            assert fields[7] == ("mod D" if smith_mod.called else "w")
+            assert smith_mod.call_count == (fields[7] == "mod D")
+            assert all(call.args[0] == residual for call in smith_mod.call_args_list)
         else:
-            assert fields[6] == ("snf" if smith.called else "rank N-1")
+            assert fields[7] == ("snf" if smith.called else "rank N-1")
+            assert all(call.args[0] == residual for call in smith.call_args_list)
     assert sources == {"w", "mod D", "rank N-1", "snf"}

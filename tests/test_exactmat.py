@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -13,16 +15,15 @@ from ckext.exactmat import (
     SmithDecomposition,
     _certify_reduction,
     _smith_mod,
+    _unit_reduction,
     adjugate_or_kernel,
     adjugate_solve,
     determinant,
     hnf_columns,
-    kernel_basis,
-    lattice_contains,
-    lattice_equal,
     snf,
 )
 from conftest import random_unimodular_rows, run_python
+from lattice_oracles import kernel_basis, lattice_contains, lattice_equal
 
 
 def mat(rows):
@@ -264,6 +265,57 @@ def test_smith_mod_terminates_on_its_pitfalls():
         m = mat(rows)
         assert tuple(factors) == snf(m).diagonal(), rows
         _check_smith_mod(m)
+
+
+# --- unit reduction ------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(max_dim=7, lo=-2, hi=2), st.data())
+def test_unit_reduction_reduces(m, data):
+    """Replaying the record on m gives the recorded pivot rows, with +-1 at
+    the pivot, and the residual on its rows and columns, zero in the pivot
+    columns, with no +-1 left in it; det m = sign det(residual), the
+    certificate passes, and V and L carry vectors as stated: m V x is x's
+    image under the residual, zero at the pivot rows; 1^T V x = sigma x; and
+    (y L) m V x = y residual x."""
+    red = _unit_reduction(m)
+    a = [list(row) for row in m.entries]
+    for p, rows, fs in red.record:
+        for i, f in zip(rows, fs, strict=True):
+            a[i] = [x - f * y for x, y in zip(a[i], a[p])]
+    for (p, c, e), rho in zip(red.pivots, red.pivot_rows, strict=True):
+        assert e in (1, -1) and rho[c] == e and tuple(a[p]) == rho
+    for i, row in zip(red.rows, red.residual.entries, strict=True):
+        assert tuple(a[i][j] for j in red.cols) == row
+        assert not any(a[i][c] for _, c, _ in red.pivots)
+        assert 1 not in row and -1 not in row
+    assert determinant(m) == red.sign * determinant(red.residual)
+    red.certify(m)
+    k = red.residual.rows
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    y = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    full_x = red.carry_solution(x)
+    assert m.mul_vec(full_x) == red.carry_lift(red.residual.mul_vec(x))
+    assert sum(full_x) == sum(red.sigma[j] * v for j, v in zip(red.cols, x))
+    assert sum(map(operator.mul, red.carry_row(y), m.mul_vec(full_x))) == \
+        sum(map(operator.mul, y, red.residual.mul_vec(x)))
+
+
+def test_unit_reduction_refuses_a_pivot_other_than_a_unit():
+    """A pivot of the record that is not +-1 raises on construction, and a
+    residual entry or a multiplier off by one fails the certificate."""
+    m = mat([[1, 2, 0], [3, 1, 1], [0, 2, 2]])
+    red = _unit_reduction(m)
+    (p, c, e), *rest = red.pivots
+    with pytest.raises(ArithmeticError):
+        dataclasses.replace(red, pivots=((p, c, 2 * e), *rest))
+    bumped = [list(row) for row in red.residual.entries]
+    bumped[0][0] += 1
+    (q, rows, (f, *fs)), *later = red.record
+    for tampered in (dataclasses.replace(red, residual=mat(bumped)),
+                     dataclasses.replace(red, record=((q, rows, (f + 1, *fs)), *later))):
+        with pytest.raises(ArithmeticError):
+            tampered.certify(m)
 
 
 # --- Hermite normal form -------------------------------------------------

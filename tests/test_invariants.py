@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
-from ckext.exactmat import IntMatrix, hnf_columns, kernel_basis, lattice_equal
+from ckext.exactmat import IntMatrix, _unit_reduction, adjugate_solve, hnf_columns
 from ckext.exactmat import determinant as matrix_determinant
 from ckext.fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
                         cokernel, element_order)
-from ckext import fgab, invariants
+from ckext import exactmat, fgab, invariants
 from ckext.invariants import (
     ExactSequenceReport,
     IndexOutOfRangeError,
@@ -38,8 +38,10 @@ from ckext.invariants import (
     verify_exact_sequence,
     verify_im0_identity,
 )
+from ckext.cli import report_document
 from ckext.markediso import MarkedGroup, marked_group, marked_isomorphic
 from conftest import random_valid_rows, run_python, singular_draw
+from lattice_oracles import kernel_basis, lattice_equal
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -229,10 +231,12 @@ def test_strong_group_certificate_rejects_a_tampered_coordinate_map():
 
 
 def test_tampered_weak_witness_is_refused(monkeypatch):
-    """One entry w_j of w = 1^T adj(I - A) off by one makes invariants_report
-    raise.  So does one entry of a coordinate row of the weak group's U modulo
-    |det| off by one, where gcd(w, |det|) > 1; where it is 1 (A1) the weak
-    group is read off w and the modular Smith form is never run."""
+    """One entry u_j of the row u with u M' = det(I - A) sigma' on the residual
+    M' of the unit reduction, from which w = 1^T adj(I - A) is carried back,
+    off by one makes invariants_report raise.  So does one entry of a
+    coordinate row of the residual's U modulo |det| off by one, where
+    gcd(w, |det|) > 1; where it is 1 (A1) the weak group is read off u and
+    the modular Smith form is never run."""
     real_solve, real_mod = invariants.adjugate_or_kernel, fgab._smith_mod
 
     def no_smith_mod(m, d):
@@ -241,9 +245,11 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
     # Z/3 from w; (Z/2)^2 and Z/2 + Z/20 from the modular Smith form
     for rows, by_w in ((A1, True), (A3, False), (random_valid_rows(random.Random(4), 9), False)):
         a = validate(rows)
-        det, w, weak, *_ = invariants._weak_group(invariants._identity_minus(a))
+        ima = invariants._identity_minus(a)
+        det, weak, *_ = invariants._weak_group(ima)
+        w = adjugate_solve(ima.transpose(), (1,) * a.n)[1]
         assert det and weak.torsion and (math.gcd(det, *w) == 1) == by_w
-        for j in range(a.n):
+        for j in range(_unit_reduction(ima).residual.rows):
             def bumped_w(m, b=None, j=j):
                 det, w, kernel = real_solve(m, b)
                 return det, w[:j] + (w[j] + 1,) + w[j + 1:], kernel
@@ -283,10 +289,14 @@ def nonsingular_matrices(draw, max_n=12):
 
 def _weak_paths(a):
     """The report of a, whether gcd(w, |det|) = 1, and how many times the
-    report ran the modular Smith form."""
-    det, w, *_ = invariants._weak_group(invariants._identity_minus(a))
+    report ran the modular Smith form, which sees only the residual of the
+    unit reduction of I - A."""
+    ima = invariants._identity_minus(a)
+    det, w = adjugate_solve(ima.transpose(), (1,) * a.n)
     with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
         rep = invariants_report(a)
+    residual = _unit_reduction(ima).residual
+    assert all(call.args == (residual, abs(det)) for call in smith_mod.call_args_list)
     return rep, math.gcd(det, *w) == 1, smith_mod.call_count
 
 
@@ -297,7 +307,7 @@ def test_groups_agree_with_exact_smith_forms(a):
     cokernel(I - A) and cokernel(I - A^): the same factors, marked-isomorphic
     weak pairs, and, for |T| <= 64, marked-isomorphic strong Toeplitz pairs
     and strong triples ([T]_s, iota(1)).  The modular Smith form runs once,
-    and never when gcd(w, |det|) = 1."""
+    on the residual of the unit reduction, and never when gcd(w, |det|) = 1."""
     n = a.n
     rep, by_w, calls = _weak_paths(a)
     assert calls == (0 if by_w else 1)
@@ -318,9 +328,10 @@ def test_groups_agree_with_exact_smith_forms(a):
 
 
 def test_both_weak_paths_agree_with_exact_smith_forms():
-    """Dense draws with N <= 20: the weak pair read off w and the one from
-    the modular Smith form are both marked-isomorphic to the exact Smith
-    form's, with at least 20 draws on each path."""
+    """Dense draws with N <= 20: the weak pair read off u (the residual's
+    part of w) and the one from the modular Smith form are both
+    marked-isomorphic to the exact Smith form's, with at least 20 draws on
+    each path."""
     paths = {True: 0, False: 0}
     for seed in range(120):
         a = validate(random_valid_rows(random.Random(seed), 2 + seed % 19))
@@ -579,6 +590,199 @@ def low_rank_matrices(draw, max_n=10):
 def test_low_rank_groups_agree_with_exact_smith_forms(a):
     rep = _singular_against_exact_path(a)
     assert rep.kernel_vector is None and rep.extw_group.free_rank >= 2
+
+
+# --- the unit reduction against full-size oracles ---------------------------
+
+def _against_full_oracles(a):
+    """The report of a against oracles on the full I - A: det_i_minus_a is
+    the Bareiss determinant of I - A, the weak pair is marked-isomorphic to
+    that of cokernel(I - A), the strong group has the factors of
+    cokernel(I - A^) and, for |T| <= 64, a marked-isomorphic strong triple
+    ([T]_s, iota(1)), and the kernel vector is +- the basis vector of
+    Ker(I - A) exactly when that kernel has rank 1.  Every pivot of the unit
+    reduction is +-1.  Returns the residual's size."""
+    n = a.n
+    ima = IntMatrix.identity(n) - a.as_int_matrix()
+    red = _unit_reduction(ima)
+    assert all(e in (1, -1) and rho[c] == e
+               for (_, c, e), rho in zip(red.pivots, red.pivot_rows, strict=True))
+    rep = invariants_report(a)
+    assert rep.det_i_minus_a == matrix_determinant(ima)
+    weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    ones = (1,) * n
+    assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
+                             MarkedGroup(weak, (-weak.class_of(ones),)))
+    assert (rep.exts_group.free_rank, rep.exts_group.torsion) == \
+        (strong.free_rank, strong.torsion)
+    if math.prod(strong.torsion) <= 64:
+        iota = strong.class_of(ima.column(0))
+        assert marked_isomorphic(
+            MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one)),
+            MarkedGroup(strong, (-iota - strong.class_of(ones), iota)))
+    kernel = kernel_basis(ima)
+    if kernel.cols == 1:
+        x = kernel.column(0)
+        assert rep.kernel_vector in (x, tuple(-v for v in x))
+    else:
+        assert rep.kernel_vector is None
+    return red.residual.rows
+
+
+@st.composite
+def dense_matrices(draw, max_n=20):
+    """Valid 0-1 matrices, N = 2..max_n, each entry drawn on its own."""
+    n = draw(st.integers(2, max_n))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(n)]
+    a = _valid_or_none(rows)
+    assume(a is not None)
+    return a
+
+
+@st.composite
+def sparse_matrices(draw, max_n=20):
+    """Valid 0-1 matrices, N = 4..max_n, with about three ones per row: a
+    cycle through a permutation of the vertices, for irreducibility, and up
+    to two more ones per row."""
+    n = draw(st.integers(4, max_n))
+    order = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i, j in zip(order, order[1:] + order[:1]):
+        rows[i][j] = 1
+    for row in rows:
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            row[j] = 1
+    a = _valid_or_none(rows)
+    assume(a is not None)
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_matrices())
+def test_unit_reduction_agrees_with_full_oracles_on_dense_draws(a):
+    assert _against_full_oracles(a) < a.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_unit_reduction_agrees_with_full_oracles_on_sparse_draws(a):
+    assert _against_full_oracles(a) < a.n
+
+
+def _tied_columns(rows, pairs):
+    """rows with singular_draw's tweak applied to each column pair (p, q):
+    column q set equal to column p off rows p and q, and the 2 x 2 block on
+    p and q set to the identity, so that (I - A)(e_p - e_q) = 0."""
+    rows = [list(r) for r in rows]
+    for u, v in pairs:
+        for i, row in enumerate(rows):
+            if i not in (u, v):
+                row[v] = row[u]
+        rows[u][u], rows[u][v], rows[v][u], rows[v][v] = 1, 0, 0, 1
+    return rows
+
+
+def test_unit_reduction_agrees_with_full_oracles_on_singular_inputs():
+    """A4, criterion 11's matrix, the natural singular draws at N = 20,
+    singular_draw and a draw with two tied column pairs, of rank below
+    N - 1, against the full-size oracles."""
+    draws = [validate(rows) for rows in (A4, INJECTIVITY_GAP)]
+    draws += [validate(random_valid_rows(random.Random(seed), n))
+              for n, seed in NATURAL_SINGULAR]
+    draws += [a for a in (_valid_or_none(singular_draw(seed, n))
+                          for n in (6, 12, 20) for seed in range(2)) if a]
+    tied = next(a for a in (_valid_or_none(_tied_columns(
+        random_valid_rows(random.Random(seed), 12), ((0, 1), (2, 3)))) for seed in range(50))
+        if a)
+    draws.append(tied)
+    for a in draws:
+        assert _against_full_oracles(a) < a.n
+    assert invariants_report(tied).extw_group.free_rank >= 2
+
+
+def test_tampered_unit_reduction_is_refused(monkeypatch):
+    """One residual entry off by one makes invariants_report raise
+    ArithmeticError; so does one wrong multiplier of the record, unless the
+    rows carried back meet it only where they are zero or the certificates
+    pass anyway, and then the report's document is the one made without it.
+    A pivot other than +-1 raises.  The inputs
+    take each path: a cyclic weak group (A1), the residual modulo |det|
+    (A3 and a draw at N = 9), rank N - 1 (A4 and singular_draw) and rank
+    N - 2 (LOW_RANK_DRAWS' first)."""
+    real = invariants._unit_reduction
+    inputs = [A1, A3, random_valid_rows(random.Random(4), 9), A4, singular_draw(0, 12),
+              random_valid_rows(random.Random(LOW_RANK_DRAWS[0][1]), LOW_RANK_DRAWS[0][0])]
+    refused = 0
+    for rows in inputs:
+        a = validate(rows)
+        red = real(invariants._identity_minus(a))
+        good = invariants_report(a)
+        tampered = []
+        for t, (p, rows, fs) in enumerate(red.record):
+            for j in range(len(fs)):
+                bumped = (p, rows, fs[:j] + (fs[j] + 1,) + fs[j + 1:])
+                record = red.record[:t] + (bumped,) + red.record[t + 1:]
+                tampered.append((dataclasses.replace(red, record=record), False))
+        for i, row in enumerate(red.residual.entries):
+            for j in range(len(row)):
+                bumped = [list(r) for r in red.residual.entries]
+                bumped[i][j] += 1
+                tampered.append((dataclasses.replace(red, residual=IntMatrix.from_rows(bumped)),
+                                 True))
+        for fake, must_raise in tampered:
+            monkeypatch.setattr(invariants, "_unit_reduction", lambda m, fake=fake: fake)
+            try:
+                rep = invariants_report(a)
+            except ArithmeticError:
+                refused += 1
+            else:
+                assert not must_raise and report_document(rep) == report_document(good)
+        monkeypatch.setattr(invariants, "_unit_reduction", real)
+        (p, c, e), *rest = red.pivots
+        monkeypatch.setattr(invariants, "_unit_reduction",
+                            lambda m: dataclasses.replace(real(m), pivots=((p, c, 2 * e), *rest)))
+        with pytest.raises(ArithmeticError):
+            invariants_report(a)
+        monkeypatch.setattr(invariants, "_unit_reduction", real)
+    assert refused >= 40
+
+
+def test_normal_forms_see_only_the_residual(monkeypatch):
+    """The Bareiss passes, the modular Smith form and the exact Smith form of
+    a lattice run on the k x k residual of the unit reduction of I - A, or
+    on a minor of it, never on the N x N matrix: on a cyclic, a modular, a
+    rank N - 1 and a rank N - 2 input, through invariants_report, the
+    verifiers and determinant.  The strong group's relation matrix is never
+    square."""
+    seen = []
+
+    def recording(name, real):
+        def wrapped(m, *args):
+            seen.append((name, m.rows, m.cols))
+            return real(m, *args)
+        return wrapped
+
+    for module, name in ((exactmat, "adjugate_or_kernel"), (invariants, "adjugate_or_kernel"),
+                         (fgab, "_smith_mod"), (exactmat, "snf"), (fgab, "snf"),
+                         (invariants, "snf")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    inputs = [A1, A3, random_valid_rows(random.Random(4), 20), singular_draw(0, 20),
+              random_valid_rows(random.Random(1892), 6)]
+    for rows in inputs:
+        a = validate(rows)
+        k = _unit_reduction(invariants._identity_minus(a)).residual.rows
+        seen.clear()
+        rep = invariants_report(a)
+        assert rep.exact_sequence().all_passed() and rep.im0_identity()
+        assert determinant(a) == rep.det_i_minus_a
+        assert seen and k < a.n
+        for name, r, c in seen:
+            if name == "adjugate_or_kernel":
+                assert r == c <= k
+            elif name == "_smith_mod":
+                assert r == k
+            elif r == c:
+                assert r == k
 
 
 def test_kernel_generator_matches_kernel_sums():
