@@ -211,7 +211,8 @@ def _modular_group(m: IntMatrix, d: int, factors, u_rows, lifts,
     if math.prod(factors) != d:
         raise ArithmeticError("invariant factors do not multiply to the torsion order")
     torsion = tuple(f for f in factors if f > 1)
-    coords = [tuple([x % f for x in row]) for f, row in zip(torsion, u_rows)]
+    coords = [tuple([x % f for x in row])  # from a list: see IntMatrix.from_rows
+              for f, row in zip(torsion, u_rows)]
     lifts = list(lifts)
     if free:
         coords.append(tuple(free[0]))

@@ -247,7 +247,7 @@ def _i_minus_hat(ima: IntMatrix, n: int) -> IntMatrix:
     """
     c = n - 1
     return IntMatrix(ima.rows, ima.cols,
-                     tuple([tuple([x - row[c] for x in row]) for row in ima.entries]))
+                     tuple(tuple(x - row[c] for x in row) for row in ima.entries))
 
 
 def _minus_first(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -294,7 +294,7 @@ def _weak_group(ima: IntMatrix):
         return 0, _transported(red, ima, local), None, strong
     j0, i0, y = kernel  # y m = 0, and m minus row i0 and column j0 is nonsingular
     rows = [r for k, r in enumerate(m.entries) if k != i0]
-    m0 = IntMatrix(m.rows - 1, m.rows - 1, tuple([r[:j0] + r[j0 + 1:] for r in rows]))
+    m0 = IntMatrix(m.rows - 1, m.rows - 1, tuple(r[:j0] + r[j0 + 1:] for r in rows))
     d0, x = adjugate_solve(m0, [-r[j0] for r in rows])
     x = x[:j0] + (d0,) + x[j0:]
     full_x = red.carry_solution(x)
@@ -302,7 +302,7 @@ def _weak_group(ima: IntMatrix):
         raise ArithmeticError("the kernel vectors of I - A do not check")
     # y is oriented so that -[1_N] gets a nonnegative free coordinate
     cx, cy = math.gcd(*x), math.gcd(*y) * (-1 if sum(red.carry_row(y)) > 0 else 1)
-    x, full_x = [v // cx for v in x], tuple([v // cx for v in full_x])
+    x, full_x = [v // cx for v in x], tuple(v // cx for v in full_x)
     weak = _transported(red, ima, corank_one_cokernel(
         m, [v // cy for v in y], _exact_quotient(abs(cx * cy), abs(d0))))
 
@@ -327,8 +327,8 @@ def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> 
     keep = local.torsion_positions + local.free_positions
     lifts = local.lift.columns()
     return certified_group(
-        ima, IntMatrix(len(keep), ima.cols, tuple([red.carry_row(local.coords.entries[c])
-                                                   for c in keep])),
+        ima, IntMatrix(len(keep), ima.cols, tuple(red.carry_row(local.coords.entries[c])
+                                                  for c in keep)),
         IntMatrix.from_columns([red.carry_lift(lifts[c]) for c in keep], rows=ima.rows),
         tuple(local.factors[c] for c in keep))
 
@@ -451,10 +451,7 @@ def hat_q(a: ZeroOneMatrix, x: GroupElement) -> GroupElement:
 
 def determinant(a: ZeroOneMatrix) -> int:
     """det(I - A); nonzero iff the weak extension group is finite."""
-    ima = _identity_minus(a)
-    red = _unit_reduction(ima)
-    red.certify(ima)
-    return red.sign * _determinant(red.residual)
+    return _determinant(_identity_minus(a))
 
 
 def iota_kernel_generator(a: ZeroOneMatrix) -> int:

@@ -415,6 +415,26 @@ def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
         assert argv[0] == "examples" or all(m in residuals for m in square)
         return len(square), len(snf_inputs), len(hnf_inputs)
 
+    assert normal_forms(["compute", singular]) == (0, 1, 0)
+    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 1, 0)
+    assert normal_forms(["compute", low_rank]) == (1, 2, 0)
+    assert normal_forms(["compute", nonsingular]) == (0, 1, 0)
+    assert normal_forms(["compute", fibonacci]) == (0, 1, 0)
+    # compare reads only the weak groups of the transposes.
+    assert normal_forms(["compare", singular, fibonacci]) == (0, 0, 0)
+    assert normal_forms(["compare", low_rank, fibonacci]) == (1, 1, 0)
+    assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 0, 0)
+    # The verifiers work by certificate: verify runs the Smith forms of
+    # compute, and a Hermite form only below rank N - 1.
+    for path, forms in ((singular, (0, 1, 0)), (low_rank, (1, 2, 1)),
+                        (nonsingular, (0, 1, 0))):
+        assert normal_forms(["verify", path]) == forms
+        assert normal_forms(["compute", path, "--verify"]) == forms
+    # The same at N = 20, rank N - 1: singular_draw(0, 20).
+    drawn = write_matrix(tmp_path, "s20.txt", singular_draw(0, 20))
+    assert normal_forms(["compute", drawn, "--verify"]) == (0, 1, 0)
+    assert normal_forms(["compare", drawn, drawn]) == (0, 0, 0)
+
     # examples: the relation matrix of each entry (every one has rank N - 1
     # or more, so no lattice is put in Smith form), and one Smith form for
     # each of the entry's two expected marked groups, built from their

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from ckext.exactmat import (
     hnf_columns,
     snf,
 )
-from conftest import random_unimodular_rows, run_python
+from conftest import random_unimodular_rows, random_valid_rows, run_python
 from lattice_oracles import kernel_basis, lattice_contains, lattice_equal
 
 
@@ -316,6 +317,33 @@ def test_unit_reduction_refuses_a_pivot_other_than_a_unit():
                      dataclasses.replace(red, record=((q, rows, (f + 1, *fs)), *later))):
         with pytest.raises(ArithmeticError):
             tampered.certify(m)
+
+
+_FREE_LIST_SCRIPT = """
+import json, sys
+from ckext import invariants_report, validate
+matrices = [validate(rows) for rows in json.load(sys.stdin)]
+for _ in range(20):
+    for a in matrices:
+        invariants_report(a)
+sys._debugmallocstats()
+"""
+
+
+def test_residual_sized_tuples_do_not_pile_up_on_free_lists():
+    """800 reports of dense draws, N = 12..24, leave fewer than 200 tuples of
+    each length 4..9 (the common residual sizes) on CPython's free lists:
+    the hot helpers build their tuples from lists (see IntMatrix.from_rows).
+    Built from generators, they leave 260 to 860 of each, and the lists grow
+    with every round."""
+    rows = [random_valid_rows(random.Random(s), 12 + s % 13) for s in range(40)]
+    done = run_python(_FREE_LIST_SCRIPT, input=json.dumps(rows))
+    assert done.returncode == 0, done.stderr
+    free = {int(k): int(n) for n, k in
+            re.findall(r"(\d+) free (\d+)-sized PyTupleObject", done.stderr)}
+    if not free:
+        pytest.skip("this Python reports no tuple free lists")
+    assert all(free.get(k, 0) < 200 for k in range(4, 10)), free
 
 
 # --- Hermite normal form -------------------------------------------------

@@ -751,9 +751,8 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
     """The Bareiss passes, the modular Smith form and the exact Smith form of
     a lattice run on the k x k residual of the unit reduction of I - A, or
     on a minor of it, never on the N x N matrix: on a cyclic, a modular, a
-    rank N - 1 and a rank N - 2 input, through invariants_report, the
-    verifiers and determinant.  The strong group's relation matrix is never
-    square."""
+    rank N - 1 and a rank N - 2 input, through invariants_report and the
+    verifiers.  The strong group's relation matrix is never square."""
     seen = []
 
     def recording(name, real):
@@ -774,7 +773,6 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
         seen.clear()
         rep = invariants_report(a)
         assert rep.exact_sequence().all_passed() and rep.im0_identity()
-        assert determinant(a) == rep.det_i_minus_a
         assert seen and k < a.n
         for name, r, c in seen:
             if name == "adjugate_or_kernel":
