@@ -6,19 +6,14 @@ normal form with unimodular transforms, the Smith form modulo d of a matrix
 whose column lattice holds d Z^n, a canonical column-style Hermite normal
 form, and Bareiss determinants and adjugate solves.
 
-All values are immutable; every function is pure.  Matrices are dense.  The
-unit reduction records its row transvections and folds its column
-operations into one row, sigma = 1^T V, so a 0-1 matrix's I - A is left as
-a small residual with the same cokernel and determinant up to sign; its
-caller certifies it and carries vectors back through the record.  The Smith
-form carries U, U^-1 and V, the witness of the reduction, certified by exact
-products.  The Bareiss elimination skips one column with no pivot, so on a
-matrix of rank n - 1 it names a nonsingular (n-1)-minor and a kernel vector
-instead of stopping at det = 0.  The modular form records its row
-operations modulo d and replays U and U^-1 only for the rows with a factor,
-so its entries stay below d; its caller certifies it.  README.md gives
-measured sizes and times.
-"""
+All values are immutable; every function is pure.  The unit reduction
+records its row transvections and folds its column operations into one row,
+sigma = 1^T V, so a 0-1 matrix's I - A is left as a small residual with the
+same cokernel and determinant up to sign.  The Smith form carries U, U^-1
+and V, certified by exact products.  The Bareiss elimination skips every
+column with no pivot, so on a matrix of rank n - r it names a nonsingular
+(n-r)-minor and r kernel vectors.  The modular form keeps every entry below
+d; its caller certifies it."""
 
 from __future__ import annotations
 
@@ -230,9 +225,10 @@ def adjugate_solve(m: IntMatrix, b: Sequence[int] | None = None
 
 def adjugate_or_kernel(m: IntMatrix, b: Sequence[int] | None = None
                        ) -> tuple[int, tuple[int, ...] | None,
-                                  tuple[int, int, tuple[int, ...]] | None]:
-    """det(m), adj(m) b = det(m) m^-1 b, and, for m of rank n - 1, a kernel
-    certificate (r, c, v), all by one Bareiss elimination of [m | b].
+                                  tuple[tuple[int, ...], tuple[int, ...],
+                                        tuple[tuple[int, ...], ...]]]:
+    """det(m), adj(m) b = det(m) m^-1 b, and a kernel certificate (R, C, Y),
+    all by one Bareiss elimination of [m | b].
 
     After the elimination row i reads a_ii x_i + sum_{j>i} a_ij x_j = c_i,
     and y = delta x, delta the last pivot, is integral by Cramer's rule, so the
@@ -241,13 +237,13 @@ def adjugate_or_kernel(m: IntMatrix, b: Sequence[int] | None = None
     A row with a zero below the pivot is only rescaled by pivot / prev, which
     is skipped when the two are equal, as they often are on sparse input.
 
-    A column of m with no pivot is skipped, and a second one ends the
-    elimination: the rank is below n - 1, and the third value is None.  With
-    exactly one skipped column c, the pivots lie in the rows other than the
-    one, r, left over, and deleting row r and column c of m leaves a minor M
-    with det M = +-delta != 0.  Setting v_c = delta and back-substituting the
-    pivot rows gives v with m v = 0: off c, v is -delta M^-1 times column c
-    of m without row r, integral by Cramer's rule.
+    A column with no pivot is a rational combination of the pivot columns
+    before it, and is skipped.  With r skipped columns C, m has rank n - r,
+    and deleting the r rows R left over and the columns C leaves a minor M
+    with det M = +-delta != 0.  For each c in C, v_c = delta, v = 0 on the
+    rest of C and back substitution on the pivot rows give v in Y with
+    m v = 0, integral by Cramer's rule.  R, C and Y are empty for a
+    nonsingular m.
     """
     if m.rows != m.cols:
         raise NotSquareError("determinant of a non-square matrix")
@@ -260,14 +256,12 @@ def adjugate_or_kernel(m: IntMatrix, b: Sequence[int] | None = None
             row.append(index(x))
     order = list(range(n))
     sign = prev = 1
-    r, skipped = 0, None
+    r, skipped, pivots = 0, [], []
     for k in range(n):
         if a[r][k] == 0:
             i = next((i for i in range(r + 1, n) if a[i][k]), None)
             if i is None:
-                if skipped is not None:
-                    return 0, None, None
-                skipped = k
+                skipped.append(k)
                 continue
             a[r], a[i] = a[i], a[r]
             order[r], order[i] = order[i], order[r]
@@ -282,21 +276,32 @@ def adjugate_or_kernel(m: IntMatrix, b: Sequence[int] | None = None
             elif pivot != prev:
                 row_i[k + 1:] = [x * pivot // prev for x in row_i[k + 1:]]
         prev = pivot
+        pivots.append(k)
         r += 1
-    if skipped is not None:
-        v = [0] * n
-        v[skipped] = prev
-        for i in range(n - 2, -1, -1):
-            row, p = a[i], i + (i >= skipped)
-            v[p] = -sum(map(mul, row[p + 1:n], v[p + 1:])) // row[p]
-        return 0, None, (order[n - 1], skipped, tuple(v))
+    if skipped:
+        kernel = []
+        for c in skipped:
+            v = [0] * n
+            v[c] = prev
+            for row, p in zip(reversed(a[:r]), reversed(pivots)):
+                v[p] = -sum(map(mul, row[p + 1:n], v[p + 1:])) // row[p]
+            kernel.append(tuple(v))
+        return 0, None, (tuple(order[r:]), tuple(skipped), tuple(kernel))
     if b is None:
-        return sign * prev, None, None
+        return sign * prev, None, ((), (), ())
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
         y[i] = (prev * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-    return sign * prev, tuple([sign * v for v in y]), None
+    return sign * prev, tuple([sign * v for v in y]), ((), (), ())
+
+
+def _spread(n: int, at: Sequence[int], values: Iterable[int]) -> list[int]:
+    """The length-n list with `values` at the positions `at`, zero elsewhere."""
+    out = [0] * n
+    for i, v in zip(at, values):
+        out[i] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -351,9 +356,7 @@ class _UnitReduction:
         """r L for the row r that is `live` on the residual's rows and
         scale e_k sigma_{c_k} at p_k: r L M = r S V^-1, and the entry at p_k is
         what makes r S agree with scale sigma in column c_k."""
-        r = [0] * len(self.sigma)
-        for i, v in zip(self.rows, live):
-            r[i] = v
+        r = _spread(len(self.sigma), self.rows, live)
         if scale:
             for p, c, e in self.pivots:
                 r[p] = scale * e * self.sigma[c]
@@ -362,19 +365,14 @@ class _UnitReduction:
     def carry_lift(self, live: Sequence[int]) -> tuple[int, ...]:
         """L^-1 c for the column c that is `live` on the residual's rows and
         zero at the pivot rows, which is c itself."""
-        c = [0] * len(self.sigma)
-        for i, v in zip(self.rows, live):
-            c[i] = v
-        return tuple(c)
+        return tuple(_spread(len(self.sigma), self.rows, live))
 
     def carry_solution(self, live: Sequence[int]) -> tuple[int, ...]:
         """V c for the column c that is `live` on the residual's columns and
         zero at the pivot columns: C_k c = c - e_k (rho_k c) e_{c_k}, rho_k row
         p_k of L M off column c_k, applied for k = r, ..., 1.  M V c = 0 when
         the residual kills `live`."""
-        x = [0] * len(self.sigma)
-        for j, v in zip(self.cols, live):
-            x[j] = v
+        x = _spread(len(self.sigma), self.cols, live)
         for (_, c, e), rho in zip(reversed(self.pivots), reversed(self.pivot_rows)):
             x[c] = -e * sum(map(mul, rho, x))  # x_c is still 0 here
         return tuple(x)
@@ -422,9 +420,7 @@ def _unit_reduction(m: IntMatrix) -> _UnitReduction:
                 fs.append(f)
             del r[c]
         record.append((p, tuple(hit), tuple(fs)))
-        rho = [0] * n
-        for j, x in zip(cols, row):
-            rho[j] = x
+        rho = _spread(n, cols, row)
         s = live_sigma[c]
         if s:
             live_sigma = [x - s * e * y for x, y in zip(live_sigma, row)]

@@ -3,16 +3,13 @@
 A group is its presentation M with a coordinate map (k x N), a lift (N x k)
 and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
 of order d.  ``cokernel`` reads them off the Smith form of M.
-``finite_cokernel``, for a nonsingular M, reads them off a row w with
-gcd(w, |det M|) = 1 that kills M modulo |det M|, or else off the Smith form of
-M modulo |det M|.  ``corank_one_cokernel``, for M of rank N - 1, takes the
-free coordinate from a primitive row y with y M = 0 and the torsion from the
-Smith form of [M | z] modulo its order, y z = 1.  Both are checked by
-``certified_group``.  It also serves a caller that builds a group from a
-smaller presentation with the same cokernel and carries its coordinate rows
-and lifts over: invariants runs all of these on the small residual that
-eliminating I - A on +-1 pivots leaves, and certifies the carried group
-against I - A itself.
+``modular_cokernel``, for M of rank N - r with a saturated basis Y of its
+left kernel, a right inverse Z of Y and the order delta of the torsion,
+takes the free coordinates from Y and the torsion from the Smith form of
+[M | Z] modulo delta, or, when r = 0, off a row w with gcd(w, delta) = 1
+that kills M modulo delta.  ``certified_group`` checks the result; it also
+serves a caller that carries a group over from a smaller presentation with
+the same cokernel, as invariants does from the residual of I - A.
 
 Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
@@ -160,66 +157,39 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
     return FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
 
 
-def finite_cokernel(m: IntMatrix, det: int, w: Sequence[int]) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) for a square m with det(m) = det != 0, with
-    one coordinate per torsion factor, given a row w with w m = 0 (mod det),
-    such as w = 1^T adj(m), for which w m = det 1^T.
+def modular_cokernel(m: IntMatrix, delta: int, w: Sequence[int] = (),
+                     ys: Sequence[Sequence[int]] = (), zs: Sequence[Sequence[int]] = ()
+                     ) -> FgAbelianGroup:
+    """Z^N / (column lattice of m) = Z^r + T for a square m of rank N - r,
+    given the order delta > 0 of T, rows ys with ys m = 0, columns zs with
+    ys zs = I_r and, when r = 0, a row w with w m = 0 (mod delta).
 
-    With D = |det|, v -> w v mod D kills m Z^N.  When gcd(w_1, ..., w_N, D) = 1
-    it is onto Z/D, so, as Z^N / m Z^N has order D, an isomorphism: the group
-    is cyclic, with factor D (none when D = 1), coordinate row w mod D and a
-    lift g with w g = 1 (mod D).  Otherwise the Smith form of m modulo D
-    gives the coordinates.  Both are certified by certified_group and by the
-    factors multiplying to D: the coordinate map is then onto a group of the
-    order of Z^N / m Z^N and kills m Z^N, so it is an isomorphism.
+    v -> ys v is onto Z^r, split by zs, so T = Z^N / (m Z^N + zs Z^r), which
+    holds delta Z^N.  When gcd(w_1, ..., w_N, delta) = 1, v -> w v mod delta
+    is onto Z/delta = T, with a lift g, w g = 1 (mod delta).  Otherwise the
+    Smith form of [m | zs] modulo delta gives T, each lift g moved to
+    g - zs (ys g) so that ys kills it.  certified_group and the factors
+    multiplying to delta make the coordinate map an onto map
+    Z^r + T -> Z^r + T' with |T'| = |T|, whose kernel, finite and so inside
+    T, is then 0.
     """
-    d = abs(det)
-    if math.gcd(d, *w) == 1:
-        factors = (d,)
-        u_rows, u_inv_cols = ([w], [_unit_lift(w, d)]) if d > 1 else ([], [])
+    if math.gcd(delta, *w) == 1:
+        factors = (delta,)
+        u_rows, lifts = ([w], [_unit_lift(w, delta)]) if delta > 1 else ([], [])
     else:
-        factors, u_rows, u_inv_cols = _smith_mod(m, d)
-    return _modular_group(m, d, factors, u_rows, u_inv_cols)
-
-
-def corank_one_cokernel(m: IntMatrix, y: Sequence[int], delta: int) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) = Z + T for a square m of rank N - 1, given
-    a primitive row y with y m = 0 and the order delta > 0 of T.
-
-    v -> y v kills m Z^N and is onto Z, split by an integral z with y z = 1,
-    so T = Z^N / (m Z^N + Z z), and delta Z^N lies in m Z^N + Z z.  Its
-    coordinates come from the Smith form of [m | z] modulo delta, each lift g
-    moved to g - (y g) z so that y kills it; y is the free coordinate row,
-    with lift z.  certified_group and the factors multiplying to delta make
-    the coordinate map an onto map Z + T -> Z + T' with |T'| = |T|, whose
-    kernel, finite and so inside T, is then 0.
-    """
-    z = _unit_lift(y, 0)
-    factors, u_rows, lifts = ((), [], []) if delta == 1 else _smith_mod(
-        m.hstack(IntMatrix.from_columns([z], rows=m.rows)), delta)
+        factors, u_rows, lifts = _smith_mod(
+            m.hstack(IntMatrix.from_columns(zs, rows=m.rows)) if zs else m, delta)
     for g in lifts:
-        c = sum(map(operator.mul, y, g))
-        g[:] = [p - c * q for p, q in zip(g, z)]
-    return _modular_group(m, delta, factors, u_rows, lifts, (y, z))
-
-
-def _modular_group(m: IntMatrix, d: int, factors, u_rows, lifts,
-                   free: tuple | None = None) -> FgAbelianGroup:
-    """The group of finite_cokernel and corank_one_cokernel: coordinate rows
-    u_rows modulo the factors > 1, whose product must be d, with their lifts,
-    and then, when free = (y, z), the free coordinate row y with lift z."""
-    if math.prod(factors) != d:
+        for c, z in zip([sum(map(operator.mul, y, g)) for y in ys], zs):
+            g[:] = [p - c * q for p, q in zip(g, z)]
+    if math.prod(factors) != delta:
         raise ArithmeticError("invariant factors do not multiply to the torsion order")
     torsion = tuple(f for f in factors if f > 1)
     coords = [tuple([x % f for x in row])  # from a list: see IntMatrix.from_rows
-              for f, row in zip(torsion, u_rows)]
-    lifts = list(lifts)
-    if free:
-        coords.append(tuple(free[0]))
-        lifts.append(free[1])
+              for f, row in zip(torsion, u_rows)] + [tuple(y) for y in ys]
     return certified_group(m, IntMatrix(len(coords), m.cols, tuple(coords)),
-                           IntMatrix.from_columns(lifts, rows=m.rows),
-                           torsion + (0,) * bool(free))
+                           IntMatrix.from_columns([*lifts, *zs], rows=m.rows),
+                           torsion + (0,) * len(ys))
 
 
 def _unit_lift(w: Sequence[int], d: int) -> list[int]:
@@ -234,6 +204,35 @@ def _unit_lift(w: Sequence[int], d: int) -> list[int]:
         g[:j] = [c * y % d if d else c * y for y in g[:j]]
         g[j] = e % d if d else e
     return g
+
+
+def _saturated(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """A basis b_1, ..., b_r of Q V cap Z^N for independent v_1, ..., v_r,
+    and rows w_i with w_i b_j = [i = j]: the r-row form of a content division
+    and _unit_lift(v, 0).  Given b_i and w_i for i < j, p_j = v_j less
+    sum_{i<j} (w_i v_j) b_i is killed by every w_i, so an integral u in the
+    span of v_1, ..., v_j is sum_{i<j} (w_i u) b_i plus a multiple of
+    p_j / content(p_j), which extends the basis; it is v_j itself when that
+    content is 1, so a saturated basis comes back as it is.  _unit_lift of
+    it gives w, which is cleared on b_1, ..., b_{j-1}, and each w_i is
+    cleared on b_j.  The caller checks the rows."""
+    bs, ws = [], []
+    for v in vectors:
+        p = list(v)
+        for wi, bi in zip(ws, bs):
+            c = sum(map(operator.mul, wi, p))
+            p = [x - c * y for x, y in zip(p, bi)]
+        g = math.gcd(*p) or 1
+        p = [x // g for x in p]
+        b = list(v) if g == 1 else p
+        w = _unit_lift(p, 0)
+        for wi, bi in zip(ws, bs):
+            e = sum(map(operator.mul, w, bi))
+            w = [x - e * y for x, y in zip(w, wi)]
+        ws = [[x - c * y for x, y in zip(wi, w)]
+              for c, wi in zip([sum(map(operator.mul, wi, b)) for wi in ws], ws)] + [w]
+        bs.append(b)
+    return bs, ws
 
 
 def certified_group(presentation: IntMatrix, coords: IntMatrix, lift: IntMatrix,

@@ -14,57 +14,60 @@ Everything here is exact integer lattice arithmetic over a validated square
   vector they arise from;
 * verifiers by certificate for the lattice identity Im(I-A)_0 = (I - A^_n) Z^N
   and for the six-node exact sequence tying the two groups together.  Five
-  nodes follow from I - A^ = (I - A)(I - R_1), checked column by column, and
-  the identity for every n from the one for n = 1, which is two products
-  taken as differences and prefix sums of columns; all of it is O(N^2), and
-  only node (4) of an I - A of rank below N - 1 takes a Hermite form (proofs
-  in ExtInvariantReport.exact_sequence and verify_im0_identity).
+  nodes follow from I - A^ = (I - A)(I - R_1), checked column by column,
+  node (4) from the report's kernel basis, and the identity for every n from
+  the one for n = 1, two products taken as differences and prefix sums of
+  columns; all of it is O(N^2), with no normal form (proofs in
+  ExtInvariantReport.exact_sequence and verify_im0_identity).
 
 invariants_report computes all of them; exts and the single-invariant helpers
 (iota_hat, toeplitz_strong, hat_q, iota_kernel_generator) are views on it.
 
-The unit reduction.  The entries of I - A lie in {-1, 0, 1}, so it is first
-eliminated on +-1 pivots (exactmat._unit_reduction): L (I - A) V = S, L the
-product of the recorded row transvections, V the implied column
-operations, and S the pivots +-1 and a k x k residual M' with no +-1 left,
-k < N (README, Scale, gives k on random draws).  det(I - A) =
-+-det M', Z^N / (I - A) Z^N = Z^k / M' Z^k, and sigma = 1^T V is folded in
-as the reduction runs; sigma' is sigma on the residual's columns.  Every
-Bareiss pass and Smith form below runs on M' or a minor of it, and the
-results are carried back to I - A: a row r on the residual's rows becomes
-r L (the record replayed in reverse), with entries at the pivot rows where
-it must agree with a multiple of sigma in the pivot columns; a lift keeps its
-entries on the residual's rows and is zero at the pivot rows, which L^-1
-fixes; and a kernel vector x' of M' becomes V x' by back substitution on
-the pivot rows.  As 1^T x = sigma V^-1 x, the sums 1^T x that the strong
-group needs are sigma' on the residual plus sigma at the pivot columns.
-The reduction is checked by 1^T L (I - A) = 1^T R, R the L (I - A) it
-records, which a wrong residual entry fails.
+The unit reduction.  I - A, with entries in {-1, 0, 1}, is first eliminated
+on +-1 pivots (exactmat._unit_reduction): L (I - A) V = S, L and V
+unimodular, S the pivots +-1 and a k x k residual M' with no +-1 left,
+k < N, and sigma = 1^T V, sigma' on the residual's columns.  Every
+elimination below runs on M' or a minor of it; rows, lifts and kernel
+vectors are carried back through the record (_UnitReduction), and every
+certificate is checked on I - A itself.
 
-The weak group.  One Bareiss elimination of [M'^T | sigma']
-(exactmat.adjugate_or_kernel) gives det M' and, when it is nonzero, the row
-u with u M' = det(I - A) sigma'.  Carried back with det(I - A) e_k sigma_c
-at the pivot row of column c, u becomes w = 1^T adj(I - A), as
-w (I - A) V = det(I - A) sigma.  The pivot entries are multiples of
-D = |det(I - A)| and L is unimodular, so gcd(w, D) = gcd(u, D).  The weak
-group of M' is cyclic with coordinate row u mod D when that gcd is 1, and
-comes from the Smith form of M' modulo D otherwise (fgab.finite_cokernel);
-carried back, a cyclic group has coordinate row w mod D.  When
-det M' = 0 the elimination skips the column with no pivot; if it meets no
-second one, M' has rank k - 1 (and I - A rank N - 1), and deleting a row i0
-and a column j0 leaves a nonsingular minor M_0, with the elimination's
-kernel vector Y, Y M' = 0 and Y_i0 = +-det M_0.  One solve on M_0 gives X
-with M' X = 0 and X_j0 = det M_0.  As adj(M') = c x y^T for the primitive x
-and y in the direction of X and Y, and its (j0, i0) entry is +-det M_0, the
-torsion order |c| (the (k-1)-th determinantal divisor) is
-content(X) content(Y) / |det M_0|, and fgab.corank_one_cokernel builds
-Z + T on M' from y, oriented so that -[1_N] has a nonnegative free
-coordinate; V x is the kernel generator of I - A.  Below rank N - 1 the
-exact Smith form U M' V' = D gives the weak group of M'.  The group is
-carried back to I - A and checked there by fgab.certified_group; it has
-coordinate rows K_c, factors d_c and lifts l_c for its coordinates
-c = 1..k with d_c != 1 (d_c = 0 for a free one), K_c l_c' = [c = c']
-(mod d_c).
+The weak group.  Let I - A have rank N - r, so M' has rank k - r.  One
+Bareiss elimination of [M'^T | sigma'] (exactmat.adjugate_or_kernel) skips
+the r columns of M'^T with no pivot.  When r = 0 it gives det M' and the row
+u with u M' = det(I - A) sigma', which, carried back with
+det(I - A) e_k sigma_c at the pivot row of column c, is w = 1^T adj(I - A),
+as w (I - A) V = det(I - A) sigma; the pivot entries are multiples of
+D = |det(I - A)|, so gcd(w, D) = gcd(u, D), and fgab.modular_cokernel reads
+a cyclic group off u when that gcd is 1.  When r > 0 it names a nonsingular
+(k - r)-minor M_0 of M', without the rows I and the columns J, and gives r
+rows Y with Y M' = 0, +-det M_0 I_r on I; r solves on M_0 give X with
+M' X = 0, det M_0 I_r on J.  Their saturations X* and Y* (fgab._saturated,
+content divisions, at r = 1 of X and Y themselves) are bases of Ker M' and
+of the left kernel, with witnesses alpha, alpha X* = I_r, checked here, and
+Z, Y* Z = I_r, checked with Y* M' = 0 by certified_group.  Each row of Y is
+first oriented so that its row sum carried back is nonpositive (at r = 1,
+-[1_N] then has a nonnegative free coordinate).  The torsion T of
+Z^k / M' Z^k = Z^r + T has order
+
+    delta = |det M_0| / (|det Y*_I| |det X*_J|),
+
+which is D when r = 0 and content(X) content(Y) / |det M_0| when r = 1.
+Proof: let U M' V' = diag(d_1, ..., d_{k-r}, 0, ..., 0) be a Smith form, so
+|T| = d_1 ... d_{k-r}.  By Cauchy-Binet the (k-r)-minor of
+M' = U^-1 D V'^-1 on the rows S and the columns S' is
+|T| det U^-1_{S,P} det V'^-1_{P,S'}, P = {1, ..., k-r}, and by Jacobi's
+complementary-minor identity for the unimodular U and V' these are
++-det U_{P^c,S^c} and +-det V'_{S'^c,P^c}.  The last r rows of U and the
+last r columns of V' are bases of the left kernel and of Ker M', and any
+other bases, Y* and X*, change those minors by a unit.  So
+|det M'_{S,S'}| = |T| |det Y*_{S^c}| |det X*_{S'^c}|, and S^c = I,
+S'^c = J give delta.  The saturation matters: a delta that is too small
+passes certified_group and the factors multiplying to delta (T = Z/4 read
+modulo 2 gives Z/2).  fgab.modular_cokernel builds Z^r + T on M' from Y*, Z
+and delta; V X* is the kernel basis of I - A.  The group is carried back and
+checked on I - A by fgab.certified_group; it has coordinate rows K_c,
+factors d_c and lifts l_c for its coordinates c = 1..k with d_c != 1 (d_c = 0
+for a free one), K_c l_c' = [c = c'] (mod d_c).
 
 The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
 g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
@@ -83,28 +86,19 @@ of the images of iota(1) and the l_c maps to 0 iff a_c = d_c b_c and
 a_0 + sum b_c s_c = 0 (mod g), so the relations are spanned by the
 d_c e_c - s_c e_0 and g e_0.  The inputs (s, Phi_0, g) come from a row phi
 with phi (I - A) u = 1^T u (mod g) for integral u, as s_c = phi (d_c l_c) and
-Phi_0 = phi - sum_c (phi l_c) K_c:
-
-* det != 0: g = 0 and phi = w / det, as w (I - A) = det 1^T;
-* rank N - 1: Ker(I - A) = Z x, g = |1^T x|, and with alpha x = 1 the row
-  tau = 1^T - (1^T x) alpha is orthogonal to x, so it is phi (I - A) for a
-  phi from one more solve on M_0^T.  alpha is zero at the pivot columns and
-  alpha' x' = 1 on the residual's, so tau V is sigma' - (1^T x) alpha' there
-  and sigma at the pivot columns; the solve takes the former, and its row,
-  zero at i0, is carried back with det M_0 e_k sigma_c at the pivot rows:
-  phi = Phi' / det M_0;
-* rank below N - 1: with sigma'' = sigma' V', x_c = V V' e_c gives
-  s_c = sigma''_c, the columns of V' with d_i = 1 give Phi_0, the sum of
-  sigma''_i U_i over d_i = 1, carried back with e_k sigma_c at the pivot
-  rows, and those with d_i = 0 span Ker M', so g = gcd(sigma''_i : d_i = 0).
-
-phi (I - A) is checked, and the divisions by det or det M_0 are exact, and
-raise if not.  The Smith form U_R R V_R = D_R of the (1+k) x (t + [g != 0])
-relation matrix R, t the number of torsion coordinates, makes the group
-canonical: the class map is U_R Phi, the lift Psi U_R^-1, checked by
-fgab.certified_group.  So no Bareiss pass and no Smith form runs on an
-N x N matrix; the one N x N normal form left is node (4)'s Hermite form
-when I - A has rank below N - 1.
+Phi_0 = phi - sum_c (phi l_c) K_c.  With x_1, ..., x_r the kernel basis,
+g = gcd(1^T x_1, ..., 1^T x_r), and alpha x_i = e_i, the row
+tau = 1^T - sum_i (1^T x_i) alpha_i kills every x_i, so it is
+phi (I - A) / det M_0 for a phi from one solve on M_0^T: alpha is zero at the
+pivot columns, so tau V is sigma' - sum_i (1^T x_i) alpha_i on the residual's
+columns, and phi, zero on I, is carried back with det M_0 e_k sigma_c at the
+pivot rows.  When r = 0, tau = 1^T, g = 0 and that solve is u.
+phi (I - A) is checked, and the divisions by det M_0 are exact, and raise if
+not.  The Smith form U_R R V_R = D_R of the (1+k) x (t + [g != 0]) relation
+matrix R, t the number of torsion coordinates, makes the group canonical:
+the class map is U_R Phi, the lift Psi U_R^-1, checked by
+fgab.certified_group.  So no Bareiss pass, no Smith form and no Hermite form
+runs on an N x N matrix.
 """
 
 from __future__ import annotations
@@ -113,11 +107,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .exactmat import (IntMatrix, _UnitReduction, _unit_reduction, adjugate_or_kernel,
-                       adjugate_solve, hnf_columns, snf)
+from .exactmat import (IntMatrix, _spread, _UnitReduction, _unit_reduction,
+                       adjugate_or_kernel, adjugate_solve, snf)
 from .exactmat import determinant as _determinant
-from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _unit_lift,
-                   certified_group, corank_one_cokernel, element_order, finite_cokernel)
+from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _saturated,
+                   certified_group, element_order, modular_cokernel)
 
 
 class ValidationError(ValueError):
@@ -268,55 +262,65 @@ def a_hat(a: ZeroOneMatrix, n: int) -> IntMatrix:
 
 
 def _weak_group(ima: IntMatrix):
-    """(det, weak, x, strong) for ima = I - A: det = det(ima), the weak group
-    Z^N / ima Z^N, the primitive x with Ker(ima) = Z x when ima has rank
-    N - 1 (else None), and a function giving _strong_group's inputs
-    (s, Phi_0, g).  The rank dispatch runs on the residual of the unit
-    reduction, and its results are carried back (module docstring)."""
+    """(det, weak, kernel, strong) for ima = I - A of rank N - r: det =
+    det(ima), the weak group Z^N / ima Z^N = Z^r + T, a basis of Ker(ima) and
+    a function giving _strong_group's inputs (s, Phi_0, g), all from the
+    residual M' of the unit reduction and carried back (module docstring)."""
     n = ima.rows
     red = _unit_reduction(ima)
     red.certify(ima)
     m, sigma = red.residual, [red.sigma[j] for j in red.cols]
-    det, u, kernel = adjugate_or_kernel(m.transpose(), sigma)
+    det, u, (j_out, i_out, ys) = adjugate_or_kernel(m.transpose(), sigma)
+    k, r = m.rows, len(ys)
     if det:  # u m = det(ima) sigma on the residual; w = 1^T adj(ima) is u carried back
-        det, u = red.sign * det, [red.sign * v for v in u]
-        weak = _transported(red, ima, finite_cokernel(m, det, u))
-        return det, weak, None, lambda: _through_phi(ima, weak, red.carry_row(u, det), det,
-                                                     (1,) * n, 0)
-    if kernel is None:
-        smith = snf(m)
-        local = FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
-
-        def strong():
-            s, phi0, g = _through_smith(smith, local, sigma)
-            return s, red.carry_row(phi0, 1), g
-
-        return 0, _transported(red, ima, local), None, strong
-    j0, i0, y = kernel  # y m = 0, and m minus row i0 and column j0 is nonsingular
-    rows = [r for k, r in enumerate(m.entries) if k != i0]
-    m0 = IntMatrix(m.rows - 1, m.rows - 1, tuple(r[:j0] + r[j0 + 1:] for r in rows))
-    d0, x = adjugate_solve(m0, [-r[j0] for r in rows])
-    x = x[:j0] + (d0,) + x[j0:]
-    full_x = red.carry_solution(x)
-    if any(ima.mul_vec(full_x)) or abs(y[i0]) != abs(d0):
-        raise ArithmeticError("the kernel vectors of I - A do not check")
-    # y is oriented so that -[1_N] gets a nonnegative free coordinate
-    cx, cy = math.gcd(*x), math.gcd(*y) * (-1 if sum(red.carry_row(y)) > 0 else 1)
-    x, full_x = [v // cx for v in x], tuple(v // cx for v in full_x)
-    weak = _transported(red, ima, corank_one_cokernel(
-        m, [v // cy for v in y], _exact_quotient(abs(cx * cy), abs(d0))))
+        d0, u = red.sign * det, [red.sign * v for v in u]
+        delta, xs, alpha, zs = abs(d0), (), (), ()
+    else:  # ys m = 0, and M_0, m without the rows i_out and columns j_out, is nonsingular
+        keep_rows = [i for i in range(k) if i not in i_out]
+        keep_cols = [j for j in range(k) if j not in j_out]
+        rows = [m.entries[i] for i in keep_rows]
+        m0 = IntMatrix(k - r, k - r, tuple([tuple([row[j] for j in keep_cols]) for row in rows]))
+        xs, u = [], ()
+        for j in j_out:  # m x = 0, x = det M_0 e_j on j_out
+            d0, x0 = adjugate_solve(m0, [-row[j] for row in rows])
+            x = _spread(k, keep_cols, x0)
+            x[j] = d0
+            xs.append(x)
+        if abs(ys[0][i_out[0]]) != abs(d0):
+            raise ArithmeticError("the kernel bases of I - A do not check")
+        # each y is oriented so that its row sum carried back is nonpositive:
+        # at r = 1, -[1_N] then gets a nonnegative free coordinate
+        ys = [y if sum(red.carry_row(y)) <= 0 else [-v for v in y] for y in ys]
+        (xs, alpha), (ys, zs) = _saturated(xs), _saturated(ys)
+        if not _is_dual(alpha, xs):
+            raise ArithmeticError("the kernel basis of I - A is not saturated")
+        minor = _determinant(IntMatrix(r, r, tuple([tuple([y[i] for i in i_out]) for y in ys])))
+        minor *= _determinant(IntMatrix(r, r, tuple([tuple([x[j] for x in xs]) for j in j_out])))
+        delta = _exact_quotient(abs(d0), abs(minor))
+    weak = _transported(red, ima, modular_cokernel(m, delta, u, ys, zs))
+    full_x = tuple([red.carry_solution(x) for x in xs])
+    if any(any(ima.mul_vec(x)) for x in full_x):
+        raise ArithmeticError("the kernel basis of I - A does not check")
 
     def strong():
-        t, alpha = sum(full_x), _unit_lift(x, 0)
-        target = [s - t * v for s, v in zip(sigma, alpha)]  # target V, off the pivot columns
-        phi = adjugate_solve(m0.transpose(), target[:j0] + target[j0 + 1:])[1]
-        full_target = [1] * n
-        for j, v in zip(red.cols, alpha):
-            full_target[j] -= t * v
-        return _through_phi(ima, weak, red.carry_row(phi[:i0] + (0,) + phi[i0:], d0), d0,
-                            full_target, abs(t))
+        ts, target = [sum(x) for x in full_x], sigma
+        for t, a in zip(ts, alpha):  # target = tau V on the residual's columns
+            target = [s - t * v for s, v in zip(target, a)]
+        # tau is 1 at the pivot columns and 1 + target - sigma' on the others
+        tau = [1 + v for v in _spread(n, red.cols, map(operator.sub, target, sigma))]
+        phi = u
+        if r:  # phi m = d0 target on the residual, zero on the rows i_out
+            phi = _spread(k, keep_rows, adjugate_solve(m0.transpose(),
+                                                       [target[j] for j in keep_cols])[1])
+        return _through_phi(ima, weak, red.carry_row(phi, d0), d0, tau, math.gcd(*ts))
 
-    return 0, weak, full_x, strong
+    return red.sign * det, weak, full_x, strong
+
+
+def _is_dual(ws, vs) -> bool:
+    """Whether w_i v_j = [i = j] for the rows ws and the vectors vs."""
+    return all(sum(map(operator.mul, wi, v)) == (i == j)
+               for i, wi in enumerate(ws) for j, v in enumerate(vs))
 
 
 def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> FgAbelianGroup:
@@ -366,20 +370,6 @@ def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g:
         phi0 = [p - v * q for p, q in zip(phi0, k_rows[c])]
     return ([_exact_quotient(d * v, den) for d, v in zip(weak.torsion, pl)],
             [_exact_quotient(p, den) for p in phi0], g)
-
-
-def _through_smith(smith, weak: FgAbelianGroup, sigma):
-    """_strong_group's inputs (s, Phi_0, g) on the residual M' from its Smith
-    form U M' V = D at a rank below k - 1, with sigma V in place of 1^T V:
-    s_c = (sigma V)_c, Phi_0 = the sum of (sigma V)_i U_i over d_i = 1,
-    g = gcd((sigma V)_i : d_i = 0); Phi_0 is still to be carried back."""
-    sigma = [sum(map(operator.mul, sigma, c)) for c in smith.v.columns()]
-    phi0 = [0] * smith.u.cols
-    for f, row, v in zip(weak.factors, smith.u.entries, sigma):
-        if f == 1:
-            phi0 = [p + v * q for p, q in zip(phi0, row)]
-    return ([sigma[c] for c in weak.torsion_positions], phi0,
-            math.gcd(*(sigma[c] for c in weak.free_positions)))
 
 
 def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAbelianGroup:
@@ -449,11 +439,6 @@ def hat_q(a: ZeroOneMatrix, x: GroupElement) -> GroupElement:
     return invariants_report(a).hat_q(x)
 
 
-def determinant(a: ZeroOneMatrix) -> int:
-    """det(I - A); nonzero iff the weak extension group is finite."""
-    return _determinant(_identity_minus(a))
-
-
 def iota_kernel_generator(a: ZeroOneMatrix) -> int:
     """Nonnegative generator g of {sum of coordinates of l : (I - A) l = 0}.
 
@@ -498,9 +483,8 @@ class ExactSequenceReport:
 
         0 -> Z -> Ker(I-A^) -> Ker(I-A) -> Z -> strong group -> weak group -> 0
 
-    together with g, Im(s) = g Z: 0 when det(I - A) != 0, |1^T x| when
-    Ker(I - A) = Z x (rank N - 1), else read off the Hermite form of
-    (I-A; 1^T).
+    together with g, Im(s) = g Z: gcd(1^T x_1, ..., 1^T x_r) for a basis
+    x_1, ..., x_r of Ker(I - A), 0 when det(I - A) != 0.
     """
 
     start_injects: bool
@@ -536,8 +520,8 @@ class ExtInvariantReport:
     det_i_minus_a: int
     iota_kernel_generator: int
     i_minus_a: IntMatrix = field(repr=False, compare=False)  # I - A, for the verifiers
-    # The primitive x with Ker(I - A) = Z x when I - A has rank N - 1, for node (4)
-    kernel_vector: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    # A basis of Ker(I - A), for node (4)
+    kernel: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.toeplitz_weak.parent != self.extw_group:
@@ -582,25 +566,18 @@ class ExtInvariantReport:
             and onto.
 
         (4) Im(s) = Ker(iota) is computed apart from the strong group and
-        must agree with the order of iota(1) and with the report's g.  When
-        the report's determinant is nonzero, Ker(I - A) = 0 and
-        Im(s) = 0.  At rank N - 1 the report's kernel vector x has
-        (I - A) x = 0 and gcd(x) = 1, both checked here, and a nonzero
-        (N-1)-minor, checked when the report was built, so Ker(I - A) = Z x
-        and Im(s) = |1^T x| Z.  Below rank N - 1 the vectors
-        ((I - A) l, s(l)) with top N entries zero are 0 (+) Im(s), spanned by
-        the Hermite column of (I - A; 1^T) pivoted in the last row, if any.
+        must agree with the order of iota(1) and with the report's g.  The
+        report's kernel basis x_1, ..., x_r has (I - A) x_i = 0 and an
+        integral alpha with alpha x_i = e_i, both checked here, so it spans a
+        saturated lattice, and I - A has a nonzero (N-r)-minor, checked when
+        the report was built, so Ker(I - A) = sum Z x_i and
+        Im(s) = gcd(1^T x_1, ..., 1^T x_r) Z (0 when det(I - A) != 0, r = 0).
         """
-        n, ima, x = self.matrix.n, self.i_minus_a, self.kernel_vector
+        ima, xs = self.i_minus_a, self.kernel
         factorises = self.exts_group.presentation.columns() == _minus_first(ima.columns())
-        im_s, kernel_certified = 0, True
-        if x is not None:
-            im_s = abs(sum(x))
-            kernel_certified = math.gcd(*x) == 1 and not any(ima.mul_vec(x))
-        elif not self.det_i_minus_a:
-            h = hnf_columns(ima.vstack(IntMatrix.from_rows([(1,) * n])))
-            last = h.column(h.cols - 1)
-            im_s = 0 if any(last[:n]) else last[n]
+        im_s = math.gcd(*map(sum, xs))
+        kernel_certified = not any(any(ima.mul_vec(x)) for x in xs) and _is_dual(
+            _saturated(xs)[1], xs)
         return ExactSequenceReport(
             start_injects=factorises,
             exact_at_kernel_hat=factorises,
@@ -618,7 +595,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
     quotient map carries the strong Toeplitz class to the weak one."""
     ima = _identity_minus(a)
     ones = (1,) * a.n
-    det, weak, x, strong_inputs = _weak_group(ima)
+    det, weak, kernel, strong_inputs = _weak_group(ima)
     strong = _strong_group(ima, weak, *strong_inputs())
     iota_one = strong.class_of(ima.column(0))
     report = ExtInvariantReport(
@@ -631,7 +608,7 @@ def invariants_report(a: ZeroOneMatrix) -> ExtInvariantReport:
         det_i_minus_a=det,
         iota_kernel_generator=element_order(iota_one) or 0,
         i_minus_a=ima,
-        kernel_vector=x,
+        kernel=kernel,
     )
     if report.hat_q(report.toeplitz_strong) != report.toeplitz_weak:
         raise ArithmeticError("hat_q does not carry the strong Toeplitz class to the weak one")

@@ -10,7 +10,8 @@ import pytest
 
 from ckext import validate
 from ckext.corpus import CORPUS
-from ckext.invariants import ValidationError
+from ckext.exactmat import determinant
+from ckext.invariants import ValidationError, _identity_minus
 
 # One "ACCEPTANCE NN [PASS|FAIL] ..." line per acceptance criterion, collected
 # while the suite runs and printed as a section of the end-of-run summary, so
@@ -55,6 +56,24 @@ def singular_draw(seed: int, n: int):
         row[1] = row[0]
     rows[0][:2], rows[1][:2] = [1, 0], [0, 1]
     return rows
+
+
+def tied_columns(rows, pairs):
+    """rows with singular_draw's tweak applied to each column pair (p, q):
+    column q set equal to column p off rows p and q, and the 2 x 2 block on
+    p and q set to the identity, so that (I - A)(e_p - e_q) = 0."""
+    rows = [list(r) for r in rows]
+    for u, v in pairs:
+        for i, row in enumerate(rows):
+            if i not in (u, v):
+                row[v] = row[u]
+        rows[u][u], rows[u][v], rows[v][u], rows[v][v] = 1, 0, 0, 1
+    return rows
+
+
+def det_i_minus_a(a) -> int:
+    """det(I - A) by the Bareiss determinant of the N x N I - A."""
+    return determinant(_identity_minus(a))
 
 
 def _partitions(n):

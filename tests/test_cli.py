@@ -16,17 +16,20 @@ from ckext.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     ParseError,
+    _verification_passed,
     build_parser,
     main,
     parse_matrix_text,
+    report_document,
     verification_document,
 )
 from ckext.corpus import A1, A2, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
 from ckext.fgab import GroupElement
-from ckext.invariants import a_hat, determinant, extw, invariants_report, validate
-from ckext.markediso import DEFAULT_TORSION_BOUND, marked_isomorphic, transposed_weak_pair
-from conftest import random_valid_rows, run_python, singular_draw
+from ckext.invariants import a_hat, extw, invariants_report, validate
+from ckext.markediso import (DEFAULT_TORSION_BOUND, MarkedGroup, marked_isomorphic,
+                             transposed_weak_pair)
+from conftest import det_i_minus_a, random_valid_rows, run_python, singular_draw, tied_columns
 
 
 def write_matrix(tmp_path, name, rows, header=""):
@@ -256,7 +259,7 @@ def test_compare_reflexive_at_n50(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
     pair = json.loads(done.stdout)["a"]["transposed_weak_pair"]
     assert pair["free_rank"] == 0
-    assert math.prod(pair["torsion"]) == abs(determinant(validate(rows)))
+    assert math.prod(pair["torsion"]) == abs(det_i_minus_a(validate(rows)))
 
 
 # --- verify --------------------------------------------------------------
@@ -364,9 +367,11 @@ def snf_inputs(monkeypatch):
 
 @pytest.fixture
 def hnf_inputs(monkeypatch):
-    """Records the input of every Hermite form that ckext.invariants computes
-    while the test runs (markediso's Hermite forms of the k x r matrix of
-    free parts of k markers are not counted)."""
+    """Records the input of every Hermite form computed through
+    exactmat.hnf_columns while the test runs.  invariants, fgab and cli hold
+    no Hermite form of their own; markediso's Hermite forms of the k x r
+    matrix of free parts of k markers are not counted."""
+    assert not any(hasattr(module, "hnf_columns") for module in (fgab, invariants, cli))
     inputs = []
     real = exactmat.hnf_columns
 
@@ -374,8 +379,7 @@ def hnf_inputs(monkeypatch):
         inputs.append(m)
         return real(m)
 
-    for module in (exactmat, invariants):
-        monkeypatch.setattr(module, "hnf_columns", counting)
+    monkeypatch.setattr(exactmat, "hnf_columns", counting)
     return inputs
 
 
@@ -384,14 +388,13 @@ LOW_RANK = random_valid_rows(random.Random(1892), 6)
 
 
 def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
-    """No N x N Smith or Hermite form unless I - A has rank below N - 1, and
-    then the Smith form is of the k x k residual that the unit reduction
-    leaves, k < N.  A nonsingular weak group comes from w or an elimination
-    of the residual modulo |det(I - A)|, one of rank N - 1 (A4) from kernel
-    vectors and an elimination of the residual modulo its torsion order, and
-    the strong group from the relation matrix, never square.  Rank below
-    N - 1 takes the Smith form of the residual, and verify a Hermite form of
-    (I - A; 1^T) for node (4)."""
+    """No square Smith form and no Hermite form in any command, whatever the
+    rank of I - A.  A nonsingular weak group comes from w or an elimination
+    of the residual modulo |det(I - A)|, a singular one (rank N - 1 in A4,
+    N - 2 in LOW_RANK) from the saturated kernel bases of the residual and an
+    elimination of it modulo the torsion order, and the strong group from
+    the relation matrix, never square; verify reads node (4) off the kernel
+    basis."""
     singular = write_matrix(tmp_path, "a4.txt", A4)          # rank N - 1
     low_rank = write_matrix(tmp_path, "low.txt", LOW_RANK)   # rank N - 2
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
@@ -417,16 +420,16 @@ def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
 
     assert normal_forms(["compute", singular]) == (0, 1, 0)
     assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 1, 0)
-    assert normal_forms(["compute", low_rank]) == (1, 2, 0)
+    assert normal_forms(["compute", low_rank]) == (0, 1, 0)
     assert normal_forms(["compute", nonsingular]) == (0, 1, 0)
     assert normal_forms(["compute", fibonacci]) == (0, 1, 0)
     # compare reads only the weak groups of the transposes.
     assert normal_forms(["compare", singular, fibonacci]) == (0, 0, 0)
-    assert normal_forms(["compare", low_rank, fibonacci]) == (1, 1, 0)
+    assert normal_forms(["compare", low_rank, fibonacci]) == (0, 0, 0)
     assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 0, 0)
     # The verifiers work by certificate: verify runs the Smith forms of
-    # compute, and a Hermite form only below rank N - 1.
-    for path, forms in ((singular, (0, 1, 0)), (low_rank, (1, 2, 1)),
+    # compute and no other.
+    for path, forms in ((singular, (0, 1, 0)), (low_rank, (0, 1, 0)),
                         (nonsingular, (0, 1, 0))):
         assert normal_forms(["verify", path]) == forms
         assert normal_forms(["compute", path, "--verify"]) == forms
@@ -435,18 +438,43 @@ def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
     assert normal_forms(["compute", drawn, "--verify"]) == (0, 1, 0)
     assert normal_forms(["compare", drawn, drawn]) == (0, 0, 0)
 
-    # examples: the relation matrix of each entry (every one has rank N - 1
-    # or more, so no lattice is put in Smith form), and one Smith form for
-    # each of the entry's two expected marked groups, built from their
-    # descriptors.
+    # examples: the relation matrix of each entry (no lattice is put in
+    # Smith form), and one Smith form for each of the entry's two expected
+    # marked groups, built from their descriptors.
     lattices = []
     for entry in CORPUS:
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-        assert determinant(a) or invariants_report(a).kernel_vector is not None
     assert normal_forms(["examples"])[1:] == (3 * len(CORPUS), 0)
     assert not any(m in lattices for m in snf_inputs)
+
+
+@pytest.mark.parametrize("rows, corank", [
+    ([[int(i == j) for j in range(5)] for i in range(5)], 5),
+    # the cycles (1 2 3)(4 5)(6)(7)
+    ([[int(j == {0: 1, 1: 2, 2: 0, 3: 4, 4: 3}.get(i, i)) for j in range(7)]
+      for i in range(7)], 4)])
+def test_full_corank_through_force(tmp_path, capsys, rows, corank):
+    """compute --force --verify on I_N, where I - A = 0, so r = N and the
+    minor M_0 is 0 x 0, and on a permutation matrix with c cycles, where
+    r = c: exit 0, every verifier true, and both groups, with the weak pair
+    and the strong triple, those of the Smith forms of I - A and I - A^."""
+    path = write_matrix(tmp_path, "p.txt", rows)
+    assert main(["compute", path, "--force", "--verify"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert _verification_passed(doc["verification"])
+    a = validate(rows, force=True)
+    rep = invariants_report(a)
+    assert doc == report_document(rep, verification=doc["verification"])
+    eye, ones = IntMatrix.identity(a.n), (1,) * a.n
+    weak, strong = fgab.cokernel(eye - a.as_int_matrix()), fgab.cokernel(eye - a_hat(a, 1))
+    iota = strong.class_of(rep.i_minus_a.column(0))
+    assert rep.extw_group.free_rank == len(rep.kernel) == corank
+    assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
+                             MarkedGroup(weak, (-weak.class_of(ones),)))
+    assert marked_isomorphic(MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one)),
+                             MarkedGroup(strong, (-iota - strong.class_of(ones), iota)))
 
 
 def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch):
@@ -475,7 +503,7 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
 
     def products(rows, name, singular):
         n = len(rows)
-        assert (determinant(validate(rows)) == 0) == singular
+        assert (det_i_minus_a(validate(rows)) == 0) == singular
         path = write_matrix(tmp_path, name, rows)
         shapes.clear()
         assert main(["verify", path]) == EXIT_OK
@@ -495,13 +523,12 @@ def test_verify_matrix_products_do_not_grow_with_n(tmp_path, capsys, monkeypatch
 
 
 def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, hnf_inputs):
-    """A verify runs one Hermite form when I - A has rank below N - 1, for
-    node (4) of the exact sequence, and none otherwise, at N = 3 as at N = 6
-    to 12: node (4) reads Im(s) = 0 off a nonzero determinant, and
-    Im(s) = |1^T x| off the certified kernel generator x at rank N - 1; the
-    lattice identity is two explicit products."""
+    """A verify runs no Hermite form, at N = 3 as at N = 6 to 12, whatever
+    the rank of I - A: node (4) reads Im(s) = gcd(1^T x_1, ..., 1^T x_r) off
+    the certified kernel basis (0 when det(I - A) != 0); the lattice identity
+    is two explicit products."""
     def hermite_forms(rows, name, singular):
-        assert (determinant(validate(rows)) == 0) == singular
+        assert (det_i_minus_a(validate(rows)) == 0) == singular
         path = write_matrix(tmp_path, name, rows)
         hnf_inputs.clear()
         assert main(["verify", path]) == EXIT_OK
@@ -510,9 +537,9 @@ def test_verify_hermite_forms_do_not_grow_with_n(tmp_path, capsys, hnf_inputs):
 
     assert hermite_forms(A4, "a4.txt", True) == 0
     assert hermite_forms(random_valid_rows(random.Random(0), 8), "singular8.txt", True) == 0
-    assert hermite_forms(LOW_RANK, "low6.txt", True) == 1
+    assert hermite_forms(LOW_RANK, "low6.txt", True) == 0
     # Rank 5 of 7: the first draw of random.Random(48) at N = 7.
-    assert hermite_forms(random_valid_rows(random.Random(48), 7), "low7.txt", True) == 1
+    assert hermite_forms(random_valid_rows(random.Random(48), 7), "low7.txt", True) == 0
     assert hermite_forms(A1, "a1.txt", False) == 0
     assert hermite_forms(random_valid_rows(random.Random(0), 12), "dense12.txt", False) == 0
 
@@ -551,41 +578,51 @@ def test_scale_table_script():
     of |det(I - A)|, the size k of the unit reduction's residual, and the
     weak group's path: "w" exactly when gcd(w, |det|) = 1, "mod D" for the
     other nonsingular draws, where the modular Smith form runs once on the
-    residual, "rank N-1" when I - A has rank N - 1 and "snf" below, where the
-    exact Smith form runs on the residual.  A draw sN:SEED is
-    singular_draw(SEED, N)."""
+    residual, and "corank r" when I - A has rank N - r, r the free rank of
+    the weak group.  A draw sN:SEED is singular_draw(SEED, N), and tN:SEED
+    (tN:SEED:P) ties two (P) column pairs of the N:SEED draw.  A case that
+    hits the time limit prints "timeout" for both times and keeps its row."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
-    draws = [(False, 6, 0), (False, 8, 1), (False, 12, 2), (True, 10, 0), (False, 6, 1892)]
-    done = subprocess.run([sys.executable, str(script), "--draws",
-                           *(f"{'s' * singular}{n}:{seed}" for singular, n, seed in draws)],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert [f.strip() for f in lines[0].strip("|").split("|")] == \
-        ["N", "seed", "draw", "time", "verify", "digits of D", "k", "weak"]
-    rows = lines[2:]
-    assert len(rows) == len(draws)
+    draws = [("6:0", random_valid_rows(random.Random(0), 6)),
+             ("8:1", random_valid_rows(random.Random(1), 8)),
+             ("12:2", random_valid_rows(random.Random(2), 12)),
+             ("s10:0", singular_draw(0, 10)),
+             ("6:1892", random_valid_rows(random.Random(1892), 6)),
+             ("t12:0", tied_columns(random_valid_rows(random.Random(0), 12), ((0, 1), (2, 3)))),
+             ("t14:1:3", tied_columns(random_valid_rows(random.Random(1), 14),
+                                      ((0, 1), (2, 3), (4, 5))))]
+    specs = [spec for spec, _ in draws]
+
+    def table(*options):
+        done = subprocess.run([sys.executable, str(script), "--draws", *specs, *options],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert [f.strip() for f in lines[0].strip("|").split("|")] == \
+            ["N", "seed", "draw", "time", "verify", "digits of D", "k", "weak"]
+        assert len(lines) == 2 + len(draws)
+        return [[f.strip() for f in row.strip("|").split("|")] for row in lines[2:]]
+
     sources = set()
-    for (singular, n, seed), row in zip(draws, rows):
-        fields = [f.strip() for f in row.strip("|").split("|")]
+    for (spec, rows), fields, late in zip(draws, table(), table("--limit", "0.001")):
         sources.add(fields[7])
-        a = validate(singular_draw(seed, n) if singular
-                     else random_valid_rows(random.Random(seed), n))
-        det = determinant(a)
+        n, seed = map(int, spec.lstrip("st").split(":")[:2])
+        a = validate(rows)
+        det = det_i_minus_a(a)
         residual = exactmat._unit_reduction(invariants._identity_minus(a)).residual
         assert (int(fields[0]), int(fields[1])) == (n, seed)
-        assert fields[2] == ("singular" if singular else "random")
+        assert fields[2] == {"s": "singular", "t": "tied"}.get(spec[0], "random")
         assert fields[3].endswith(" s") and fields[4].endswith(" ms")
         assert fields[5] == (str(len(str(abs(det)))) if det else "singular")
         assert int(fields[6]) == residual.rows < n
-        with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod, \
-                mock.patch.object(invariants, "snf", wraps=invariants.snf) as smith:
-            extw(a)
+        assert late[3:5] == ["timeout", "timeout"] and late[:3] + late[5:] == \
+            fields[:3] + fields[5:]
+        with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
+            weak = extw(a)
         if det:
             assert fields[7] == ("mod D" if smith_mod.called else "w")
             assert smith_mod.call_count == (fields[7] == "mod D")
             assert all(call.args[0] == residual for call in smith_mod.call_args_list)
         else:
-            assert fields[7] == ("snf" if smith.called else "rank N-1")
-            assert all(call.args[0] == residual for call in smith.call_args_list)
-    assert sources == {"w", "mod D", "rank N-1", "snf"}
+            assert fields[7] == f"corank {weak.free_rank}"
+    assert sources == {"w", "mod D", "corank 1", "corank 2", "corank 3"}

@@ -164,29 +164,31 @@ def test_adjugate_solve_is_cramer(m, data):
 @settings(max_examples=150, deadline=None)
 @given(square_matrices(), st.data())
 def test_adjugate_or_kernel_certifies_rank_n_minus_1(m, data):
-    """m with column j replaced by a combination of the others is singular.
-    At rank n - 1 the elimination returns (r, c, v) with m v = 0 and
-    v_c = +-det of the minor without row r and column c, which is nonzero;
-    below rank n - 1 it returns None, and so it does for nonsingular m."""
+    """m with one or two columns replaced by combinations of the others is
+    singular.  At every rank n - r, rank n - 1 included, the elimination
+    returns (R, C, Y) with r rows R, r columns C and r vectors v with m v = 0,
+    each equal to delta e_c on C, where delta = +-det of the minor without
+    the rows R and the columns C, which is nonzero.  For nonsingular m, R, C
+    and Y are empty."""
     n = m.rows
     if determinant(m):
-        assert adjugate_or_kernel(m)[2] is None
-    j = data.draw(st.integers(0, n - 1))
-    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        assert adjugate_or_kernel(m)[2] == ((), (), ())
     rows = [list(row) for row in m.entries]
-    for row in rows:
-        row[j] = sum(c * x for k, (c, x) in enumerate(zip(coeffs, row)) if k != j)
+    for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        for row in rows:
+            row[j] = sum(c * x for k, (c, x) in enumerate(zip(coeffs, row)) if k != j)
     m = IntMatrix.from_rows(rows)
-    det, y, kernel = adjugate_or_kernel(m, (1,) * n)
+    det, y, (r_out, c_out, kernel) = adjugate_or_kernel(m, (1,) * n)
     assert (det, y) == (0, None) == adjugate_solve(m, (1,) * n)
-    if sum(1 for d in snf(m).diagonal() if d) < n - 1:
-        assert kernel is None
-        return
-    r, c, v = kernel
-    minor = IntMatrix.from_rows([row[:c] + row[c + 1:]
-                                 for k, row in enumerate(m.entries) if k != r])
-    assert abs(v[c]) == abs(determinant(minor)) != 0
-    assert not any(m.mul_vec(v))
+    assert len(r_out) == len(c_out) == len(kernel) == n - sum(1 for d in snf(m).diagonal() if d)
+    minor = IntMatrix.from_rows([[x for c, x in enumerate(row) if c not in c_out]
+                                 for k, row in enumerate(m.entries) if k not in r_out])
+    delta = kernel[0][c_out[0]]
+    assert abs(delta) == abs(determinant(minor)) != 0
+    for c, v in zip(c_out, kernel):
+        assert [v[i] for i in c_out] == [delta * (i == c) for i in c_out]
+        assert not any(m.mul_vec(v))
 
 
 # --- Smith form modulo the determinant -----------------------------------

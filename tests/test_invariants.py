@@ -23,7 +23,6 @@ from ckext.invariants import (
     TooSmallError,
     ValidationError,
     a_hat,
-    determinant,
     exts,
     extw,
     hat_q,
@@ -40,7 +39,7 @@ from ckext.invariants import (
 )
 from ckext.cli import report_document
 from ckext.markediso import MarkedGroup, marked_group, marked_isomorphic
-from conftest import random_valid_rows, run_python, singular_draw
+from conftest import det_i_minus_a, random_valid_rows, run_python, singular_draw, tied_columns
 from lattice_oracles import kernel_basis, lattice_equal
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -172,10 +171,10 @@ def _nonsingular_draws(per_size=3):
         found = 0
         while found < per_size:
             a = validate(random_valid_rows(rng, n))
-            if determinant(a):
+            if det_i_minus_a(a):
                 draws.append(a)
                 found += 1
-    return draws + [a for a in map(validate, (e.rows for e in CORPUS)) if determinant(a)]
+    return draws + [a for a in map(validate, (e.rows for e in CORPUS)) if det_i_minus_a(a)]
 
 
 def test_strong_group_agrees_with_the_smith_form_of_i_minus_a_hat():
@@ -283,7 +282,7 @@ def nonsingular_matrices(draw, max_n=12):
         a = validate(rows)
     except ValidationError:
         assume(False)
-    assume(determinant(a) != 0)
+    assume(det_i_minus_a(a) != 0)
     return a
 
 
@@ -335,7 +334,7 @@ def test_both_weak_paths_agree_with_exact_smith_forms():
     paths = {True: 0, False: 0}
     for seed in range(120):
         a = validate(random_valid_rows(random.Random(seed), 2 + seed % 19))
-        if not determinant(a):
+        if not det_i_minus_a(a):
             continue
         rep, by_w, calls = _weak_paths(a)
         assert calls == (0 if by_w else 1)
@@ -461,13 +460,13 @@ def test_hat_q_rejects_foreign_elements():
 
 def test_kernel_generator_zero_when_invertible(corpus_matrices):
     for _, a in corpus_matrices:
-        if determinant(a) != 0:
+        if det_i_minus_a(a) != 0:
             assert iota_kernel_generator(a) == 0
 
 
 def test_kernel_generator_of_injectivity_gap_matrix():
     a = validate(INJECTIVITY_GAP)
-    assert determinant(a) == 0
+    assert det_i_minus_a(a) == 0
     assert iota_kernel_generator(a) == 0
 
 
@@ -507,7 +506,7 @@ def _singular_draws(per_size=8):
         found = 0
         while found < per_size:
             a = validate(random_valid_rows(rng, n))
-            if determinant(a) == 0:
+            if det_i_minus_a(a) == 0:
                 draws.append(a)
                 found += 1
     return draws
@@ -546,11 +545,11 @@ LOW_RANK_DRAWS = ((6, 1892), (7, 48), (8, 841), (10, 564), (10, 1851), (8, 2344)
 
 
 def test_singular_groups_agree_with_exact_smith_forms():
-    """Both groups of a singular I - A, from its kernel vectors at rank N - 1
-    and from sigma = 1^T V of its Smith form below, against the exact Smith
-    forms of I - A and I - A^: the seeded singular draws, singular_draw for
-    N <= 20, natural singular draws, A4 and criterion 11's matrix.  The rank
-    N - 1 inputs cover g = 0 and g > 0, each with |T| = 1 and |T| > 1."""
+    """Both groups of a singular I - A, from the saturated kernel bases of
+    its residual, against the exact Smith forms of I - A and I - A^: the
+    seeded singular draws, singular_draw for N <= 20, natural singular draws,
+    A4 and criterion 11's matrix.  The rank N - 1 inputs cover g = 0 and
+    g > 0, each with |T| = 1 and |T| > 1."""
     draws = _singular_draws() + [validate(rows) for rows in (A4, INJECTIVITY_GAP)]
     draws += [a for a in (_valid_or_none(singular_draw(seed, n))
                           for n in range(4, 21) for seed in range(2)) if a]
@@ -559,7 +558,7 @@ def test_singular_groups_agree_with_exact_smith_forms():
     cases, low_rank = set(), 0
     for a in draws:
         rep = _singular_against_exact_path(a)
-        if rep.kernel_vector is None:
+        if len(rep.kernel) >= 2:
             low_rank += 1
         else:
             cases.add((rep.iota_kernel_generator > 0, math.prod(rep.extw_group.torsion) > 1))
@@ -589,7 +588,57 @@ def low_rank_matrices(draw, max_n=10):
 @given(low_rank_matrices())
 def test_low_rank_groups_agree_with_exact_smith_forms(a):
     rep = _singular_against_exact_path(a)
-    assert rep.kernel_vector is None and rep.extw_group.free_rank >= 2
+    assert len(rep.kernel) == rep.extw_group.free_rank >= 2
+
+
+TWO_PAIRS, THREE_PAIRS = ((0, 1), (2, 3)), ((0, 1), (2, 3), (4, 5))
+
+
+# Singular inputs with |T| > 1 at r = 1, 2, 2 and 3: |T| = 3, 6, 4 and 2.
+TORSION_SINGULAR = (singular_draw(1, 10),
+                    tied_columns(random_valid_rows(random.Random(5), 8), TWO_PAIRS),
+                    tied_columns(random_valid_rows(random.Random(7), 10), TWO_PAIRS),
+                    tied_columns(random_valid_rows(random.Random(3), 8), THREE_PAIRS))
+
+
+@pytest.mark.parametrize("rows", TORSION_SINGULAR)
+def test_a_torsion_order_too_small_is_refused(monkeypatch, rows):
+    """A saturated left-kernel basis Y* with its first row multiplied by a
+    prime p dividing |T| forces delta to the proper divisor |T| / p, which
+    the factors multiplying to delta and certified_group's check of the
+    torsion alone would accept (T = Z/4 read modulo 2 is Z/2), and
+    invariants_report raises ArithmeticError, as Y* Z = I_r fails.  So it
+    does for a broken witness alpha (alpha X* = I_r) or Z: one entry off by
+    one where the basis it pairs with is nonzero."""
+    a = validate(rows)
+    order = math.prod(invariants_report(a).extw_group.torsion)
+    p = next(q for q in range(2, order + 1) if order % q == 0)
+    real = invariants._saturated
+    deltas = []
+
+    def recording(m, delta, *args):
+        deltas.append(delta)
+        return fgab.modular_cokernel(m, delta, *args)
+
+    def tampered(vectors, call, how):  # call 1 saturates Ker M', call 2 the left kernel
+        bs, ws = real(vectors)
+        calls.append(vectors)
+        if len(calls) == call and how == "basis":
+            bs[0] = [p * x for x in bs[0]]
+        elif len(calls) == call:
+            ws[0][next(i for i, x in enumerate(bs[0]) if x)] += 1
+        return bs, ws
+
+    monkeypatch.setattr(invariants, "modular_cokernel", recording)
+    for call, how in ((2, "basis"), (1, "witness"), (2, "witness")):
+        calls = []
+        monkeypatch.setattr(invariants, "_saturated",
+                            lambda v, call=call, how=how: tampered(v, call, how))
+        with pytest.raises(ArithmeticError):
+            invariants_report(a)
+    assert deltas == [order // p, order]
+    monkeypatch.setattr(invariants, "_saturated", real)
+    assert invariants_report(a).extw_group.free_rank >= 1
 
 
 # --- the unit reduction against full-size oracles ---------------------------
@@ -599,9 +648,8 @@ def _against_full_oracles(a):
     the Bareiss determinant of I - A, the weak pair is marked-isomorphic to
     that of cokernel(I - A), the strong group has the factors of
     cokernel(I - A^) and, for |T| <= 64, a marked-isomorphic strong triple
-    ([T]_s, iota(1)), and the kernel vector is +- the basis vector of
-    Ker(I - A) exactly when that kernel has rank 1.  Every pivot of the unit
-    reduction is +-1.  Returns the residual's size."""
+    ([T]_s, iota(1)), and the report's kernel basis spans Ker(I - A).  Every
+    pivot of the unit reduction is +-1.  Returns the residual's size."""
     n = a.n
     ima = IntMatrix.identity(n) - a.as_int_matrix()
     red = _unit_reduction(ima)
@@ -620,12 +668,7 @@ def _against_full_oracles(a):
         assert marked_isomorphic(
             MarkedGroup(rep.exts_group, (rep.toeplitz_strong, rep.iota_one)),
             MarkedGroup(strong, (-iota - strong.class_of(ones), iota)))
-    kernel = kernel_basis(ima)
-    if kernel.cols == 1:
-        x = kernel.column(0)
-        assert rep.kernel_vector in (x, tuple(-v for v in x))
-    else:
-        assert rep.kernel_vector is None
+    assert lattice_equal(IntMatrix.from_columns(rep.kernel, rows=n), kernel_basis(ima))
     return red.residual.rows
 
 
@@ -669,35 +712,25 @@ def test_unit_reduction_agrees_with_full_oracles_on_sparse_draws(a):
     assert _against_full_oracles(a) < a.n
 
 
-def _tied_columns(rows, pairs):
-    """rows with singular_draw's tweak applied to each column pair (p, q):
-    column q set equal to column p off rows p and q, and the 2 x 2 block on
-    p and q set to the identity, so that (I - A)(e_p - e_q) = 0."""
-    rows = [list(r) for r in rows]
-    for u, v in pairs:
-        for i, row in enumerate(rows):
-            if i not in (u, v):
-                row[v] = row[u]
-        rows[u][u], rows[u][v], rows[v][u], rows[v][v] = 1, 0, 0, 1
-    return rows
-
-
 def test_unit_reduction_agrees_with_full_oracles_on_singular_inputs():
     """A4, criterion 11's matrix, the natural singular draws at N = 20,
-    singular_draw and a draw with two tied column pairs, of rank below
-    N - 1, against the full-size oracles."""
+    singular_draw and draws with two and three tied column pairs at
+    N <= 20, of corank 1, 2 and 3, against the full-size oracles, and their
+    strong triples marked-isomorphic to those of the exact Smith form."""
     draws = [validate(rows) for rows in (A4, INJECTIVITY_GAP)]
     draws += [validate(random_valid_rows(random.Random(seed), n))
               for n, seed in NATURAL_SINGULAR]
     draws += [a for a in (_valid_or_none(singular_draw(seed, n))
                           for n in (6, 12, 20) for seed in range(2)) if a]
-    tied = next(a for a in (_valid_or_none(_tied_columns(
-        random_valid_rows(random.Random(seed), 12), ((0, 1), (2, 3)))) for seed in range(50))
-        if a)
-    draws.append(tied)
+    draws += [a for a in (_valid_or_none(tied_columns(random_valid_rows(random.Random(seed), n),
+                                                     pairs))
+                          for n in (6, 9, 12, 16, 20) for seed in range(3)
+                          for pairs in (TWO_PAIRS, THREE_PAIRS)) if a]
+    coranks = set()
     for a in draws:
         assert _against_full_oracles(a) < a.n
-    assert invariants_report(tied).extw_group.free_rank >= 2
+        coranks.add(len(_singular_against_exact_path(a).kernel))
+    assert coranks == {1, 2, 3} and len(draws) >= 36
 
 
 def test_tampered_unit_reduction_is_refused(monkeypatch):
@@ -748,11 +781,12 @@ def test_tampered_unit_reduction_is_refused(monkeypatch):
 
 
 def test_normal_forms_see_only_the_residual(monkeypatch):
-    """The Bareiss passes, the modular Smith form and the exact Smith form of
-    a lattice run on the k x k residual of the unit reduction of I - A, or
-    on a minor of it, never on the N x N matrix: on a cyclic, a modular, a
-    rank N - 1 and a rank N - 2 input, through invariants_report and the
-    verifiers.  The strong group's relation matrix is never square."""
+    """The Bareiss passes and the modular Smith forms run on the k x k
+    residual of the unit reduction of I - A, or on a minor of it, never on
+    the N x N matrix, and no exact Smith form is square: on a cyclic, a
+    modular, a rank N - 1, a rank N - 2 and a rank N - 3 input, through
+    invariants_report and the verifiers.  The strong group's relation matrix
+    is never square."""
     seen = []
 
     def recording(name, real):
@@ -766,7 +800,7 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
                          (invariants, "snf")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     inputs = [A1, A3, random_valid_rows(random.Random(4), 20), singular_draw(0, 20),
-              random_valid_rows(random.Random(1892), 6)]
+              random_valid_rows(random.Random(1892), 6), TORSION_SINGULAR[3]]
     for rows in inputs:
         a = validate(rows)
         k = _unit_reduction(invariants._identity_minus(a)).residual.rows
@@ -779,8 +813,8 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
                 assert r == c <= k
             elif name == "_smith_mod":
                 assert r == k
-            elif r == c:
-                assert r == k
+            else:
+                assert r != c
 
 
 def test_kernel_generator_matches_kernel_sums():
@@ -798,7 +832,7 @@ def test_kernel_generator_matches_kernel_sums():
 def test_exact_sequence_rejects_a_wrong_kernel_generator(corpus_matrices):
     """Node (4) compares the order of iota(1), the report's g and Im(s), so a
     wrong g fails it."""
-    nonsingular = [a for _, a in corpus_matrices if determinant(a) != 0]
+    nonsingular = [a for _, a in corpus_matrices if det_i_minus_a(a) != 0]
     singular = [a for a in _singular_draws() if iota_kernel_generator(a) >= 1]
     for a in nonsingular + singular:
         rep = invariants_report(a)
@@ -809,6 +843,20 @@ def test_exact_sequence_rejects_a_wrong_kernel_generator(corpus_matrices):
         right = rep.exact_sequence()
         assert right.all_passed() and right.kernel_sum_generator == g
     assert len(nonsingular) >= 10 and len(singular) >= 20
+
+
+def test_exact_sequence_rejects_a_kernel_basis_it_cannot_certify():
+    """Node (4) reads Im(s) off the report's kernel basis only when
+    (I - A) x_i = 0 and an integral alpha has alpha x_i = e_i: a basis with
+    its first vector doubled (not saturated) or moved off the kernel fails
+    it, at r = 1, 2 and 3."""
+    for rows in (A4,) + TORSION_SINGULAR:
+        rep = invariants_report(validate(rows))
+        assert rep.exact_sequence().all_passed()
+        x, *rest = rep.kernel
+        for moved in (tuple(2 * v for v in x), (x[0] + 1,) + x[1:]):
+            seq = dataclasses.replace(rep, kernel=(moved, *rest)).exact_sequence()
+            assert not seq.exact_at_integers and not seq.all_passed()
 
 
 # --- normal-form oracles for the verifiers ------------------------------
@@ -1002,7 +1050,7 @@ weak = rep.extw_group
 print(json.dumps({
     "det": rep.det_i_minus_a,
     "weak": [weak.free_rank, list(weak.torsion)],
-    "x": list(rep.kernel_vector),
+    "x": list(rep.kernel[0]),
     "y": [list(weak.coords.entries[i]) for i in weak.free_positions],
     "g": rep.iota_kernel_generator,
     "strong_free_rank": rep.exts_group.free_rank,
