@@ -17,36 +17,31 @@ Z^r -> T, so the decision splits into
       psi-shifts form an explicit subgroup of T^k generated by the free parts
       against each torsion generator.
 
-One marker needs no search.  A marker a with zero free part (every marker of
-a finite group, so every nonsingular classification) is moved only by
-Aut(T), and Aut(T) is the product of the Aut(T_p) over the primes p of |T|.
-In a finite abelian p-group two elements share an Aut-orbit exactly when
-they share the height sequence h(a), h(p a), h(p^2 a), ... (Baer, Proc. LMS
-1935; Kaplansky, Infinite Abelian Groups, 1954, Thm 24).  With
-T_p = + Z/p^(E_j) and a_j of valuation F_j (F_j = E_j when a_j = 0),
+One marker needs no search: (G, x) and (G, y) are isomorphic exactly when
+G/<x> and G/<y> are, by the lemma below.  G/<x> has free rank r when the
+free part f of x is 0 and r - 1 otherwise, so the two cases never meet.
 
-    h(p^i a) = i + min{F_j : F_j + i < E_j}      (infinite when empty).
+Lemma.  For finite abelian T and a, b in T, some automorphism of T takes a
+to b iff T/<a> and T/<b> are isomorphic.
 
-The primes of |T| are not needed, only a coprime base: pairwise coprime
-b > 1 such that every d_j and every gcd(a_j, d_j) is a product of powers of
-the b (factor refinement by repeated gcds, Bach-Driscoll-Shallit,
-J. Algorithms 15, 1993).  For p | b with s = v_p(b), E_j = s e_j and
-F_j = s f_j, where e_j and f_j are the exponents of b in d_j and
-gcd(a_j, d_j).  So the p-sequence is h(p^i a) = i + s g(i/s) with
-g(t) = min{f_j : f_j + t < e_j}, and since e_j and f_j are integers,
-f_j + t < e_j iff f_j + floor(t) < e_j: g depends only on floor(t).  Two
-markers therefore have the same p-sequence for every p | b exactly when they
-have the same g(0), g(1), g(2), ..., the b-height sequence
-h_b(a), h_b(b a) - 1, h_b(b^2 a) - 2, ...  Comparing those over the base
-costs a few gcds and divisions per invariant factor, polynomial in log|T|.
+Proof.  Aut(T) is the product of the Aut(T_p), so work prime by prime and
+let T be a p-group.  Then |p^i (T/<a>)| = |p^i T| / |p^i T cap <a>|, and
+p^i T cap <a> = <p^(m_i) a>, where m_i is the least m with h(p^m a) >= i.
+So the types of T and T/<a> fix every m_i.  That fixes
+h(p^m a) = max{i : m_i <= m}, the height sequence of a, and the height
+sequence fixes the orbit (Baer, Proc. LMS 1935; Kaplansky, Infinite Abelian
+Groups, 1954, Thm 24).
 
-A marker x = (f, tau) with f != 0 has infinite order, so (G, x) is an
-extension 0 -> Z -> G -> Q -> 0 with Q = G/<x>, decided up to Aut(Q) by Q and
-the Aut(T_Q)-orbit of its class chi in Ext(Q, Z) = Hom(T_Q, Q/Z) (Fuchs,
-Infinite Abelian Groups I, 1970, Sec. 52).  A torsion generator of Q of order
-q_i lifts to g_i in G with q_i g_i = k_i x, so chi = (k_i mod q_i) in the dual
-basis.  The dual group is again + Z/q_i, acted on by all its automorphisms,
-so chi's orbit is settled by the height sequences above.
+Case f = 0, for x = (f, tau).  Aut(G) moves x only through Aut(T), and
+G/<x> = Z^r + T/<tau>, so the lemma applies directly.
+
+Case f != 0.  (G, x) is the extension 0 -> Z -> G -> Q -> 0 of Q = G/<x>
+by Z, with class chi in Ext(Q, Z) = T_Q^ (Fuchs, Infinite Abelian Groups I,
+1970, Sec. 52).  Aut(Q) acts on that class through all of Aut(T_Q^), and the
+torsion of G is ker chi, isomorphic to T_Q^/<chi>.  So if G and G' are
+isomorphic and so are Q and Q', the lemma puts chi and chi' in one orbit,
+and an automorphism of Q that moves one class to the other lifts to an
+isomorphism carrying x to x'.
 
 Two or more markers walk the orbit of the torsion-part tuple under a
 classical generating set of Aut(T) (unit scalings of each cyclic factor plus
@@ -67,7 +62,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .exactmat import IntMatrix, hnf_columns
-from .fgab import FgAbelianGroup, GroupElement, cokernel, element_order
+from .fgab import FgAbelianGroup, GroupElement, cokernel, element_order, modular_cokernel
 from .invariants import ZeroOneMatrix, transpose, weak_pair
 
 
@@ -124,34 +119,6 @@ def _presentation(r: int, ds: tuple[int, ...], *extra) -> IntMatrix:
     n = r + len(ds)
     return IntMatrix.from_columns([[d * (i == r + s) for i in range(n)]
                                    for s, d in enumerate(ds)] + list(extra), rows=n)
-
-
-# ---------------------------------------------------------------------------
-# fast necessary filters
-
-
-def _marker_orders_match(x: MarkedGroup, y: MarkedGroup) -> bool:
-    return all(element_order(a) == element_order(b)
-               for a, b in zip(x.markers, y.markers))
-
-
-def _mod_p_orders_match(x: MarkedGroup, y: MarkedGroup) -> bool:
-    """Compare marker orders in G/pG for every prime p dividing |T|."""
-    primes = set()
-    for d in x.group.torsion:
-        for p in _prime_factors(d):
-            primes.add(p)
-    for p in primes:
-        for a, b in zip(x.markers, y.markers):
-            if _nonzero_mod_p(a, p) != _nonzero_mod_p(b, p):
-                return False
-    return True
-
-
-def _nonzero_mod_p(a: GroupElement, p: int) -> bool:
-    if any(c % p for c in a.free_coords):
-        return True
-    return any(c % p for c, d in zip(a.torsion_coords, a.parent.torsion) if d % p == 0)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -313,72 +280,32 @@ def _addition_table(ds: tuple[int, ...]) -> list[list[int]]:
             for ea in elems]
 
 
-def _coprime_base(numbers) -> list[int]:
-    """Pairwise coprime integers > 1 such that every given number is a product
-    of their powers: while a pending number shares a factor g with a base
-    member, both are replaced by g and their cofactors."""
-    base: list[int] = []
-    pending = [n for n in set(numbers) if n > 1]
-    while pending:
-        m = pending.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(m, b)
-            if g > 1:
-                del base[i]
-                pending += [n for n in (g, b // g, m // g) if n > 1]
-                break
-        else:
-            base.append(m)
-    return base
+def _quotient(x: GroupElement) -> tuple[int, tuple[int, ...]]:
+    """Free rank and invariant factors of G/<x>, which decide the orbit of x
+    under Aut(G) (see the module docstring).
 
-
-def _exponent(b: int, n: int) -> int:
-    k = 0
-    while n % b == 0:
-        n //= b
-        k += 1
-    return k
-
-
-def _height_sequence(coords: tuple[int, ...], ds: tuple[int, ...], b: int) -> tuple:
-    """g(0), g(1), ... with g(m) = min{f_j : f_j + m < e_j}, where e_j and f_j
-    are the exponents of the base member b in d_j and gcd(coords_j, d_j);
-    None once b^m kills the element."""
-    exps = [(_exponent(b, math.gcd(c, d)), _exponent(b, d)) for c, d in zip(coords, ds)]
-    return tuple(min((f for f, e in exps if f + m < e), default=None)
-                 for m in range(max(e for _, e in exps)))
-
-
-def _same_height_sequences(xs: tuple[int, ...], ys: tuple[int, ...],
-                           ds: tuple[int, ...]) -> bool:
-    """Whether Aut(+ Z/d_j) carries the element with coordinates xs to the one
-    with coordinates ys (see the module docstring)."""
-    base = _coprime_base([*ds, *(math.gcd(c, d) for c, d in zip(xs + ys, ds + ds))])
-    return all(_height_sequence(xs, ds, q) == _height_sequence(ys, ds, q) for q in base)
-
-
-def _marker_class(x: MarkedGroup) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Free rank, invariant factors and coordinates that decide the single
-    marker (f, tau) of x: those of the group and tau when f = 0, else those of
-    Q = G/<x> and the extension class chi (see the module docstring)."""
-    (m,) = x.markers
-    r, ds, f = x.group.free_rank, x.group.torsion, m.free_coords
-    if not any(f):
-        return r, ds, m.torsion_coords
-    q = cokernel(_presentation(r, ds, f + m.torsion_coords))
-    j = next(j for j, c in enumerate(f) if c)
-    qg = [d * q.lift.entries[j][i] for d, i in zip(q.torsion, q.torsion_positions)]
-    if any(c % f[j] for c in qg):
-        raise ArithmeticError("q_i g_i is not a multiple of the marker")
-    return q.free_rank, q.torsion, tuple(c // f[j] % d for c, d in zip(qg, q.torsion))
+    For x = (f, tau) in Z^r + T with c = gcd(f), a basis change of Z^r sends
+    f to c e_1, so G/<x> is Z^(r-1) plus the cokernel of M, the relations
+    d_s e_s of T and (c, tau) on Z + T.  M is nonsingular of determinant
+    c |T| when c != 0; when c = 0 its first row is 0, so e_0 spans its left
+    kernel and its torsion is T/<tau>.
+    """
+    g, c = x.parent, math.gcd(*x.free_coords)
+    m = _presentation(1, g.torsion, (c, *x.torsion_coords))
+    if c:
+        q = modular_cokernel(m, c * math.prod(g.torsion))
+    else:
+        e0 = [int(i == 0) for i in range(m.rows)]
+        q = modular_cokernel(m, math.prod(g.torsion) // element_order(x), ys=[e0], zs=[e0])
+    return g.free_rank - 1 + q.free_rank, q.torsion
 
 
 def marked_isomorphic(x: MarkedGroup, y: MarkedGroup) -> bool:
     """Decide whether some isomorphism carries the markers of x to those of y
     in order.
 
-    Exact and complete.  One marker is decided by height sequences, for
-    torsion of any size.  Two or more markers walk the Aut(T) orbit, and
+    Exact and complete.  One marker x is decided by G/<x>, for torsion of
+    any size.  Two or more markers walk the Aut(T) orbit, and
     torsion subgroups larger than ``DEFAULT_TORSION_BOUND`` are rejected
     loudly rather than searched approximately.
     """
@@ -389,8 +316,7 @@ def marked_isomorphic(x: MarkedGroup, y: MarkedGroup) -> bool:
     if gx.free_rank != gy.free_rank or gx.torsion != gy.torsion:
         return False
     if len(x.markers) == 1:
-        (r, ds, xs), (s, es, ys) = _marker_class(x), _marker_class(y)
-        return (r, ds) == (s, es) and _same_height_sequences(xs, ys, ds)
+        return _quotient(x.markers[0]) == _quotient(y.markers[0])
     return _orbit_walk(x, y)
 
 
@@ -406,7 +332,7 @@ def _orbit_walk(x: MarkedGroup, y: MarkedGroup) -> bool:
         raise TorsionTooLargeError(
             f"TorsionTooLarge: |T| = {t_order} (invariant factors {list(ds)}) "
             f"with k = {k} markers exceeds the orbit-walk bound {DEFAULT_TORSION_BOUND}")
-    if not _marker_orders_match(x, y) or not _mod_p_orders_match(x, y):
+    if any(_quotient(a) != _quotient(b) for a, b in zip(x.markers, y.markers)):
         return False
     if hnf_columns(_free_parts_matrix(x)) != hnf_columns(_free_parts_matrix(y)):
         return False
@@ -545,6 +471,6 @@ def ck_isomorphic(a: ZeroOneMatrix, b: ZeroOneMatrix) -> bool:
 
 
 def transposed_weak_pair(a: ZeroOneMatrix) -> MarkedGroup:
-    """The weak group of A^T marked by its Toeplitz class, from one Smith form."""
+    """The weak group of A^T marked by its Toeplitz class."""
     group, marker = weak_pair(transpose(a))
     return MarkedGroup(group, (marker,))

@@ -572,6 +572,17 @@ def test_invariant_table_script():
                                                      rep.iota_kernel_generator)
 
 
+def test_benchmark_selftest_script():
+    """perfbench/selftest.py drives cli.main and calls markediso.marked_group
+    and marked_iso_bruteforce directly with JSON lists, outside any guard, so
+    a change to that API shows here as a nonzero exit."""
+    pytest.importorskip("sympy")
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_scale_table_script():
     """scripts/scale_table.py prints a header and one row per requested draw:
     the report's time in s, the verifiers' time in ms, the number of digits

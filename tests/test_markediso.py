@@ -6,6 +6,7 @@ import pytest
 
 from ckext import markediso
 from ckext.corpus import A5, A6, FIBONACCI, cuntz_rows
+from ckext.fgab import GroupElement
 from ckext.invariants import validate
 from ckext.markediso import (
     MarkedGroup,
@@ -13,10 +14,10 @@ from ckext.markediso import (
     NotFiniteError,
     TooLargeError,
     TorsionTooLargeError,
-    _coprime_base,
-    _marker_orders_match,
-    _mod_p_orders_match,
+    _decode,
+    _generator_tables,
     _orbit_walk,
+    _quotient,
     ck_isomorphic,
     marked_group,
     marked_iso_bruteforce,
@@ -228,11 +229,42 @@ def test_filters_accept_true_pairs():
             x = _random_marked(rng, free_rank, torsion, k)
             y = _random_marked(rng, free_rank, torsion, k)
             if marked_isomorphic(x, y):
-                assert _marker_orders_match(x, y)
-                assert _mod_p_orders_match(x, y)
+                assert all(_quotient(a) == _quotient(b) for a, b in zip(x.markers, y.markers))
 
 
 # --- oracle agreement ----------------------------------------------------
+
+def test_quotient_partitions_t_into_automorphism_orbits():
+    """The lemma of the module docstring, exhaustively: on every finite
+    abelian group of order <= 128, a and b share an Aut(T)-orbit exactly when
+    T/<a> and T/<b> are isomorphic.  The orbits come from a breadth-first
+    search over the generating set of Aut(T)."""
+    elements = 0
+    for ds in abelian_group_types(128):
+        group = marked_group(0, ds, ()).group
+        order = math.prod(ds)
+        tables = _generator_tables(ds)
+        orbits, seen = set(), set()
+        for start in range(order):
+            if start in seen:
+                continue
+            orbit, frontier = {start}, [start]
+            while frontier:
+                idx = frontier.pop()
+                for table in tables:
+                    if table[idx] not in orbit:
+                        orbit.add(table[idx])
+                        frontier.append(table[idx])
+            seen |= orbit
+            orbits.add(frozenset(orbit))
+        by_quotient = {}
+        for idx in range(order):
+            a = GroupElement(group, _decode(idx, ds), ())
+            by_quotient.setdefault(_quotient(a), set()).add(idx)
+        assert set(map(frozenset, by_quotient.values())) == orbits, ds
+        elements += order
+    assert elements == 17169  # 247 chains, the trivial group among them
+
 
 def test_agrees_with_bruteforce_on_random_finite_cases():
     rng = random.Random(35)
@@ -325,7 +357,7 @@ def test_height_sequences_agree_with_bruteforce():
     assert len(verdicts) > 400 and 50 < sum(verdicts) < len(verdicts) - 50
 
 
-# Primes above 10^12, so their product is a base member no trial division splits.
+# Primes above 10^12, too large for trial division to find.
 P, Q = 1_000_000_000_039, 1_000_000_000_121
 
 
@@ -366,8 +398,6 @@ def test_height_sequences_on_composite_base_match_prime_reference(monkeypatch):
             y = tuple(c * 2 ** rng.randint(0, 1) % d for c, d in zip(x, ds))
         else:
             y = tuple(coordinate(d) for d in ds)
-        base = _coprime_base([*ds, *(math.gcd(c, d) for c, d in zip(x + y, ds + ds))])
-        assert P * Q in base
         expected = all(_prime_height_sequence(x, ds, p) == _prime_height_sequence(y, ds, p)
                        for p in (2, P, Q))
         got = marked_isomorphic(marked_group(0, ds, (x,)), marked_group(0, ds, (y,)))
