@@ -7,23 +7,8 @@ decides the marked-group isomorphism criterion classifying the algebras.
 All arithmetic is exact.
 """
 
-from .exactmat import (
-    DimensionMismatchError,
-    IntMatrix,
-    NotSquareError,
-    NotUnimodularError,
-    SmithDecomposition,
-    determinant,
-    hnf_columns,
-    snf,
-)
-from .fgab import (
-    FgAbelianGroup,
-    GroupElement,
-    ParentMismatchError,
-    cokernel,
-    element_order,
-)
+from .exactmat import DimensionMismatchError, IntMatrix, NotSquareError, determinant, hnf_columns
+from .fgab import FgAbelianGroup, GroupElement, ParentMismatchError, cokernel, element_order
 from .invariants import (
     ExactSequenceReport,
     ExtInvariantReport,
@@ -79,10 +64,8 @@ __all__ = [
     "NotFiniteError",
     "NotIrreducibleError",
     "NotSquareError",
-    "NotUnimodularError",
     "NotZeroOneError",
     "ParentMismatchError",
-    "SmithDecomposition",
     "TooLargeError",
     "TooSmallError",
     "TorsionTooLargeError",
@@ -104,7 +87,6 @@ __all__ = [
     "marked_group",
     "marked_iso_bruteforce",
     "marked_isomorphic",
-    "snf",
     "toeplitz_d_vector",
     "toeplitz_strong",
     "toeplitz_weak",

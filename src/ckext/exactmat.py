@@ -1,19 +1,20 @@
 """Exact integer matrix algebra.
 
-Dense arbitrary-precision integer matrices with the normal forms everything
-else is built on: the elimination of a square matrix on +-1 pivots, Smith
-normal form with unimodular transforms, the Smith form modulo d of a matrix
-whose column lattice holds d Z^n, a canonical column-style Hermite normal
-form, and Bareiss determinants and adjugate solves.
+Dense arbitrary-precision integer matrices with the eliminations everything
+else is built on: the elimination of a square matrix on +-1 pivots, the
+Bareiss pass that gives determinants, adjugate solves and kernel
+certificates, the Smith form modulo d of a matrix whose column lattice
+holds d Z^n (the package's only Smith form), and a canonical column-style
+Hermite normal form.
 
 All values are immutable; every function is pure.  The unit reduction
 records its row transvections and folds its column operations into one row,
 sigma = 1^T V, so a 0-1 matrix's I - A is left as a small residual with the
-same cokernel and determinant up to sign.  The Smith form carries U, U^-1
-and V, certified by exact products.  The Bareiss elimination skips every
+same cokernel and determinant up to sign.  The Bareiss pass skips every
 column with no pivot, so on a matrix of rank n - r it names a nonsingular
 (n-r)-minor and r kernel vectors.  The modular form keeps every entry below
-d; its caller certifies it."""
+d (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2); its
+caller certifies it."""
 
 from __future__ import annotations
 
@@ -30,19 +31,14 @@ class DimensionMismatchError(ValueError):
     """Operand shapes are incompatible."""
 
 
-class NotUnimodularError(ValueError):
-    """Matrix is not invertible over the integers."""
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable dense integer matrix, row-major.
 
     A matrix with zero columns represents the zero lattice; zero-row matrices
-    only occur as empty transforms (e.g. the V of the Smith form of an N-by-0
-    matrix) and never carry lattice meaning.  Entries are type-checked at the
-    boundary, by from_rows and from_columns (operator.index); the package
-    builds the others from ints.
+    only occur as empty coordinate maps and minors and never carry lattice
+    meaning.  Entries are type-checked at the boundary, by from_rows and
+    from_columns (operator.index); the package builds the others from ints.
     """
 
     rows: int
@@ -139,63 +135,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length differs from column count")
         return tuple([sum(map(mul, row, v)) for row in self.entries])
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Transforms with u @ m @ v = d, the inverse u_inv of u, and d diagonal
-    with nonnegative entries forming a divisibility chain (zeros trailing).
-    Construction certifies u @ u_inv = I; snf certifies the reduction."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-
-    def __post_init__(self):
-        n, m = self.d.rows, self.d.cols
-        shapes = [(t.rows, t.cols) for t in (self.u, self.u_inv, self.v)]
-        if shapes != [(n, n), (n, n), (m, m)]:
-            raise DimensionMismatchError("transform shapes do not match diagonal")
-        for i in range(n):
-            for j in range(m):
-                if i != j and self.d.entries[i][j] != 0:
-                    raise ValueError("d is not diagonal")
-        diag = self.diagonal()
-        for i, x in enumerate(diag):
-            if x < 0:
-                raise ValueError("negative invariant factor")
-            if i + 1 < len(diag):
-                nxt = diag[i + 1]
-                if x == 0:
-                    if nxt != 0:
-                        raise ValueError("zero invariant factor before nonzero one")
-                elif nxt % x != 0:
-                    raise ValueError("divisibility chain violated")
-        if self.u @ self.u_inv != IntMatrix.identity(n):
-            raise NotUnimodularError("u does not multiply with u_inv to I")
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple([self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))])
-
-    def factors(self) -> tuple[int, ...]:
-        """The invariant factor of each row of u: the diagonal, then zeros."""
-        diag = self.diagonal()
-        return diag + (0,) * (self.d.rows - len(diag))
-
-
-def _certify_reduction(m: IntMatrix, dec: SmithDecomposition) -> None:
-    """Raise unless U M Z^k = D Z^k, with U unimodular (U U^-1 = I).
-
-    M V = U^-1 D puts D Z^k inside U M Z^k.  Each row of U M divisible by its
-    factor, and zero where the factor is 0, puts U M Z^k inside D Z^k.
-    """
-    diag = dec.diagonal()  # U^-1 D: column j of U^-1 times d_j, then zero columns
-    u_inv_d = tuple([tuple([*map(mul, row, diag)]) + (0,) * (dec.d.cols - len(diag))
-                     for row in dec.u_inv.entries])
-    if (m @ dec.v).entries != u_inv_d or any(
-            x % f if f else x for f, row in zip(dec.factors(), (dec.u @ m).entries) for x in row):
-        raise ArithmeticError("Smith transforms do not reduce the matrix")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -447,110 +386,6 @@ def _unit_reduction(m: IntMatrix) -> _UnitReduction:
     return _UnitReduction(
         IntMatrix(len(live), len(cols), tuple([tuple(a[i]) for i in live])), tuple(live),
         tuple(cols), tuple(pivots), tuple(pivot_rows), tuple(record), tuple(sigma), sign)
-
-
-def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms U, V and the inverse of U.
-
-    Pivots are chosen with minimal absolute value to limit entry growth; the
-    divisibility chain is enforced by folding any non-divisible remainder back
-    into the pivot row before advancing.  A row operation on U is applied to
-    U^-1 as the inverse column operation.
-    """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-
-    def eye(k):
-        return [[int(i == j) for j in range(k)] for i in range(k)]
-
-    u, v = eye(nr), eye(nc)
-    ui_cols = eye(nr)  # U^-1 by columns, so its column operations act on whole lists
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        ui_cols[i], ui_cols[j] = ui_cols[j], ui_cols[i]
-
-    def swap_cols(i, j):
-        for row in a + v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row[dst] += q * row[src]; U^-1: col[src] -= q * col[dst]
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        ui_cols[src] = [x - q * y for x, y in zip(ui_cols[src], ui_cols[dst])]
-
-    def add_col(src, dst, q):  # col[dst] += q * col[src], on A and V
-        for row in a + v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        ui_cols[i] = [-x for x in ui_cols[i]]
-
-    for t in range(min(nr, nc)):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-        if a[t][t] < 0:
-            negate_row(t)
-
-        while True:
-            # Clear column t below the pivot; remainders become new pivots.
-            restart = False
-            for i in range(t + 1, nr):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                if q:
-                    add_row(t, i, -q)
-                if a[i][t]:
-                    swap_rows(t, i)  # remainder in (0, pivot): strictly smaller
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                if q:
-                    add_col(t, j, -q)
-                if a[t][j]:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # Row and column are clear; force the pivot to divide the rest.
-            pivot = a[t][t]
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % pivot != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(bad, t, 1)
-
-    dm = IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
-    dec = SmithDecomposition(IntMatrix.from_rows(u), dm, IntMatrix.from_rows(v),
-                             IntMatrix.from_columns(ui_cols, rows=nr))
-    _certify_reduction(m, dec)
-    return dec
 
 
 def _smith_mod(m: IntMatrix, d: int) -> tuple[tuple[int, ...], list[list[int]],

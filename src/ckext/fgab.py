@@ -2,14 +2,40 @@
 
 A group is its presentation M with a coordinate map (k x N), a lift (N x k)
 and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
-of order d.  ``cokernel`` reads them off the Smith form of M.
-``modular_cokernel``, for M of rank N - r with a saturated basis Y of its
-left kernel, a right inverse Z of Y and the order delta of the torsion,
-takes the free coordinates from Y and the torsion from the Smith form of
-[M | Z] modulo delta, or, when r = 0, off a row w with gcd(w, delta) = 1
-that kills M modulo delta.  ``certified_group`` checks the result; it also
-serves a caller that carries a group over from a smaller presentation with
-the same cokernel, as invariants does from the residual of I - A.
+of order d.  ``modular_cokernel``, for M of rank N - r with a saturated basis
+Y of its left kernel, a right inverse Z of Y and the order delta of the
+torsion, takes the free coordinates from Y and the torsion from the Smith
+form of [M | Z] modulo delta, or, when r = 0, off a row w with
+gcd(w, delta) = 1 that kills M modulo delta.  ``certified_group`` checks the
+result; it also serves a caller that carries a group over from a smaller
+presentation with the same cokernel, as invariants does from the residual
+of I - A.
+
+``cokernel`` finds those inputs for a square M (a narrower one is padded
+with zero columns, a wider one replaced by its Hermite basis) by one
+Bareiss pass of [M^T | b] (exactmat.adjugate_or_kernel).  When det M != 0
+it gives u = adj(M^T) b, u M = det M b^T, which kills M modulo
+delta = |det M|.  Otherwise it names a
+nonsingular (N-r)-minor M_0 of M, without the rows I and the columns J, and
+r rows Y with Y M = 0, +-det M_0 I_r on I; r solves on M_0 give X with
+M X = 0, det M_0 I_r on J.  Their saturations X* and Y* (_saturated) are
+bases of Ker M and of the left kernel, with witnesses alpha X* = I_r,
+checked, and Y* Z = I_r, checked by certified_group.  The torsion T of
+Z^N / M Z^N = Z^r + T has order
+
+    delta = |det M_0| / (|det Y*_I| |det X*_J|).
+
+Proof: let U M V = diag(d_1, ..., d_{N-r}, 0, ..., 0) be a Smith form, so
+|T| = d_1 ... d_{N-r}.  By Cauchy-Binet the (N-r)-minor of M = U^-1 D V^-1
+on the rows S and the columns S' is |T| det U^-1_{S,P} det V^-1_{P,S'},
+P = {1, ..., N-r}, and by Jacobi's complementary-minor identity for the
+unimodular U and V these are +-det U_{P^c,S^c} and +-det V_{S'^c,P^c}.  The
+last r rows of U and the last r columns of V are bases of the left kernel
+and of Ker M, and any other bases, Y* and X*, change those minors by a unit.
+So |det M_{S,S'}| = |T| |det Y*_{S^c}| |det X*_{S'^c}|, and S^c = I,
+S'^c = J give delta.  The saturation matters: a delta that is too small
+passes certified_group and the factors multiplying to delta (T = Z/4 read
+modulo 2 is Z/2).
 
 Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
@@ -25,8 +51,10 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Sequence
+from typing import NamedTuple
 
-from .exactmat import IntMatrix, DimensionMismatchError, _smith_mod, _xgcd, snf
+from .exactmat import (IntMatrix, DimensionMismatchError, _smith_mod, _spread, _xgcd,
+                       adjugate_or_kernel, adjugate_solve, determinant, hnf_columns)
 
 
 class ParentMismatchError(ValueError):
@@ -152,9 +180,78 @@ class GroupElement:
 
 
 def cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) in the coordinates of the Smith form of m."""
-    smith = snf(m)
-    return FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
+    """Z^n / (column lattice of m) for an n x c matrix m, read by _cokernel
+    off m made square: a wide m is replaced by hnf_columns(m), a basis of the
+    same lattice, a narrow one padded with zero columns.  A left-kernel row y
+    is negated unless y_1 >= 0, so [e_1] has free coordinates >= 0 when at
+    most one row has y_1 != 0 (as on invariants' strong relation matrix)."""
+    n = m.rows
+    narrow = hnf_columns(m) if m.cols > n else m
+    square = IntMatrix(n, n, tuple([row + (0,) * (n - narrow.cols) for row in narrow.entries]))
+    g = _cokernel(square, [1] * n, lambda: [-(i == 0) for i in range(n)]).group
+    return FgAbelianGroup(m, g.coords, g.lift, g.factors)
+
+
+class _Cokernel(NamedTuple):
+    """The group, det m, u = adj(m^T) b (None if det m = 0), d0 = det M_0,
+    X* with alpha X* = I_r, and M_0's rows and columns in m."""
+
+    group: FgAbelianGroup
+    det: int
+    u: tuple[int, ...] | None
+    d0: int
+    xs: list[list[int]]
+    alpha: list[list[int]]
+    rows: list[int]
+    cols: list[int]
+
+
+def _cokernel(m: IntMatrix, b: Sequence[int], orient) -> _Cokernel:
+    """Z^k / m Z^k = Z^r + T for a square m of rank k - r, from one Bareiss
+    pass of [m^T | b] (module docstring); when r > 0, each row y of the left
+    kernel is negated unless y orient() <= 0 before it is saturated."""
+    det, u, (j_out, i_out, ys) = adjugate_or_kernel(m.transpose(), b)
+    k, r = m.rows, len(ys)
+    rows = [i for i in range(k) if i not in i_out]
+    cols = [j for j in range(k) if j not in j_out]
+    if det:  # u m = det b^T, so u kills m modulo |det|
+        return _Cokernel(modular_cokernel(m, abs(det), u), det, u, det, [], [], rows, cols)
+    m0 = _minor(m.entries, rows, cols)
+    xs = []
+    for j in j_out:  # m x = 0, x = det M_0 e_j on j_out
+        d0, x0 = adjugate_solve(m0, [-m.entries[i][j] for i in rows])
+        x = _spread(k, cols, x0)
+        x[j] = d0
+        xs.append(x)
+    if abs(ys[0][i_out[0]]) != abs(d0):
+        raise ArithmeticError("the kernel bases do not check")
+    o = orient()
+    ys = [y if sum(map(operator.mul, y, o)) <= 0 else [-v for v in y] for y in ys]
+    (xs, alpha), (ys, zs) = _saturated(xs), _saturated(ys)
+    if not _is_dual(alpha, xs):
+        raise ArithmeticError("the kernel basis is not saturated")
+    minor = determinant(_minor(ys, range(r), i_out)) * determinant(_minor(xs, range(r), j_out))
+    delta = _exact_quotient(abs(d0), abs(minor))
+    return _Cokernel(modular_cokernel(m, delta, (), ys, zs), 0, None, d0, xs, alpha, rows, cols)
+
+
+def _exact_quotient(x: int, den: int) -> int:
+    q, r = divmod(x, den)
+    if r:
+        raise ArithmeticError(f"{x} is not divisible by {den}")
+    return q
+
+
+def _minor(entries, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
+    """The matrix of entries[i][j] for i in rows, j in cols."""
+    return IntMatrix(len(rows), len(cols),
+                     tuple([tuple([entries[i][j] for j in cols]) for i in rows]))
+
+
+def _is_dual(ws, vs) -> bool:
+    """Whether w_i v_j = [i = j] for the rows ws and the vectors vs."""
+    return all(sum(map(operator.mul, wi, v)) == (i == j)
+               for i, wi in enumerate(ws) for j, v in enumerate(vs))
 
 
 def modular_cokernel(m: IntMatrix, delta: int, w: Sequence[int] = (),

@@ -31,43 +31,17 @@ elimination below runs on M' or a minor of it; rows, lifts and kernel
 vectors are carried back through the record (_UnitReduction), and every
 certificate is checked on I - A itself.
 
-The weak group.  Let I - A have rank N - r, so M' has rank k - r.  One
-Bareiss elimination of [M'^T | sigma'] (exactmat.adjugate_or_kernel) skips
-the r columns of M'^T with no pivot.  When r = 0 it gives det M' and the row
-u with u M' = det(I - A) sigma', which, carried back with
-det(I - A) e_k sigma_c at the pivot row of column c, is w = 1^T adj(I - A),
-as w (I - A) V = det(I - A) sigma; the pivot entries are multiples of
-D = |det(I - A)|, so gcd(w, D) = gcd(u, D), and fgab.modular_cokernel reads
-a cyclic group off u when that gcd is 1.  When r > 0 it names a nonsingular
-(k - r)-minor M_0 of M', without the rows I and the columns J, and gives r
-rows Y with Y M' = 0, +-det M_0 I_r on I; r solves on M_0 give X with
-M' X = 0, det M_0 I_r on J.  Their saturations X* and Y* (fgab._saturated,
-content divisions, at r = 1 of X and Y themselves) are bases of Ker M' and
-of the left kernel, with witnesses alpha, alpha X* = I_r, checked here, and
-Z, Y* Z = I_r, checked with Y* M' = 0 by certified_group.  Each row of Y is
-first oriented so that its row sum carried back is nonpositive (at r = 1,
--[1_N] then has a nonnegative free coordinate).  The torsion T of
-Z^k / M' Z^k = Z^r + T has order
-
-    delta = |det M_0| / (|det Y*_I| |det X*_J|),
-
-which is D when r = 0 and content(X) content(Y) / |det M_0| when r = 1.
-Proof: let U M' V' = diag(d_1, ..., d_{k-r}, 0, ..., 0) be a Smith form, so
-|T| = d_1 ... d_{k-r}.  By Cauchy-Binet the (k-r)-minor of
-M' = U^-1 D V'^-1 on the rows S and the columns S' is
-|T| det U^-1_{S,P} det V'^-1_{P,S'}, P = {1, ..., k-r}, and by Jacobi's
-complementary-minor identity for the unimodular U and V' these are
-+-det U_{P^c,S^c} and +-det V'_{S'^c,P^c}.  The last r rows of U and the
-last r columns of V' are bases of the left kernel and of Ker M', and any
-other bases, Y* and X*, change those minors by a unit.  So
-|det M'_{S,S'}| = |T| |det Y*_{S^c}| |det X*_{S'^c}|, and S^c = I,
-S'^c = J give delta.  The saturation matters: a delta that is too small
-passes certified_group and the factors multiplying to delta (T = Z/4 read
-modulo 2 gives Z/2).  fgab.modular_cokernel builds Z^r + T on M' from Y*, Z
-and delta; V X* is the kernel basis of I - A.  The group is carried back and
-checked on I - A by fgab.certified_group; it has coordinate rows K_c,
-factors d_c and lifts l_c for its coordinates c = 1..k with d_c != 1 (d_c = 0
-for a free one), K_c l_c' = [c = c'] (mod d_c).
+The weak group is fgab._cokernel of M', of rank k - r, with b = sign sigma'
+(sign = det(I - A) / det M'; proof of the torsion order there).  When
+r = 0, u M' = det(I - A) sigma', and u carried back with det(I - A) e_k
+sigma_c at the pivot row of column c is w = 1^T adj(I - A); the pivot
+entries are multiples of D = |det(I - A)|, so gcd(w, D) = gcd(u, D).  Each
+left-kernel row y is negated unless y L 1_N, its row sum carried back, is
+<= 0 (at r = 1, -[1_N] then has a nonnegative free coordinate), and V X* is
+the kernel basis of I - A.  The group is carried back and checked on I - A
+by fgab.certified_group; it has coordinate rows K_c, factors d_c and lifts
+l_c for its coordinates c = 1..k with d_c != 1 (d_c = 0 for a free one),
+K_c l_c' = [c = c'] (mod d_c).
 
 The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
 g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
@@ -94,11 +68,12 @@ pivot columns, so tau V is sigma' - sum_i (1^T x_i) alpha_i on the residual's
 columns, and phi, zero on I, is carried back with det M_0 e_k sigma_c at the
 pivot rows.  When r = 0, tau = 1^T, g = 0 and that solve is u.
 phi (I - A) is checked, and the divisions by det M_0 are exact, and raise if
-not.  The Smith form U_R R V_R = D_R of the (1+k) x (t + [g != 0]) relation
-matrix R, t the number of torsion coordinates, makes the group canonical:
-the class map is U_R Phi, the lift Psi U_R^-1, checked by
-fgab.certified_group.  So no Bareiss pass, no Smith form and no Hermite form
-runs on an N x N matrix.
+not.  fgab.cokernel of the (1+k) x (t + [g != 0]) relation matrix R, t the
+number of torsion coordinates, with coordinate map K_R and lift L_R, makes
+the group canonical: the class map is K_R Phi, the lift Psi L_R, checked by
+fgab.certified_group.  It orients R's left-kernel rows by -e_0, so the free
+coordinates of iota(1) are >= 0.  So no Bareiss pass, no Smith form and no
+Hermite form runs on an N x N matrix.
 """
 
 from __future__ import annotations
@@ -107,11 +82,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .exactmat import (IntMatrix, _spread, _UnitReduction, _unit_reduction,
-                       adjugate_or_kernel, adjugate_solve, snf)
-from .exactmat import determinant as _determinant
-from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _saturated,
-                   certified_group, element_order, modular_cokernel)
+from .exactmat import IntMatrix, _spread, _UnitReduction, _unit_reduction, adjugate_solve
+from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _cokernel,
+                   _exact_quotient, _is_dual, _minor, _saturated, certified_group, cokernel,
+                   element_order)
 
 
 class ValidationError(ValueError):
@@ -270,57 +244,36 @@ def _weak_group(ima: IntMatrix):
     red = _unit_reduction(ima)
     red.certify(ima)
     m, sigma = red.residual, [red.sigma[j] for j in red.cols]
-    det, u, (j_out, i_out, ys) = adjugate_or_kernel(m.transpose(), sigma)
-    k, r = m.rows, len(ys)
-    if det:  # u m = det(ima) sigma on the residual; w = 1^T adj(ima) is u carried back
-        d0, u = red.sign * det, [red.sign * v for v in u]
-        delta, xs, alpha, zs = abs(d0), (), (), ()
-    else:  # ys m = 0, and M_0, m without the rows i_out and columns j_out, is nonsingular
-        keep_rows = [i for i in range(k) if i not in i_out]
-        keep_cols = [j for j in range(k) if j not in j_out]
-        rows = [m.entries[i] for i in keep_rows]
-        m0 = IntMatrix(k - r, k - r, tuple([tuple([row[j] for j in keep_cols]) for row in rows]))
-        xs, u = [], ()
-        for j in j_out:  # m x = 0, x = det M_0 e_j on j_out
-            d0, x0 = adjugate_solve(m0, [-row[j] for row in rows])
-            x = _spread(k, keep_cols, x0)
-            x[j] = d0
-            xs.append(x)
-        if abs(ys[0][i_out[0]]) != abs(d0):
-            raise ArithmeticError("the kernel bases of I - A do not check")
-        # each y is oriented so that its row sum carried back is nonpositive:
-        # at r = 1, -[1_N] then gets a nonnegative free coordinate
-        ys = [y if sum(red.carry_row(y)) <= 0 else [-v for v in y] for y in ys]
-        (xs, alpha), (ys, zs) = _saturated(xs), _saturated(ys)
-        if not _is_dual(alpha, xs):
-            raise ArithmeticError("the kernel basis of I - A is not saturated")
-        minor = _determinant(IntMatrix(r, r, tuple([tuple([y[i] for i in i_out]) for y in ys])))
-        minor *= _determinant(IntMatrix(r, r, tuple([tuple([x[j] for x in xs]) for j in j_out])))
-        delta = _exact_quotient(abs(d0), abs(minor))
-    weak = _transported(red, ima, modular_cokernel(m, delta, u, ys, zs))
-    full_x = tuple([red.carry_solution(x) for x in xs])
+
+    def orient():  # L 1_N on the residual's rows: the record replayed on 1_N
+        ones = [1] * n
+        for p, rows, fs in red.record:
+            for i, f in zip(rows, fs):
+                ones[i] -= f * ones[p]
+        return [ones[i] for i in red.rows]
+
+    parts = _cokernel(m, [red.sign * v for v in sigma], orient)
+    weak = _transported(red, ima, parts.group)
+    full_x = tuple([red.carry_solution(x) for x in parts.xs])
     if any(any(ima.mul_vec(x)) for x in full_x):
         raise ArithmeticError("the kernel basis of I - A does not check")
+    det = red.sign * parts.det
+    d0 = det or parts.d0
 
     def strong():
         ts, target = [sum(x) for x in full_x], sigma
-        for t, a in zip(ts, alpha):  # target = tau V on the residual's columns
+        for t, a in zip(ts, parts.alpha):  # target = tau V on the residual's columns
             target = [s - t * v for s, v in zip(target, a)]
         # tau is 1 at the pivot columns and 1 + target - sigma' on the others
         tau = [1 + v for v in _spread(n, red.cols, map(operator.sub, target, sigma))]
-        phi = u
-        if r:  # phi m = d0 target on the residual, zero on the rows i_out
-            phi = _spread(k, keep_rows, adjugate_solve(m0.transpose(),
-                                                       [target[j] for j in keep_cols])[1])
+        phi = parts.u
+        if full_x:  # phi m = d0 target on the residual, zero off M_0's rows
+            m0 = _minor(m.entries, parts.rows, parts.cols)
+            phi = _spread(m.rows, parts.rows, adjugate_solve(
+                m0.transpose(), [target[j] for j in parts.cols])[1])
         return _through_phi(ima, weak, red.carry_row(phi, d0), d0, tau, math.gcd(*ts))
 
-    return red.sign * det, weak, full_x, strong
-
-
-def _is_dual(ws, vs) -> bool:
-    """Whether w_i v_j = [i = j] for the rows ws and the vectors vs."""
-    return all(sum(map(operator.mul, wi, v)) == (i == j)
-               for i, wi in enumerate(ws) for j, v in enumerate(vs))
+    return det, weak, full_x, strong
 
 
 def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> FgAbelianGroup:
@@ -347,13 +300,6 @@ def exts(a: ZeroOneMatrix) -> FgAbelianGroup:
     return invariants_report(a).exts_group
 
 
-def _exact_quotient(x: int, den: int) -> int:
-    q, r = divmod(x, den)
-    if r:
-        raise ArithmeticError(f"{x} is not divisible by {den}")
-    return q
-
-
 def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g: int):
     """_strong_group's inputs (s, Phi_0, g) from a row phi with
     phi ima = den target, target = 1^T - (1^T x) alpha for Ker(ima) = Z x and
@@ -375,10 +321,11 @@ def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g:
 def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAbelianGroup:
     """Z^N / (I - A^) Z^N as Z^{1+k} / <d_c e_c - s_c e_0, g e_0>, e_0 for
     iota(1) and e_1..e_k for the weak coordinates with factor other than 1,
-    canonicalised by the Smith form of the relation matrix (module docstring)."""
+    canonicalised by fgab.cokernel of the relation matrix, which orients its
+    left kernel by -e_0: iota(1) has free coordinates >= 0 (module docstring)."""
     keep = weak.torsion_positions + weak.free_positions
     t, extra = len(s), [g] if g else []
-    rel = snf(IntMatrix.from_rows(
+    rel = cokernel(IntMatrix.from_rows(
         [[-x for x in s] + extra]
         + [[d * (i == j) for j in range(t)] + [0] * len(extra)
            for i, d in enumerate(weak.torsion)]
@@ -387,8 +334,8 @@ def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAb
     phi = IntMatrix(1 + len(keep), ima.cols,
                     (tuple(phi0),) + tuple(weak.coords.entries[c] for c in keep))
     psi = IntMatrix.from_columns([ima.column(0)] + [lifts[c] for c in keep], rows=ima.rows)
-    return certified_group(_i_minus_hat(ima, 1), rel.u @ phi, psi @ rel.u_inv,
-                           rel.factors())
+    return certified_group(_i_minus_hat(ima, 1), rel.coords @ phi, psi @ rel.lift,
+                           rel.factors)
 
 
 def iota_hat(a: ZeroOneMatrix, m: int) -> GroupElement:

@@ -62,7 +62,8 @@ from dataclasses import dataclass
 from operator import index
 
 from .exactmat import IntMatrix, hnf_columns
-from .fgab import FgAbelianGroup, GroupElement, cokernel, element_order, modular_cokernel
+from .fgab import (FgAbelianGroup, GroupElement, certified_group, element_order,
+                   modular_cokernel)
 from .invariants import ZeroOneMatrix, transpose, weak_pair
 
 
@@ -104,12 +105,16 @@ def marked_group(free_rank: int, torsion: tuple[int, ...] | list[int],
                  markers) -> MarkedGroup:
     """Build a marked group from a descriptor.
 
-    ``torsion`` lists invariant factors > 1 in ascending divisibility order;
-    each marker is a coordinate tuple of length free_rank + len(torsion),
-    free coordinates first.
+    ``torsion`` lists invariant factors > 1 in ascending divisibility order
+    (else ValueError); each marker is a coordinate tuple of length
+    free_rank + len(torsion), free coordinates first, and keeps them.
     """
     torsion = tuple(map(index, torsion))
-    group = cokernel(_presentation(free_rank, torsion))
+    if any(d <= 1 for d in torsion) or any(e % d for d, e in zip(torsion, torsion[1:])):
+        raise ValueError(f"torsion {list(torsion)} is not a divisibility chain of factors > 1")
+    eye = IntMatrix.identity(free_rank + len(torsion))
+    group = certified_group(_presentation(free_rank, torsion), eye, eye,
+                            (0,) * free_rank + torsion)
     elems = tuple(group.class_of(tuple(map(index, coords))) for coords in markers)
     return MarkedGroup(group, elems)
 

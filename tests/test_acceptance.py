@@ -24,7 +24,8 @@ from ckext.corpus import (
     A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, PUBLISHED_DISCREPANCIES,
     MarkedDescriptor, cuntz_rows,
 )
-from ckext.exactmat import IntMatrix, snf, determinant as matrix_determinant
+from ckext.exactmat import IntMatrix, determinant as matrix_determinant
+from ckext.fgab import cokernel
 from ckext.invariants import (
     ValidationError,
     a_hat,
@@ -49,6 +50,7 @@ from ckext.markediso import (
     marked_isomorphic,
 )
 from conftest import ACCEPTANCE_LINES, abelian_group_types, det_i_minus_a, random_valid_rows
+from lattice_oracles import smith_cokernel, snf
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -384,6 +386,9 @@ def test_criterion_08_choice_independence():
 # --- criterion 9: Smith form oracle -----------------------------------------
 
 def test_criterion_09_smith_oracle():
+    """The exact Smith form of lattice_oracles, with its transforms, is
+    checked on its own, and the package's cokernel (the modular Smith form)
+    has its free rank and torsion and the same verdict on a vector's class."""
     rng = random.Random(99)
     failures = 0
     for _ in range(500):
@@ -397,8 +402,14 @@ def test_criterion_09_smith_oracle():
             prod = math.prod(dec.diagonal())
             if abs(matrix_determinant(m)) != abs(prod):
                 failures += 1
+        group, oracle = cokernel(m), smith_cokernel(m)
+        v = [rng.randint(-9, 9) for _ in range(r)]
+        if ((group.free_rank, group.torsion) != (oracle.free_rank, oracle.torsion)
+                or group.class_of(v).is_zero() != oracle.class_of(v).is_zero()):
+            failures += 1
     ok = failures == 0
-    _report(9, ok, "Smith form on 500 random matrices: U M V = D, unimodularity, chain, det")
+    _report(9, ok, "Smith form on 500 random matrices: U M V = D, unimodularity, chain, det, "
+                   "and the package's cokernel agrees")
     assert ok
 
 

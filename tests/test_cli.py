@@ -30,6 +30,7 @@ from ckext.invariants import a_hat, extw, invariants_report, validate
 from ckext.markediso import (DEFAULT_TORSION_BOUND, MarkedGroup, marked_isomorphic,
                              transposed_weak_pair)
 from conftest import det_i_minus_a, random_valid_rows, run_python, singular_draw, tied_columns
+from lattice_oracles import smith_cokernel
 
 
 def write_matrix(tmp_path, name, rows, header=""):
@@ -351,27 +352,34 @@ def test_examples_structured(capsys):
 # --- Smith forms per command -----------------------------------------------
 
 @pytest.fixture
-def snf_inputs(monkeypatch):
-    """Records the input of every Smith form computed while the test runs."""
-    inputs = []
-    real = exactmat.snf
+def smith_inputs(monkeypatch):
+    """Records, while the test runs, the input of every fgab.cokernel call
+    and of every fgab.modular_cokernel call that fgab._cokernel makes:
+    ([cokernel inputs], [modular inputs]).  markediso's modular cokernels of
+    a quotient G/<x> are not counted."""
+    cokernels, modular = [], []
 
-    def counting(m):
-        inputs.append(m)
-        return real(m)
+    def recording(inputs, real):
+        def wrapped(m, *args):
+            inputs.append(m)
+            return real(m, *args)
+        return wrapped
 
-    for module in (exactmat, fgab, invariants):
-        monkeypatch.setattr(module, "snf", counting)
-    return inputs
+    counted = recording(cokernels, fgab.cokernel)
+    for module in (fgab, invariants):
+        monkeypatch.setattr(module, "cokernel", counted)
+    monkeypatch.setattr(fgab, "modular_cokernel", recording(modular, fgab.modular_cokernel))
+    return cokernels, modular
 
 
 @pytest.fixture
 def hnf_inputs(monkeypatch):
     """Records the input of every Hermite form computed through
-    exactmat.hnf_columns while the test runs.  invariants, fgab and cli hold
-    no Hermite form of their own; markediso's Hermite forms of the k x r
-    matrix of free parts of k markers are not counted."""
-    assert not any(hasattr(module, "hnf_columns") for module in (fgab, invariants, cli))
+    exactmat.hnf_columns or fgab.hnf_columns (which cokernel runs on a wide
+    matrix) while the test runs.  invariants and cli hold no Hermite form of
+    their own; markediso's Hermite forms of the k x r matrix of free parts
+    of k markers are not counted."""
+    assert not any(hasattr(module, "hnf_columns") for module in (invariants, cli))
     inputs = []
     real = exactmat.hnf_columns
 
@@ -379,7 +387,8 @@ def hnf_inputs(monkeypatch):
         inputs.append(m)
         return real(m)
 
-    monkeypatch.setattr(exactmat, "hnf_columns", counting)
+    for module in (exactmat, fgab):
+        monkeypatch.setattr(module, "hnf_columns", counting)
     return inputs
 
 
@@ -387,67 +396,72 @@ def hnf_inputs(monkeypatch):
 LOW_RANK = random_valid_rows(random.Random(1892), 6)
 
 
-def test_smith_forms_per_command(tmp_path, capsys, snf_inputs, hnf_inputs):
-    """No square Smith form and no Hermite form in any command, whatever the
-    rank of I - A.  A nonsingular weak group comes from w or an elimination
-    of the residual modulo |det(I - A)|, a singular one (rank N - 1 in A4,
-    N - 2 in LOW_RANK) from the saturated kernel bases of the residual and an
-    elimination of it modulo the torsion order, and the strong group from
-    the relation matrix, never square; verify reads node (4) off the kernel
-    basis."""
+def test_smith_forms_per_command(tmp_path, capsys, smith_inputs, hnf_inputs):
+    """No normal form of an N x N matrix and no Hermite form in any command,
+    whatever the rank of I - A.  A weak group comes from the residual of the
+    unit reduction (read off w, or its modular Smith form modulo |det(I - A)|
+    or, when I - A is singular, modulo the torsion order); a strong group
+    from fgab.cokernel of the relation matrix, never square and never a
+    lattice of the input, padded with zero columns to a square.  Every
+    modular cokernel that fgab._cokernel asks for is of one of these two;
+    verify reads node (4) off the kernel basis."""
+    cokernels, modular = smith_inputs
     singular = write_matrix(tmp_path, "a4.txt", A4)          # rank N - 1
     low_rank = write_matrix(tmp_path, "low.txt", LOW_RANK)   # rank N - 2
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
     fibonacci = write_matrix(tmp_path, "f.txt", FIBONACCI)   # det(I - A) = -1
     # The residuals of I - A and I - A^T for every matrix used below.
     residuals = []
-    for rows in (A4, LOW_RANK, A1, FIBONACCI, singular_draw(0, 20)):
+    rows_used = [A4, LOW_RANK, A1, FIBONACCI, singular_draw(0, 20)]
+    for rows in rows_used + [entry.rows for entry in CORPUS]:
         for a in (validate(rows), invariants.transpose(validate(rows))):
             residuals.append(exactmat._unit_reduction(invariants._identity_minus(a)).residual)
             assert residuals[-1].rows < a.n
 
     def normal_forms(argv):
-        """(square Smith forms, all Smith forms, Hermite forms) run by one
-        command; every square Smith form of compute, compare and verify is
-        of a residual."""
-        snf_inputs.clear()
-        hnf_inputs.clear()
+        """(cokernel calls, modular cokernels, Hermite forms) run by one
+        command; each modular cokernel is of a residual or a padded relation
+        matrix, which is smaller than the input."""
+        for inputs in (*smith_inputs, hnf_inputs):
+            inputs.clear()
         main(argv)
         capsys.readouterr()
-        square = [m for m in snf_inputs if m.rows == m.cols]
-        assert argv[0] == "examples" or all(m in residuals for m in square)
-        return len(square), len(snf_inputs), len(hnf_inputs)
+        padded = [IntMatrix(m.rows, m.rows, tuple(r + (0,) * (m.rows - m.cols)
+                                                  for r in m.entries)) for m in cokernels]
+        assert all(m.rows != m.cols for m in cokernels)
+        assert all(m in residuals or m in padded for m in modular)
+        return len(cokernels), len(modular), len(hnf_inputs)
 
-    assert normal_forms(["compute", singular]) == (0, 1, 0)
-    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 1, 0)
-    assert normal_forms(["compute", low_rank]) == (0, 1, 0)
-    assert normal_forms(["compute", nonsingular]) == (0, 1, 0)
-    assert normal_forms(["compute", fibonacci]) == (0, 1, 0)
+    assert normal_forms(["compute", singular]) == (1, 2, 0)
+    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (1, 2, 0)
+    assert normal_forms(["compute", low_rank]) == (1, 2, 0)
+    assert normal_forms(["compute", nonsingular]) == (1, 2, 0)
+    assert normal_forms(["compute", fibonacci]) == (1, 2, 0)
     # compare reads only the weak groups of the transposes.
-    assert normal_forms(["compare", singular, fibonacci]) == (0, 0, 0)
-    assert normal_forms(["compare", low_rank, fibonacci]) == (0, 0, 0)
-    assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 0, 0)
-    # The verifiers work by certificate: verify runs the Smith forms of
+    assert normal_forms(["compare", singular, fibonacci]) == (0, 2, 0)
+    assert normal_forms(["compare", low_rank, fibonacci]) == (0, 2, 0)
+    assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 2, 0)
+    # The verifiers work by certificate: verify runs the normal forms of
     # compute and no other.
-    for path, forms in ((singular, (0, 1, 0)), (low_rank, (0, 1, 0)),
-                        (nonsingular, (0, 1, 0))):
+    for path, forms in ((singular, (1, 2, 0)), (low_rank, (1, 2, 0)),
+                        (nonsingular, (1, 2, 0))):
         assert normal_forms(["verify", path]) == forms
         assert normal_forms(["compute", path, "--verify"]) == forms
     # The same at N = 20, rank N - 1: singular_draw(0, 20).
     drawn = write_matrix(tmp_path, "s20.txt", singular_draw(0, 20))
-    assert normal_forms(["compute", drawn, "--verify"]) == (0, 1, 0)
-    assert normal_forms(["compare", drawn, drawn]) == (0, 0, 0)
+    assert normal_forms(["compute", drawn, "--verify"]) == (1, 2, 0)
+    assert normal_forms(["compare", drawn, drawn]) == (0, 2, 0)
 
     # examples: the relation matrix of each entry (no lattice is put in
-    # Smith form), and one Smith form for each of the entry's two expected
-    # marked groups, built from their descriptors.
+    # Smith form); the expected marked groups are built from their
+    # descriptors with no normal form.
     lattices = []
     for entry in CORPUS:
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-    assert normal_forms(["examples"])[1:] == (3 * len(CORPUS), 0)
-    assert not any(m in lattices for m in snf_inputs)
+    assert normal_forms(["examples"]) == (len(CORPUS), 2 * len(CORPUS), 0)
+    assert not any(m in lattices for m in cokernels + modular)
 
 
 @pytest.mark.parametrize("rows, corank", [
@@ -468,7 +482,7 @@ def test_full_corank_through_force(tmp_path, capsys, rows, corank):
     rep = invariants_report(a)
     assert doc == report_document(rep, verification=doc["verification"])
     eye, ones = IntMatrix.identity(a.n), (1,) * a.n
-    weak, strong = fgab.cokernel(eye - a.as_int_matrix()), fgab.cokernel(eye - a_hat(a, 1))
+    weak, strong = smith_cokernel(eye - a.as_int_matrix()), smith_cokernel(eye - a_hat(a, 1))
     iota = strong.class_of(rep.i_minus_a.column(0))
     assert rep.extw_group.free_rank == len(rep.kernel) == corank
     assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),

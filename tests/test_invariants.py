@@ -12,8 +12,9 @@ from ckext.corpus import A1, A2, A3, A4, A5, A6, CORPUS, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix, _unit_reduction, adjugate_solve, hnf_columns
 from ckext.exactmat import determinant as matrix_determinant
 from ckext.fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, certified_group,
-                        cokernel, element_order)
-from ckext import exactmat, fgab, invariants
+                        element_order)
+import ckext
+from ckext import exactmat, fgab, invariants, markediso
 from ckext.invariants import (
     ExactSequenceReport,
     IndexOutOfRangeError,
@@ -40,7 +41,7 @@ from ckext.invariants import (
 from ckext.cli import report_document
 from ckext.markediso import MarkedGroup, marked_group, marked_isomorphic
 from conftest import det_i_minus_a, random_valid_rows, run_python, singular_draw, tied_columns
-from lattice_oracles import kernel_basis, lattice_equal
+from lattice_oracles import kernel_basis, lattice_equal, smith_cokernel
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -179,9 +180,9 @@ def _nonsingular_draws(per_size=3):
 
 def test_strong_group_agrees_with_the_smith_form_of_i_minus_a_hat():
     """The group read off the weak group modulo |det| and w = 1^T adj(I - A)
-    against cokernel(I - A^): same shape, the same verdict on whether two
-    vectors share a class, round-trip representatives and, for |T| <= 64, a
-    marked isomorphism of the triples ([T]_s, iota(1))."""
+    against smith_cokernel(I - A^): same shape, the same verdict on whether
+    two vectors share a class, round-trip representatives and, for
+    |T| <= 64, a marked isomorphism of the triples ([T]_s, iota(1))."""
     rng = random.Random(12)
     compared = 0
     for a in _nonsingular_draws():
@@ -190,7 +191,7 @@ def test_strong_group_agrees_with_the_smith_form_of_i_minus_a_hat():
         new = rep.exts_group
         assert new == exts(a)
         ima = IntMatrix.identity(n) - a.as_int_matrix()
-        old = cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+        old = smith_cokernel(IntMatrix.identity(n) - a_hat(a, 1))
         assert (new.free_rank, new.torsion) == (old.free_rank, old.torsion)
         for _ in range(12):
             u = [rng.randint(-5, 5) for _ in range(n)]
@@ -235,11 +236,8 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
     off by one makes invariants_report raise.  So does one entry of a
     coordinate row of the residual's U modulo |det| off by one, where
     gcd(w, |det|) > 1; where it is 1 (A1) the weak group is read off u and
-    the modular Smith form is never run."""
-    real_solve, real_mod = invariants.adjugate_or_kernel, fgab._smith_mod
-
-    def no_smith_mod(m, d):
-        raise AssertionError("modular Smith form run although gcd(w, |det|) = 1")
+    the modular Smith form of the residual is never run."""
+    real_solve, real_mod = fgab.adjugate_or_kernel, fgab._smith_mod
 
     # Z/3 from w; (Z/2)^2 and Z/2 + Z/20 from the modular Smith form
     for rows, by_w in ((A1, True), (A3, False), (random_valid_rows(random.Random(4), 9), False)):
@@ -248,9 +246,18 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
         det, weak, *_ = invariants._weak_group(ima)
         w = adjugate_solve(ima.transpose(), (1,) * a.n)[1]
         assert det and weak.torsion and (math.gcd(det, *w) == 1) == by_w
-        for j in range(_unit_reduction(ima).residual.rows):
+        residual = _unit_reduction(ima).residual
+
+        def no_smith_mod(m, d):
+            if m == residual:
+                raise AssertionError("modular Smith form run although gcd(w, |det|) = 1")
+            return real_mod(m, d)
+
+        for j in range(residual.rows):
             def bumped_w(m, b=None, j=j):
                 det, w, kernel = real_solve(m, b)
+                if w is None:  # the strong group's relation matrix, always singular
+                    return det, w, kernel
                 return det, w[:j] + (w[j] + 1,) + w[j + 1:], kernel
 
             def bumped_u(m, d, j=j):
@@ -259,7 +266,7 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
                 u_rows[0][j] += 1
                 return factors, u_rows, u_inv_cols
 
-            fakes = [(invariants, "adjugate_or_kernel", bumped_w)]
+            fakes = [(fgab, "adjugate_or_kernel", bumped_w)]
             if not by_w:
                 fakes.append((fgab, "_smith_mod", bumped_u))
             for module, name, fake in fakes:
@@ -288,30 +295,36 @@ def nonsingular_matrices(draw, max_n=12):
 
 def _weak_paths(a):
     """The report of a, whether gcd(w, |det|) = 1, and how many times the
-    report ran the modular Smith form, which sees only the residual of the
-    unit reduction of I - A."""
+    report ran the modular Smith form of the residual of the unit reduction
+    of I - A, modulo |det|.  Every other modular Smith form of the report is
+    the strong group's, of its (1+k)-row relation matrix, k the number of
+    weak coordinates."""
     ima = invariants._identity_minus(a)
     det, w = adjugate_solve(ima.transpose(), (1,) * a.n)
     with mock.patch.object(fgab, "_smith_mod", wraps=fgab._smith_mod) as smith_mod:
         rep = invariants_report(a)
     residual = _unit_reduction(ima).residual
-    assert all(call.args == (residual, abs(det)) for call in smith_mod.call_args_list)
-    return rep, math.gcd(det, *w) == 1, smith_mod.call_count
+    weak = [call for call in smith_mod.call_args_list if call.args[0] == residual]
+    assert all(call.args[1] == abs(det) for call in weak)
+    assert all(call.args[0].rows == 1 + len(rep.extw_group.factors)
+               for call in smith_mod.call_args_list if call not in weak)
+    return rep, math.gcd(det, *w) == 1, len(weak)
 
 
 @settings(max_examples=150, deadline=None)
 @given(nonsingular_matrices())
 def test_groups_agree_with_exact_smith_forms(a):
     """The weak group modulo |det| and the strong group from w against
-    cokernel(I - A) and cokernel(I - A^): the same factors, marked-isomorphic
-    weak pairs, and, for |T| <= 64, marked-isomorphic strong Toeplitz pairs
-    and strong triples ([T]_s, iota(1)).  The modular Smith form runs once,
-    on the residual of the unit reduction, and never when gcd(w, |det|) = 1."""
+    smith_cokernel(I - A) and smith_cokernel(I - A^): the same factors,
+    marked-isomorphic weak pairs, and, for |T| <= 64, marked-isomorphic
+    strong Toeplitz pairs and strong triples ([T]_s, iota(1)).  The modular
+    Smith form of the residual of the unit reduction runs once, and never
+    when gcd(w, |det|) = 1."""
     n = a.n
     rep, by_w, calls = _weak_paths(a)
     assert calls == (0 if by_w else 1)
     ima = IntMatrix.identity(n) - a.as_int_matrix()
-    weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    weak, strong = smith_cokernel(ima), smith_cokernel(IntMatrix.identity(n) - a_hat(a, 1))
     assert (rep.extw_group.free_rank, rep.extw_group.torsion) == (0, weak.torsion)
     assert (rep.exts_group.free_rank, rep.exts_group.torsion) == (1, strong.torsion)
     ones = (1,) * n
@@ -338,7 +351,7 @@ def test_both_weak_paths_agree_with_exact_smith_forms():
             continue
         rep, by_w, calls = _weak_paths(a)
         assert calls == (0 if by_w else 1)
-        weak = cokernel(IntMatrix.identity(a.n) - a.as_int_matrix())
+        weak = smith_cokernel(IntMatrix.identity(a.n) - a.as_int_matrix())
         assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
                                  MarkedGroup(weak, (-weak.class_of((1,) * a.n),)))
         paths[by_w] += 1
@@ -513,14 +526,14 @@ def _singular_draws(per_size=8):
 
 
 def _singular_against_exact_path(a):
-    """The report of a against cokernel(I - A) and cokernel(I - A^): weak
-    pairs and strong triples ([T]_s, iota(1)) marked-isomorphic, and the
-    same g.  Returns the report."""
+    """The report of a against smith_cokernel(I - A) and
+    smith_cokernel(I - A^): weak pairs and strong triples ([T]_s, iota(1))
+    marked-isomorphic, and the same g.  Returns the report."""
     n = a.n
     rep = invariants_report(a)
     assert rep.extw_group == extw(a) and rep.det_i_minus_a == 0
     ima = IntMatrix.identity(n) - a.as_int_matrix()
-    weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    weak, strong = smith_cokernel(ima), smith_cokernel(IntMatrix.identity(n) - a_hat(a, 1))
     ones = (1,) * n
     iota = strong.class_of(ima.column(0))
     assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
@@ -613,12 +626,12 @@ def test_a_torsion_order_too_small_is_refused(monkeypatch, rows):
     a = validate(rows)
     order = math.prod(invariants_report(a).extw_group.torsion)
     p = next(q for q in range(2, order + 1) if order % q == 0)
-    real = invariants._saturated
+    real, real_modular = fgab._saturated, fgab.modular_cokernel
     deltas = []
 
     def recording(m, delta, *args):
         deltas.append(delta)
-        return fgab.modular_cokernel(m, delta, *args)
+        return real_modular(m, delta, *args)
 
     def tampered(vectors, call, how):  # call 1 saturates Ker M', call 2 the left kernel
         bs, ws = real(vectors)
@@ -629,15 +642,15 @@ def test_a_torsion_order_too_small_is_refused(monkeypatch, rows):
             ws[0][next(i for i, x in enumerate(bs[0]) if x)] += 1
         return bs, ws
 
-    monkeypatch.setattr(invariants, "modular_cokernel", recording)
+    monkeypatch.setattr(fgab, "modular_cokernel", recording)
     for call, how in ((2, "basis"), (1, "witness"), (2, "witness")):
         calls = []
-        monkeypatch.setattr(invariants, "_saturated",
+        monkeypatch.setattr(fgab, "_saturated",
                             lambda v, call=call, how=how: tampered(v, call, how))
         with pytest.raises(ArithmeticError):
             invariants_report(a)
     assert deltas == [order // p, order]
-    monkeypatch.setattr(invariants, "_saturated", real)
+    monkeypatch.setattr(fgab, "_saturated", real)
     assert invariants_report(a).extw_group.free_rank >= 1
 
 
@@ -646,10 +659,11 @@ def test_a_torsion_order_too_small_is_refused(monkeypatch, rows):
 def _against_full_oracles(a):
     """The report of a against oracles on the full I - A: det_i_minus_a is
     the Bareiss determinant of I - A, the weak pair is marked-isomorphic to
-    that of cokernel(I - A), the strong group has the factors of
-    cokernel(I - A^) and, for |T| <= 64, a marked-isomorphic strong triple
-    ([T]_s, iota(1)), and the report's kernel basis spans Ker(I - A).  Every
-    pivot of the unit reduction is +-1.  Returns the residual's size."""
+    that of smith_cokernel(I - A), the strong group has the factors of
+    smith_cokernel(I - A^) and, for |T| <= 64, a marked-isomorphic strong
+    triple ([T]_s, iota(1)), and the report's kernel basis spans
+    Ker(I - A).  Every pivot of the unit reduction is +-1.  Returns the
+    residual's size."""
     n = a.n
     ima = IntMatrix.identity(n) - a.as_int_matrix()
     red = _unit_reduction(ima)
@@ -657,7 +671,7 @@ def _against_full_oracles(a):
                for (_, c, e), rho in zip(red.pivots, red.pivot_rows, strict=True))
     rep = invariants_report(a)
     assert rep.det_i_minus_a == matrix_determinant(ima)
-    weak, strong = cokernel(ima), cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    weak, strong = smith_cokernel(ima), smith_cokernel(IntMatrix.identity(n) - a_hat(a, 1))
     ones = (1,) * n
     assert marked_isomorphic(MarkedGroup(rep.extw_group, (rep.toeplitz_weak,)),
                              MarkedGroup(weak, (-weak.class_of(ones),)))
@@ -782,11 +796,15 @@ def test_tampered_unit_reduction_is_refused(monkeypatch):
 
 def test_normal_forms_see_only_the_residual(monkeypatch):
     """The Bareiss passes and the modular Smith forms run on the k x k
-    residual of the unit reduction of I - A, or on a minor of it, never on
-    the N x N matrix, and no exact Smith form is square: on a cyclic, a
-    modular, a rank N - 1, a rank N - 2 and a rank N - 3 input, through
-    invariants_report and the verifiers.  The strong group's relation matrix
-    is never square."""
+    residual of the unit reduction of I - A, on a minor of it, or on the
+    strong group's relation matrix, padded to (1 + k_w) x (1 + k_w) for the
+    k_w <= k weak coordinates, or a minor of that; never on the N x N
+    matrix: on a cyclic, a modular, a rank N - 1, a rank N - 2 and a rank
+    N - 3 input, through invariants_report and the verifiers.  The package
+    holds no exact Smith form."""
+    names = ("snf", "SmithDecomposition", "_certify_reduction", "NotUnimodularError")
+    assert not any(hasattr(module, name) for module in (ckext, exactmat, fgab, invariants,
+                                                        markediso) for name in names)
     seen = []
 
     def recording(name, real):
@@ -795,9 +813,8 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
             return real(m, *args)
         return wrapped
 
-    for module, name in ((exactmat, "adjugate_or_kernel"), (invariants, "adjugate_or_kernel"),
-                         (fgab, "_smith_mod"), (exactmat, "snf"), (fgab, "snf"),
-                         (invariants, "snf")):
+    for module, name in ((exactmat, "adjugate_or_kernel"), (fgab, "adjugate_or_kernel"),
+                         (fgab, "_smith_mod")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     inputs = [A1, A3, random_valid_rows(random.Random(4), 20), singular_draw(0, 20),
               random_valid_rows(random.Random(1892), 6), TORSION_SINGULAR[3]]
@@ -807,14 +824,34 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
         seen.clear()
         rep = invariants_report(a)
         assert rep.exact_sequence().all_passed() and rep.im0_identity()
-        assert seen and k < a.n
+        relation = 1 + len(rep.extw_group.factors)
+        assert seen and k < a.n and relation <= k + 1
         for name, r, c in seen:
             if name == "adjugate_or_kernel":
-                assert r == c <= k
-            elif name == "_smith_mod":
-                assert r == k
+                assert r == c and (r <= k or r <= relation)
             else:
-                assert r != c
+                assert r in (k, relation)
+
+
+def _iota_free_coords_are_nonnegative(a):
+    """The strong relation's left-kernel rows are oriented by -e_0, so every
+    free coordinate of iota(1) is >= 0, and one is > 0 when g = 0, where
+    iota(1) has infinite order."""
+    rep = invariants_report(a)
+    free = rep.iota_one.free_coords
+    assert all(c >= 0 for c in free)
+    assert any(free) == (rep.iota_kernel_generator == 0)
+
+
+def test_iota_free_coords_are_nonnegative_on_the_corpus(corpus_matrices):
+    for _, a in corpus_matrices:
+        _iota_free_coords_are_nonnegative(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_matrices(), low_rank_matrices()))
+def test_iota_free_coords_are_nonnegative_on_draws(a):
+    _iota_free_coords_are_nonnegative(a)
 
 
 def test_kernel_generator_matches_kernel_sums():

@@ -38,6 +38,23 @@ def test_marked_group_rejects_non_integral_descriptors():
     assert marked_group(1, (2,), ((False, 3),)).markers[0].torsion_coords == (1,)
 
 
+def test_marked_group_keeps_its_coordinates():
+    """The descriptor's coordinates are the group's own: a marked_group that
+    went through a generic cokernel of its presentation would renumber them
+    (here to (0, 3) and (2, 3))."""
+    x = marked_group(1, (4, 8), [(0, 3, 5), (2, 1, 1)])
+    assert [(m.free_coords, m.torsion_coords) for m in x.markers] == \
+        [((0,), (3, 5)), ((2,), (1, 1))]
+    assert (x.group.free_rank, x.group.torsion) == (1, (4, 8))
+    assert marked_group(0, [], [()]).group.is_trivial()
+
+
+@pytest.mark.parametrize("torsion", [(2, 3), (6, 4), (1, 2), (0,), (-2,)])
+def test_marked_group_rejects_a_torsion_list_that_is_not_a_chain(torsion):
+    with pytest.raises(ValueError):
+        marked_group(0, torsion, [])
+
+
 def test_z2_marked_points_differ():
     assert not marked_isomorphic(marked_group(0, (2,), ((1,),)),
                                  marked_group(0, (2,), ((0,),)))
