@@ -20,12 +20,21 @@ gcd(w, D) = 1 for w = 1^T adj(I - A), so the group is cyclic and read off w,
 saturated kernel bases of the residual and a Smith form of it modulo the
 torsion order.
 
+With --json PATH the rows are also written to PATH as one JSON object:
+"rows" holds one object per printed row, with the times in seconds ("time_s"
+and "verify_s", null and "timeout" true for a case that hit the limit), and
+"host" names the Python, the machine and its CPU count.
+
     python3 scripts/scale_table.py                      # the README ladder
     python3 scripts/scale_table.py --draws 40:0 s50:1 t60:0 --limit 30
+    python3 scripts/scale_table.py --json scale.json    # the ladder, also as JSON
 """
 
 import argparse
+import json
 import math
+import os
+import platform
 import random
 import subprocess
 import sys
@@ -78,6 +87,7 @@ def main(argv=None):
                         help="draws to time (default: the README ladder)")
     parser.add_argument("--limit", type=float, default=120.0,
                         help="time limit of one case in seconds (default 120)")
+    parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     parser.add_argument("--times", help=argparse.SUPPRESS)  # one case, in the child
     args = parser.parse_args(argv)
     if args.times:
@@ -85,6 +95,7 @@ def main(argv=None):
         return
     print("| N   | seed | draw     | time    | verify   | digits of D | k   | weak     |")
     print("|-----|------|----------|---------|----------|-------------|-----|----------|")
+    records = []
     for spec in args.draws:
         kind, n, seed, rows = draw(spec)
         try:
@@ -92,6 +103,7 @@ def main(argv=None):
                                   capture_output=True, text=True, timeout=args.limit)
         except subprocess.TimeoutExpired:
             report = verify = "timeout"
+            best = best_verify = None
         else:
             if done.returncode:
                 sys.exit(done.stderr)
@@ -104,6 +116,15 @@ def main(argv=None):
         weak = ("w" if math.gcd(det, *u) == 1 else "mod D") if det else f"corank {len(kernel)}"
         print(f"| {n:<3} | {seed:<4} | {kind:<8} | {report:<7} | {verify:<8} | {digits:<11} "
               f"| {red.residual.rows:<3} | {weak:<8} |", flush=True)
+        records.append({"draw": spec, "n": n, "seed": seed, "kind": kind, "time_s": best,
+                        "verify_s": best_verify, "timeout": best is None, "digits_of_d": digits,
+                        "k": red.residual.rows, "weak": weak})
+    if args.json:
+        host = {"python": platform.python_version(), "machine": platform.machine(),
+                "cpus": os.cpu_count()}
+        with open(args.json, "w") as fh:
+            json.dump({"host": host, "limit_s": args.limit, "rows": records}, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -50,18 +50,21 @@ class ParseError(ValueError):
     """Matrix file violates the 0/1 grammar."""
 
 
+_BITS = {"0": 0, "1": 1}
+
+
 def parse_matrix_text(text: str) -> list[list[int]]:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = []
-        for tok in stripped.split():
-            if tok not in ("0", "1"):
-                raise ParseError(f"ParseError: line {lineno}: token {tok!r} is not 0 or 1")
-            row.append(int(tok))
-        rows.append(row)
+        tokens = stripped.split()
+        try:
+            rows.append([_BITS[t] for t in tokens])
+        except KeyError:
+            tok = next(t for t in tokens if t not in _BITS)
+            raise ParseError(f"ParseError: line {lineno}: token {tok!r} is not 0 or 1") from None
     if not rows:
         raise ParseError("ParseError: no data rows")
     width = len(rows[0])
@@ -123,7 +126,7 @@ def verification_document(rep: ExtInvariantReport) -> dict:
     # The index vector toeplitz_d_vector(a, m) is -(I - A) e_m - 1_N, so its
     # class is the Toeplitz class iff column m of I - A has class -t - [1_N].
     target = -rep.toeplitz_strong - strong.class_of((1,) * rep.matrix.n)
-    m_independent = all(c == target for c in strong.classes_of_columns(rep.i_minus_a))
+    m_independent = strong.columns_in_class(rep.i_minus_a, target)
     commutes = rep.hat_q(rep.toeplitz_strong) == rep.toeplitz_weak
     return {
         "im0_identity": rep.im0_identity(),

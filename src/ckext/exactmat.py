@@ -50,7 +50,7 @@ class IntMatrix:
             raise ValueError("negative dimensions")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        if any(len(row) != self.cols for row in self.entries):
+        if {*map(len, self.entries)} - {self.cols}:
             raise ValueError("ragged rows")
 
     # The helpers below, the adjugate solve, _unit_reduction and

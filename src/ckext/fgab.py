@@ -6,10 +6,11 @@ of order d.  ``modular_cokernel``, for M of rank N - r with a saturated basis
 Y of its left kernel, a right inverse Z of Y and the order delta of the
 torsion, takes the free coordinates from Y and the torsion from the Smith
 form of [M | Z] modulo delta, or, when r = 0, off a row w with
-gcd(w, delta) = 1 that kills M modulo delta.  ``certified_group`` checks the
-result; it also serves a caller that carries a group over from a smaller
-presentation with the same cokernel, as invariants does from the residual
-of I - A.
+gcd(w, delta) = 1 that kills M modulo delta.  invariants' strong relation
+matrix and markediso's quotients know those inputs in closed form.
+``certified_group`` checks the result, entry by entry; it also serves a
+caller that carries a group over from a smaller presentation with the same
+cokernel, as invariants does from the residual of I - A.
 
 ``cokernel`` finds those inputs for a square M (a narrower one is padded
 with zero columns, a wider one replaced by its Hermite basis) by one
@@ -115,9 +116,16 @@ class FgAbelianGroup:
         """Canonical coordinates of the class [v]."""
         return self._element(self._class_map.mul_vec(v))
 
-    def classes_of_columns(self, m: IntMatrix) -> list["GroupElement"]:
-        """The class of each column of m, from one matrix product."""
-        return [self._element(w) for w in (self._class_map @ m).columns()]
+    def columns_in_class(self, m: IntMatrix, a: "GroupElement") -> bool:
+        """Whether every column of m has class a: one matrix product, each
+        row compared with a's coordinate modulo its factor."""
+        if a.parent != self:
+            raise ParentMismatchError("element belongs to a different group")
+        return not any((x - c) % d if d else x - c
+                       for row, c, d in zip((self._class_map @ m).entries,
+                                            a.torsion_coords + a.free_coords,
+                                            self.torsion + (0,) * self.free_rank)
+                       for x in row)
 
     def representative(self, a: "GroupElement") -> tuple[int, ...]:
         """Some vector v in Z^N with class_of(v) == a."""
@@ -184,7 +192,7 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
     off m made square: a wide m is replaced by hnf_columns(m), a basis of the
     same lattice, a narrow one padded with zero columns.  A left-kernel row y
     is negated unless y_1 >= 0, so [e_1] has free coordinates >= 0 when at
-    most one row has y_1 != 0 (as on invariants' strong relation matrix)."""
+    most one row has y_1 != 0."""
     n = m.rows
     narrow = hnf_columns(m) if m.cols > n else m
     square = IntMatrix(n, n, tuple([row + (0,) * (n - narrow.cols) for row in narrow.entries]))
@@ -336,18 +344,19 @@ def certified_group(presentation: IntMatrix, coords: IntMatrix, lift: IntMatrix,
                     factors: tuple[int, ...]) -> FgAbelianGroup:
     """Z^N / (column lattice of presentation) in the given coordinates, checked:
     coords sends each column of the presentation to 0 and column k of lift to
-    e_k, modulo the factors (exactly where a factor is 0)."""
-    def agrees(product: IntMatrix, target: IntMatrix) -> bool:
-        return not any((x - y) % f if f else x - y
-                       for f, row, trow in zip(factors, product.entries, target.entries)
-                       for x, y in zip(row, trow))
-
+    e_k, modulo the factors (exactly where a factor is 0).  Each entry of the
+    two products is checked as it is formed; neither product is built."""
     k = len(factors)
     if (coords.rows, lift.cols) != (k, k):
         raise DimensionMismatchError("coordinate map and lift do not match the factors")
-    if not (agrees(coords @ presentation, IntMatrix.zeros(k, presentation.cols))
-            and agrees(coords @ lift, IntMatrix.identity(k))):
-        raise ArithmeticError("coordinate map does not present the cokernel")
+    if presentation.rows != coords.cols or lift.rows != coords.cols:
+        raise DimensionMismatchError("inner dimensions differ")
+    columns = lift.columns() + presentation.columns()  # column i of lift goes to e_i
+    for i, (f, row) in enumerate(zip(factors, coords.entries)):
+        for j, col in enumerate(columns):
+            x = sum(map(operator.mul, row, col)) - (i == j)
+            if x % f if f else x:
+                raise ArithmeticError("coordinate map does not present the cokernel")
     return FgAbelianGroup(presentation, coords, lift, factors)
 
 

@@ -12,36 +12,27 @@ Everything here is exact integer lattice arithmetic over a validated square
 * the Toeplitz extension classes: -[1_N] in the weak group and
   -iota(1) - [1_N] in the strong group, together with the per-column index
   vector they arise from;
-* verifiers by certificate for the lattice identity Im(I-A)_0 = (I - A^_n) Z^N
-  and for the six-node exact sequence tying the two groups together.  Five
-  nodes follow from I - A^ = (I - A)(I - R_1), checked column by column,
-  node (4) from the report's kernel basis, and the identity for every n from
-  the one for n = 1, two products taken as differences and prefix sums of
-  columns; all of it is O(N^2), with no normal form (proofs in
-  ExtInvariantReport.exact_sequence and verify_im0_identity).
+* verifiers by certificate, O(N^2) and with no normal form, for the lattice
+  identity Im(I-A)_0 = (I - A^_n) Z^N and for the six-node exact sequence
+  tying the two groups together (proofs in ExtInvariantReport.exact_sequence
+  and verify_im0_identity).
 
 invariants_report computes all of them; exts and the single-invariant helpers
 (iota_hat, toeplitz_strong, hat_q, iota_kernel_generator) are views on it.
 
-The unit reduction.  I - A, with entries in {-1, 0, 1}, is first eliminated
-on +-1 pivots (exactmat._unit_reduction): L (I - A) V = S, L and V
-unimodular, S the pivots +-1 and a k x k residual M' with no +-1 left,
-k < N, and sigma = 1^T V, sigma' on the residual's columns.  Every
-elimination below runs on M' or a minor of it; rows, lifts and kernel
-vectors are carried back through the record (_UnitReduction), and every
-certificate is checked on I - A itself.
-
-The weak group is fgab._cokernel of M', of rank k - r, with b = sign sigma'
-(sign = det(I - A) / det M'; proof of the torsion order there).  When
-r = 0, u M' = det(I - A) sigma', and u carried back with det(I - A) e_k
-sigma_c at the pivot row of column c is w = 1^T adj(I - A); the pivot
-entries are multiples of D = |det(I - A)|, so gcd(w, D) = gcd(u, D).  Each
+I - A is first eliminated on +-1 pivots (exactmat._unit_reduction) to a
+k x k residual M', k < N, with the same cokernel; sigma = 1^T V, sigma' on
+the residual's columns.  Every elimination below runs on M' or a minor of
+it; rows, lifts and kernel vectors are carried back (_UnitReduction), and
+every certificate is checked on I - A itself.  The weak group is
+fgab._cokernel of M', of rank k - r, with b = sign sigma'
+(sign = det(I - A) / det M').  When r = 0 its row u, carried back, is
+w = 1^T adj(I - A), and gcd(w, D) = gcd(u, D) for D = |det(I - A)|.  Each
 left-kernel row y is negated unless y L 1_N, its row sum carried back, is
-<= 0 (at r = 1, -[1_N] then has a nonnegative free coordinate), and V X* is
-the kernel basis of I - A.  The group is carried back and checked on I - A
-by fgab.certified_group; it has coordinate rows K_c, factors d_c and lifts
-l_c for its coordinates c = 1..k with d_c != 1 (d_c = 0 for a free one),
-K_c l_c' = [c = c'] (mod d_c).
+<= 0 (at r = 1, -[1_N] then has a nonnegative free coordinate).  The group
+has coordinate rows K_c, factors d_c and lifts l_c for its coordinates
+c = 1..k with d_c != 1 (d_c = 0 for a free one), K_c l_c' = [c = c']
+(mod d_c).
 
 The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
 g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
@@ -63,29 +54,24 @@ with phi (I - A) u = 1^T u (mod g) for integral u, as s_c = phi (d_c l_c) and
 Phi_0 = phi - sum_c (phi l_c) K_c.  With x_1, ..., x_r the kernel basis,
 g = gcd(1^T x_1, ..., 1^T x_r), and alpha x_i = e_i, the row
 tau = 1^T - sum_i (1^T x_i) alpha_i kills every x_i, so it is
-phi (I - A) / det M_0 for a phi from one solve on M_0^T: alpha is zero at the
-pivot columns, so tau V is sigma' - sum_i (1^T x_i) alpha_i on the residual's
-columns, and phi, zero on I, is carried back with det M_0 e_k sigma_c at the
-pivot rows.  When r = 0, tau = 1^T, g = 0 and that solve is u.
-phi (I - A) is checked, and the divisions by det M_0 are exact, and raise if
-not.  fgab.cokernel of the (1+k) x (t + [g != 0]) relation matrix R, t the
-number of torsion coordinates, with coordinate map K_R and lift L_R, makes
-the group canonical: the class map is K_R Phi, the lift Psi L_R, checked by
-fgab.certified_group.  It orients R's left-kernel rows by -e_0, so the free
-coordinates of iota(1) are >= 0.  So no Bareiss pass, no Smith form and no
-Hermite form runs on an N x N matrix.
+phi (I - A) / det M_0 for a phi from one solve on M_0^T (zero on I, carried
+back with det M_0 e_k sigma_c at the pivot rows); when r = 0, tau = 1^T,
+g = 0 and that solve is u.  phi (I - A) and the divisions are checked.  The
+right-hand side is read in closed form (_strong_group).  So no Bareiss
+pass, no Smith form and no Hermite form runs on an N x N matrix.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain, compress
 from dataclasses import dataclass, field
 
 from .exactmat import IntMatrix, _spread, _UnitReduction, _unit_reduction, adjugate_solve
 from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _cokernel,
-                   _exact_quotient, _is_dual, _minor, _saturated, certified_group, cokernel,
-                   element_order)
+                   _exact_quotient, _is_dual, _minor, _saturated, _unit_lift, certified_group,
+                   element_order, modular_cokernel)
 
 
 class ValidationError(ValueError):
@@ -120,12 +106,11 @@ class ZeroOneMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if len(self.entries) != self.n or {*map(len, self.entries)} - {self.n}:
             raise ValueError("entries do not form an n-by-n matrix")
-        for row in self.entries:
-            if not {*row} <= {0, 1}:
-                x = next(x for x in row if x not in (0, 1))
-                raise NotZeroOneError(f"NotZeroOne: entry {x} is not 0 or 1")
+        if not {*chain.from_iterable(self.entries)} <= {0, 1}:
+            x = next(x for row in self.entries for x in row if x not in (0, 1))
+            raise NotZeroOneError(f"NotZeroOne: entry {x} is not 0 or 1")
         if self.n <= 1:
             raise TooSmallError("TooSmall: matrix size must exceed 1")
 
@@ -137,22 +122,21 @@ def _strongly_connected(entries, n) -> bool:
     """Whether the digraph i -> j iff entries[i][j] = 1 is strongly connected.
 
     Linear-time check: every vertex reachable from vertex 0 along edges and
-    along reversed edges.
+    along reversed edges, walking successor lists built by compress.
     """
-    def reachable(forward):
+    def reachable(lines, vertices=range(n)):
+        succ = [list(compress(vertices, line)) for line in lines]
         seen = [False] * n
         seen[0] = True
         stack = [0]
         while stack:
-            i = stack.pop()
-            for j in range(n):
-                edge = entries[i][j] if forward else entries[j][i]
-                if edge and not seen[j]:
+            for j in succ[stack.pop()]:
+                if not seen[j]:
                     seen[j] = True
                     stack.append(j)
         return all(seen)
 
-    return reachable(True) and reachable(False)
+    return reachable(entries) and reachable(zip(*entries))
 
 
 def _integer_row(row, i: int) -> tuple[int, ...]:
@@ -193,8 +177,7 @@ def validate(raw, *, force: bool = False) -> ZeroOneMatrix:
 
 
 def transpose(a: ZeroOneMatrix) -> ZeroOneMatrix:
-    return ZeroOneMatrix(a.n, tuple(tuple(a.entries[i][j] for i in range(a.n))
-                                    for j in range(a.n)))
+    return ZeroOneMatrix(a.n, tuple(zip(*a.entries)))
 
 
 def _identity_minus(a: ZeroOneMatrix) -> IntMatrix:
@@ -215,7 +198,7 @@ def _i_minus_hat(ima: IntMatrix, n: int) -> IntMatrix:
     """
     c = n - 1
     return IntMatrix(ima.rows, ima.cols,
-                     tuple(tuple(x - row[c] for x in row) for row in ima.entries))
+                     tuple([tuple([x - row[c] for x in row]) for row in ima.entries]))
 
 
 def _minus_first(cols: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -318,24 +301,53 @@ def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g:
             [_exact_quotient(p, den) for p in phi0], g)
 
 
+def _relation_kernel_row(s, d) -> list[int]:
+    """y = (L, L s_1/d_1, ..., L s_t/d_t), L = lcm_c d_c / gcd(s_c, d_c): the
+    primitive row killing the strong relations when g = 0 (_strong_group)."""
+    big = math.lcm(*[dc // math.gcd(sc, dc) for sc, dc in zip(s, d)])
+    return [big] + [big * sc // dc for sc, dc in zip(s, d)]
+
+
 def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAbelianGroup:
     """Z^N / (I - A^) Z^N as Z^{1+k} / <d_c e_c - s_c e_0, g e_0>, e_0 for
-    iota(1) and e_1..e_k for the weak coordinates with factor other than 1,
-    canonicalised by fgab.cokernel of the relation matrix, which orients its
-    left kernel by -e_0: iota(1) has free coordinates >= 0 (module docstring)."""
+    iota(1) and e_1..e_k for the t torsion and f free weak coordinates: the
+    cokernel of the square relation matrix R, rows (-s, g, 0), d_c e_c and f
+    zero rows, read by fgab.modular_cokernel off a basis Y of its left
+    kernel, Z = _unit_lift of each row of Y, and the torsion order delta.
+
+    The zero rows give f unit rows of Y.  When g != 0 they are all of it,
+    and delta = g prod d_c, the determinant of R less them and its zero
+    columns.  When g = 0, y R = 0 for y = (y_0, y_c, 0) means
+    y_c d_c = y_0 s_c, so y_0 is a multiple of L = lcm_c d_c / gcd(s_c, d_c),
+    and y = _relation_kernel_row has y_0 = L.  It is primitive: p^a exactly
+    dividing L does so in some d_c / gcd(s_c, d_c), and then p divides
+    neither L / (d_c / gcd) nor s_c / gcd.  fgab's
+    delta = |det M_0| / (|det Y*_I| |det X*_J|), with I row 0 and the zero
+    rows, J column t and the zero columns, is prod d_c / L: M_0 = diag(d_c)
+    and X* the unit columns on J.  y is not saturated, as content division
+    would repair a wrong L, whose delta, too small, passes the torsion
+    check; certified_group checks y R = 0 and y Z = 1 exactly, and the class
+    map K_R Phi and the lift Psi L_R against I - A^.  iota(1) has free
+    coordinates (L, 0, ..., 0) when g = 0, 0 otherwise, and the last f free
+    coordinates of a class are its weak ones."""
     keep = weak.torsion_positions + weak.free_positions
-    t, extra = len(s), [g] if g else []
-    rel = cokernel(IntMatrix.from_rows(
-        [[-x for x in s] + extra]
-        + [[d * (i == j) for j in range(t)] + [0] * len(extra)
-           for i, d in enumerate(weak.torsion)]
-        + [[0] * (t + len(extra))] * weak.free_rank))
+    d, f = weak.torsion, weak.free_rank
+    t, n = len(d), 1 + len(keep)
+    rel = IntMatrix(n, n, tuple([tuple([-x for x in s] + [g] + [0] * f)]
+                                + [tuple([dc * (i == j) for j in range(n)])
+                                   for i, dc in enumerate(d)] + [(0,) * n] * f))
+    ys = [[int(i == j) for i in range(n)] for j in range(1 + t, n)]
+    if g:
+        delta = g * math.prod(d)
+    else:
+        y = _relation_kernel_row(s, d)
+        ys, delta = [y + [0] * f] + ys, _exact_quotient(math.prod(d), y[0])
+    group = modular_cokernel(rel, delta, (), ys, [_unit_lift(y, 0) for y in ys])
     lifts = weak.lift.columns()
-    phi = IntMatrix(1 + len(keep), ima.cols,
-                    (tuple(phi0),) + tuple(weak.coords.entries[c] for c in keep))
+    phi = IntMatrix(n, ima.cols, (tuple(phi0),) + tuple(weak.coords.entries[c] for c in keep))
     psi = IntMatrix.from_columns([ima.column(0)] + [lifts[c] for c in keep], rows=ima.rows)
-    return certified_group(_i_minus_hat(ima, 1), rel.coords @ phi, psi @ rel.lift,
-                           rel.factors)
+    return certified_group(_i_minus_hat(ima, 1), group.coords @ phi, psi @ group.lift,
+                           group.factors)
 
 
 def iota_hat(a: ZeroOneMatrix, m: int) -> GroupElement:

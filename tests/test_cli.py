@@ -48,10 +48,16 @@ def test_parse_accepts_comments_and_blank_lines():
 
 
 def test_parse_rejects_bad_token():
-    with pytest.raises(ParseError):
-        parse_matrix_text("0 2\n1 1\n")
-    with pytest.raises(ParseError):
-        parse_matrix_text("0 x\n1 1\n")
+    """The message names the line, counting comments and blank lines, and
+    the first token on it that is not 0 or 1."""
+    for text, message in (("0 2\n1 1\n", "line 1: token '2'"),
+                          ("0 x\n1 1\n", "line 1: token 'x'"),
+                          ("0 1\n1 2\n", "line 2: token '2'"),
+                          ("# c\n\n1 0\n0 01 y\n", "line 4: token '01'"),
+                          ("1 1\n1 -0\n", "line 2: token '-0'")):
+        with pytest.raises(ParseError) as caught:
+            parse_matrix_text(text)
+        assert str(caught.value) == f"ParseError: {message} is not 0 or 1"
 
 
 def test_parse_rejects_ragged_rows():
@@ -354,9 +360,9 @@ def test_examples_structured(capsys):
 @pytest.fixture
 def smith_inputs(monkeypatch):
     """Records, while the test runs, the input of every fgab.cokernel call
-    and of every fgab.modular_cokernel call that fgab._cokernel makes:
-    ([cokernel inputs], [modular inputs]).  markediso's modular cokernels of
-    a quotient G/<x> are not counted."""
+    and of every fgab.modular_cokernel call that fgab._cokernel or
+    invariants makes: ([cokernel inputs], [modular inputs]).  markediso's
+    modular cokernels of a quotient G/<x> are not counted."""
     cokernels, modular = [], []
 
     def recording(inputs, real):
@@ -365,10 +371,10 @@ def smith_inputs(monkeypatch):
             return real(m, *args)
         return wrapped
 
-    counted = recording(cokernels, fgab.cokernel)
+    monkeypatch.setattr(fgab, "cokernel", recording(cokernels, fgab.cokernel))
+    counted = recording(modular, fgab.modular_cokernel)
     for module in (fgab, invariants):
-        monkeypatch.setattr(module, "cokernel", counted)
-    monkeypatch.setattr(fgab, "modular_cokernel", recording(modular, fgab.modular_cokernel))
+        monkeypatch.setattr(module, "modular_cokernel", counted)
     return cokernels, modular
 
 
@@ -397,59 +403,66 @@ LOW_RANK = random_valid_rows(random.Random(1892), 6)
 
 
 def test_smith_forms_per_command(tmp_path, capsys, smith_inputs, hnf_inputs):
-    """No normal form of an N x N matrix and no Hermite form in any command,
-    whatever the rank of I - A.  A weak group comes from the residual of the
-    unit reduction (read off w, or its modular Smith form modulo |det(I - A)|
-    or, when I - A is singular, modulo the torsion order); a strong group
-    from fgab.cokernel of the relation matrix, never square and never a
-    lattice of the input, padded with zero columns to a square.  Every
-    modular cokernel that fgab._cokernel asks for is of one of these two;
-    verify reads node (4) off the kernel basis."""
+    """No normal form of an N x N matrix, no fgab.cokernel and no Hermite
+    form in any command, whatever the rank of I - A.  A weak group comes
+    from the residual of the unit reduction (read off w, or its modular
+    Smith form modulo |det(I - A)| or, when I - A is singular, modulo the
+    torsion order); a strong group from the modular cokernel of its square
+    relation matrix, never a lattice of the input.  Every modular cokernel
+    is of one of these two; verify reads node (4) off the kernel basis."""
     cokernels, modular = smith_inputs
     singular = write_matrix(tmp_path, "a4.txt", A4)          # rank N - 1
     low_rank = write_matrix(tmp_path, "low.txt", LOW_RANK)   # rank N - 2
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
     fibonacci = write_matrix(tmp_path, "f.txt", FIBONACCI)   # det(I - A) = -1
-    # The residuals of I - A and I - A^T for every matrix used below.
-    residuals = []
+    # The residuals of I - A and I - A^T for every matrix used below, and
+    # their strong relation matrices, rebuilt from _weak_group's outputs:
+    # rows (-s, g, 0), d_c e_c and one zero row per free weak coordinate.
+    residuals, relations = [], []
     rows_used = [A4, LOW_RANK, A1, FIBONACCI, singular_draw(0, 20)]
     for rows in rows_used + [entry.rows for entry in CORPUS]:
         for a in (validate(rows), invariants.transpose(validate(rows))):
-            residuals.append(exactmat._unit_reduction(invariants._identity_minus(a)).residual)
+            ima = invariants._identity_minus(a)
+            residuals.append(exactmat._unit_reduction(ima).residual)
             assert residuals[-1].rows < a.n
+            _, weak, _, strong_inputs = invariants._weak_group(ima)
+            s, _, g = strong_inputs()
+            k, f = 1 + len(weak.factors), weak.free_rank
+            relations.append(IntMatrix.from_rows(
+                [[-x for x in s] + [g] + [0] * f]
+                + [[d * (i == j) for j in range(k)] for i, d in enumerate(weak.torsion)]
+                + [[0] * k] * f))
+            assert relations[-1].rows <= a.n
 
     def normal_forms(argv):
         """(cokernel calls, modular cokernels, Hermite forms) run by one
-        command; each modular cokernel is of a residual or a padded relation
+        command; each modular cokernel is of a residual or a relation
         matrix, which is smaller than the input."""
         for inputs in (*smith_inputs, hnf_inputs):
             inputs.clear()
         main(argv)
         capsys.readouterr()
-        padded = [IntMatrix(m.rows, m.rows, tuple(r + (0,) * (m.rows - m.cols)
-                                                  for r in m.entries)) for m in cokernels]
-        assert all(m.rows != m.cols for m in cokernels)
-        assert all(m in residuals or m in padded for m in modular)
+        assert all(m in residuals or m in relations for m in modular)
         return len(cokernels), len(modular), len(hnf_inputs)
 
-    assert normal_forms(["compute", singular]) == (1, 2, 0)
-    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (1, 2, 0)
-    assert normal_forms(["compute", low_rank]) == (1, 2, 0)
-    assert normal_forms(["compute", nonsingular]) == (1, 2, 0)
-    assert normal_forms(["compute", fibonacci]) == (1, 2, 0)
+    assert normal_forms(["compute", singular]) == (0, 2, 0)
+    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 2, 0)
+    assert normal_forms(["compute", low_rank]) == (0, 2, 0)
+    assert normal_forms(["compute", nonsingular]) == (0, 2, 0)
+    assert normal_forms(["compute", fibonacci]) == (0, 2, 0)
     # compare reads only the weak groups of the transposes.
     assert normal_forms(["compare", singular, fibonacci]) == (0, 2, 0)
     assert normal_forms(["compare", low_rank, fibonacci]) == (0, 2, 0)
     assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 2, 0)
     # The verifiers work by certificate: verify runs the normal forms of
     # compute and no other.
-    for path, forms in ((singular, (1, 2, 0)), (low_rank, (1, 2, 0)),
-                        (nonsingular, (1, 2, 0))):
+    for path, forms in ((singular, (0, 2, 0)), (low_rank, (0, 2, 0)),
+                        (nonsingular, (0, 2, 0))):
         assert normal_forms(["verify", path]) == forms
         assert normal_forms(["compute", path, "--verify"]) == forms
     # The same at N = 20, rank N - 1: singular_draw(0, 20).
     drawn = write_matrix(tmp_path, "s20.txt", singular_draw(0, 20))
-    assert normal_forms(["compute", drawn, "--verify"]) == (1, 2, 0)
+    assert normal_forms(["compute", drawn, "--verify"]) == (0, 2, 0)
     assert normal_forms(["compare", drawn, drawn]) == (0, 2, 0)
 
     # examples: the relation matrix of each entry (no lattice is put in
@@ -460,7 +473,7 @@ def test_smith_forms_per_command(tmp_path, capsys, smith_inputs, hnf_inputs):
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-    assert normal_forms(["examples"]) == (len(CORPUS), 2 * len(CORPUS), 0)
+    assert normal_forms(["examples"]) == (0, 2 * len(CORPUS), 0)
     assert not any(m in lattices for m in cokernels + modular)
 
 
@@ -597,7 +610,7 @@ def test_benchmark_selftest_script():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_scale_table_script():
+def test_scale_table_script(tmp_path):
     """scripts/scale_table.py prints a header and one row per requested draw:
     the report's time in s, the verifiers' time in ms, the number of digits
     of |det(I - A)|, the size k of the unit reduction's residual, and the
@@ -606,7 +619,8 @@ def test_scale_table_script():
     residual, and "corank r" when I - A has rank N - r, r the free rank of
     the weak group.  A draw sN:SEED is singular_draw(SEED, N), and tN:SEED
     (tN:SEED:P) ties two (P) column pairs of the N:SEED draw.  A case that
-    hits the time limit prints "timeout" for both times and keeps its row."""
+    hits the time limit prints "timeout" for both times and keeps its row.
+    --json PATH writes the same rows to PATH, with the times in seconds."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "scale_table.py"
     draws = [("6:0", random_valid_rows(random.Random(0), 6)),
              ("8:1", random_valid_rows(random.Random(1), 8)),
@@ -628,8 +642,22 @@ def test_scale_table_script():
         assert len(lines) == 2 + len(draws)
         return [[f.strip() for f in row.strip("|").split("|")] for row in lines[2:]]
 
+    written, written_late = tmp_path / "scale.json", tmp_path / "late.json"
+    printed = table("--json", str(written))
+    printed_late = table("--limit", "0.001", "--json", str(written_late))
+    records = json.loads(written.read_text())["rows"]
+    records_late = json.loads(written_late.read_text())["rows"]
+    assert len(records) == len(records_late) == len(draws)
     sources = set()
-    for (spec, rows), fields, late in zip(draws, table(), table("--limit", "0.001")):
+    for (spec, rows), fields, late, record, record_late in zip(
+            draws, printed, printed_late, records, records_late, strict=True):
+        assert (record["draw"], str(record["n"]), str(record["seed"]), record["kind"],
+                str(record["digits_of_d"]), str(record["k"]), record["weak"]) == \
+            (spec, *fields[:3], *fields[5:])
+        assert not record["timeout"] and record["time_s"] >= 0 and record["verify_s"] >= 0
+        assert f"{record['time_s']:.2f} s" == fields[3]
+        assert f"{record['verify_s'] * 1e3:.1f} ms" == fields[4]
+        assert record_late["timeout"] and record_late["time_s"] is record_late["verify_s"] is None
         sources.add(fields[7])
         n, seed = map(int, spec.lstrip("st").split(":")[:2])
         a = validate(rows)

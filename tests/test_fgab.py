@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckext.exactmat import IntMatrix
-from ckext.fgab import ParentMismatchError, cokernel, element_order
+from ckext.exactmat import DimensionMismatchError, IntMatrix
+from ckext.fgab import ParentMismatchError, certified_group, cokernel, element_order
 from lattice_oracles import lattice_contains
 
 
@@ -121,3 +121,37 @@ def test_scale_is_repeated_addition(m, data):
     for _ in range(abs(k)):
         acc = acc.add(step)
     assert acc == x.scale(k)
+
+
+def test_certified_group_refuses_a_wrong_shape():
+    """A coordinate map whose width, or a lift whose height, is not the
+    presentation's row count raises DimensionMismatchError, as the products
+    it checks are undefined; no entry is left unchecked by a short zip."""
+    g = cokernel(mat([[2, 0], [0, 0], [0, 0]]))
+    certified_group(g.presentation, g.coords, g.lift, g.factors)
+    wide = IntMatrix.from_rows([row + (0,) for row in g.coords.entries])
+    tall = g.lift.vstack(IntMatrix.zeros(1, g.lift.cols))
+    narrow = IntMatrix.from_rows([row[:-1] for row in g.coords.entries])
+    short = IntMatrix(g.lift.rows - 1, g.lift.cols, g.lift.entries[:-1])
+    for coords, lift in ((wide, g.lift), (narrow, g.lift), (g.coords, tall),
+                         (g.coords, short), (wide, tall)):
+        with pytest.raises(DimensionMismatchError):
+            certified_group(g.presentation, coords, lift, g.factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.data())
+def test_columns_in_class_agrees_with_class_of(m, data):
+    """columns_in_class(m', a) holds exactly when every column of m' has
+    class a."""
+    g = cokernel(m)
+    cols = data.draw(st.integers(0, 3))
+    vs = [tuple(data.draw(st.integers(-4, 4)) for _ in range(m.rows)) for _ in range(cols)]
+    a = g.class_of(vs[0]) if vs and data.draw(st.booleans()) else \
+        g.class_of([data.draw(st.integers(-4, 4)) for _ in range(m.rows)])
+    probe = IntMatrix.from_columns(vs, rows=m.rows)
+    assert g.columns_in_class(probe, a) == all(g.class_of(v) == a for v in vs)
+    same = IntMatrix.from_columns([g.representative(a)] * 2, rows=m.rows)
+    assert g.columns_in_class(same, a)
+    with pytest.raises(ParentMismatchError):
+        g.columns_in_class(probe, cokernel(mat([[97]])).zero())

@@ -256,8 +256,6 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
         for j in range(residual.rows):
             def bumped_w(m, b=None, j=j):
                 det, w, kernel = real_solve(m, b)
-                if w is None:  # the strong group's relation matrix, always singular
-                    return det, w, kernel
                 return det, w[:j] + (w[j] + 1,) + w[j + 1:], kernel
 
             def bumped_u(m, d, j=j):
@@ -795,10 +793,10 @@ def test_tampered_unit_reduction_is_refused(monkeypatch):
 
 
 def test_normal_forms_see_only_the_residual(monkeypatch):
-    """The Bareiss passes and the modular Smith forms run on the k x k
-    residual of the unit reduction of I - A, on a minor of it, or on the
-    strong group's relation matrix, padded to (1 + k_w) x (1 + k_w) for the
-    k_w <= k weak coordinates, or a minor of that; never on the N x N
+    """The Bareiss passes run on the k x k residual of the unit reduction of
+    I - A or on a minor of it, and the modular Smith forms on that residual
+    or on the strong group's square relation matrix, of size 1 + k_w for
+    the k_w <= k weak coordinates; never on the N x N
     matrix: on a cyclic, a modular, a rank N - 1, a rank N - 2 and a rank
     N - 3 input, through invariants_report and the verifiers.  The package
     holds no exact Smith form."""
@@ -828,15 +826,14 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
         assert seen and k < a.n and relation <= k + 1
         for name, r, c in seen:
             if name == "adjugate_or_kernel":
-                assert r == c and (r <= k or r <= relation)
+                assert r == c <= k
             else:
                 assert r in (k, relation)
 
 
 def _iota_free_coords_are_nonnegative(a):
-    """The strong relation's left-kernel rows are oriented by -e_0, so every
-    free coordinate of iota(1) is >= 0, and one is > 0 when g = 0, where
-    iota(1) has infinite order."""
+    """iota(1) has free coordinates (L, 0, ..., 0), L > 0, when g = 0, where
+    it has infinite order, and 0 otherwise (invariants._strong_group)."""
     rep = invariants_report(a)
     free = rep.iota_one.free_coords
     assert all(c >= 0 for c in free)
@@ -852,6 +849,90 @@ def test_iota_free_coords_are_nonnegative_on_the_corpus(corpus_matrices):
 @given(st.one_of(dense_matrices(), low_rank_matrices()))
 def test_iota_free_coords_are_nonnegative_on_draws(a):
     _iota_free_coords_are_nonnegative(a)
+
+
+# --- the strong group in closed form -----------------------------------------
+
+def _closed_form_draws():
+    """The corpus, two seeded singular draws per N = 4..10, singular_draw
+    for N = 4..16 and tied_columns at coranks 1, 2 and 3 (one, two and three
+    tied column pairs) for N = 8..12."""
+    draws = [validate(e.rows) for e in CORPUS] + _singular_draws(2)
+    draws += [a for a in (_valid_or_none(singular_draw(seed, n))
+                          for n in range(4, 17) for seed in range(2)) if a]
+    for pairs in (((0, 1),), TWO_PAIRS, THREE_PAIRS):
+        draws += [a for a in (_valid_or_none(tied_columns(random_valid_rows(
+            random.Random(seed), n), pairs)) for n in (8, 10, 12) for seed in range(3)) if a]
+    return draws
+
+
+def _closed_form_against_oracle(a):
+    """The strong group against smith_cokernel(I - A^): the same free rank
+    and torsion and, for |T| <= 64, a marked-isomorphic triple
+    ([T]_s, iota(1)).  The signs: iota(1) has a first free coordinate >= 0,
+    and the last f free coordinates of the strong Toeplitz class, f the weak
+    free rank, are those of the weak one.  Returns (g, f, |T|)."""
+    n = a.n
+    rep = invariants_report(a)
+    strong, f = rep.exts_group, rep.extw_group.free_rank
+    oracle = smith_cokernel(IntMatrix.identity(n) - a_hat(a, 1))
+    assert (strong.free_rank, strong.torsion) == (oracle.free_rank, oracle.torsion)
+    if math.prod(strong.torsion) <= 64:
+        iota = oracle.class_of(invariants._identity_minus(a).column(0))
+        assert marked_isomorphic(
+            MarkedGroup(strong, (rep.toeplitz_strong, rep.iota_one)),
+            MarkedGroup(oracle, (-iota - oracle.class_of((1,) * n), iota)))
+    assert strong.free_rank >= 1 and rep.iota_one.free_coords[0] >= 0
+    assert rep.toeplitz_strong.free_coords[strong.free_rank - f:] == \
+        rep.toeplitz_weak.free_coords
+    return rep.iota_kernel_generator, f, math.prod(strong.torsion)
+
+
+def test_closed_form_strong_group_agrees_with_the_oracle():
+    """Over the corpus, singular and tied draws: g = 0 and g > 0, weak free
+    ranks 0 to 3 and nontrivial torsion all occur."""
+    seen = [_closed_form_against_oracle(a) for a in _closed_form_draws()]
+    assert {g > 0 for g, _, _ in seen} == {False, True}
+    assert {f for _, f, _ in seen} >= {0, 1, 2, 3}
+    assert any(order > 1 for *_, order in seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_matrices(max_n=12), low_rank_matrices()))
+def test_closed_form_strong_group_agrees_with_the_oracle_on_draws(a):
+    _closed_form_against_oracle(a)
+
+
+@pytest.mark.parametrize("rows", [A2, A3, random_valid_rows(random.Random(4), 9),
+                                  singular_draw(1, 10)])
+def test_a_wrong_relation_kernel_row_is_refused(monkeypatch, rows):
+    """With g = 0 the strong group rests on y = (L, L s_c / d_c).  y times a
+    prime p dividing some d_c, whose delta prod d_c / (L p) is too small, and
+    y with any one entry off by one make invariants_report raise
+    ArithmeticError: y R = 0 or y Z = 1 fails in certified_group, or delta
+    is not an integer."""
+    a = validate(rows)
+    rep = invariants_report(a)
+    ds = rep.extw_group.torsion
+    assert rep.iota_kernel_generator == 0 and ds
+    real = invariants._relation_kernel_row
+    y = []
+
+    def recording(s, d):
+        y[:] = real(s, d)
+        return real(s, d)
+
+    monkeypatch.setattr(invariants, "_relation_kernel_row", recording)
+    invariants_report(a)
+    tampers = [lambda v, p=p: [p * x for x in v]
+               for p in {q for d in ds for q in range(2, d + 1)
+                         if d % q == 0 and all(q % r for r in range(2, q))}]
+    tampers += [lambda v, j=j: v[:j] + [v[j] + 1] + v[j + 1:] for j in range(len(y))]
+    for tamper in tampers:
+        monkeypatch.setattr(invariants, "_relation_kernel_row",
+                            lambda s, d, tamper=tamper: tamper(real(s, d)))
+        with pytest.raises(ArithmeticError):
+            invariants_report(a)
 
 
 def test_kernel_generator_matches_kernel_sums():
