@@ -8,7 +8,7 @@ All arithmetic is exact.
 """
 
 from .exactmat import DimensionMismatchError, IntMatrix, NotSquareError, determinant, hnf_columns
-from .fgab import FgAbelianGroup, GroupElement, ParentMismatchError, cokernel, element_order
+from .fgab import FgAbelianGroup, GroupElement, ParentMismatchError, element_order
 from .invariants import (
     ExactSequenceReport,
     ExtInvariantReport,
@@ -73,7 +73,6 @@ __all__ = [
     "ZeroOneMatrix",
     "a_hat",
     "ck_isomorphic",
-    "cokernel",
     "cuntz_rows",
     "determinant",
     "element_order",

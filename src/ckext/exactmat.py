@@ -54,7 +54,7 @@ class IntMatrix:
             raise ValueError("ragged rows")
 
     # The helpers below, the adjugate solve, _unit_reduction and
-    # fgab._modular_group build their tuples from lists, not generators:
+    # fgab.modular_cokernel build their tuples from lists, not generators:
     # tuple() of a generator starts from a 10-tuple and resizes it, so a
     # shorter tuple, once freed, waits on CPython's free list for its own
     # length (up to 2000 each), which generator-built tuples never draw on.

@@ -1,8 +1,9 @@
 """Finitely generated abelian groups presented as cokernels Z^N / M Z^N.
 
 A group is its presentation M with a coordinate map (k x N), a lift (N x k)
-and the invariant factor of each coordinate: 0 free, 1 collapsed, d > 1 torsion
-of order d.  ``modular_cokernel``, for M of rank N - r with a saturated basis
+and the factor of each coordinate, in one layout: the torsion, a divisibility
+chain d_1 | d_2 | ... of factors > 1, then a 0 for each free coordinate.
+``modular_cokernel``, for M of rank N - r with a saturated basis
 Y of its left kernel, a right inverse Z of Y and the order delta of the
 torsion, takes the free coordinates from Y and the torsion from the Smith
 form of [M | Z] modulo delta, or, when r = 0, off a row w with
@@ -12,9 +13,8 @@ matrix and markediso's quotients know those inputs in closed form.
 caller that carries a group over from a smaller presentation with the same
 cokernel, as invariants does from the residual of I - A.
 
-``cokernel`` finds those inputs for a square M (a narrower one is padded
-with zero columns, a wider one replaced by its Hermite basis) by one
-Bareiss pass of [M^T | b] (exactmat.adjugate_or_kernel).  When det M != 0
+``_cokernel`` finds those inputs for a square M by one Bareiss pass of
+[M^T | b] (exactmat.adjugate_or_kernel).  When det M != 0
 it gives u = adj(M^T) b, u M = det M b^T, which kills M modulo
 delta = |det M|.  Otherwise it names a
 nonsingular (N-r)-minor M_0 of M, without the rows I and the columns J, and
@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import NamedTuple
 
 from .exactmat import (IntMatrix, DimensionMismatchError, _smith_mod, _spread, _xgcd,
-                       adjugate_or_kernel, adjugate_solve, determinant, hnf_columns)
+                       adjugate_or_kernel, adjugate_solve, determinant)
 
 
 class ParentMismatchError(ValueError):
@@ -66,32 +65,27 @@ class ParentMismatchError(ValueError):
 class FgAbelianGroup:
     """Cokernel Z^N / (column lattice of presentation) in canonical form:
     ``coords`` maps representatives to canonical coordinates, ``lift`` maps
-    coordinates back, and ``factors`` are as in the module docstring.  The
-    derived attributes are computed on first use."""
+    coordinates back, and ``factors`` are laid out as in the module docstring
+    (else ValueError), which sets ``torsion`` and ``free_rank``."""
 
     presentation: IntMatrix
     coords: IntMatrix
     lift: IntMatrix
     factors: tuple[int, ...]
+    torsion: tuple[int, ...] = field(init=False, compare=False)
+    free_rank: int = field(init=False, compare=False)
 
-    @cached_property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.factors if d > 1)
-
-    @cached_property
-    def torsion_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.factors) if d > 1)
-
-    @cached_property
-    def free_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.factors) if d == 0)
-
-    @cached_property
-    def free_rank(self) -> int:
-        return len(self.free_positions)
+    def __post_init__(self):
+        r = self.factors.count(0)
+        torsion = self.factors[:len(self.factors) - r]
+        if any(d <= 1 for d in torsion) or any(e % d for d, e in zip(torsion, torsion[1:])):
+            raise ValueError(f"factors {list(self.factors)} are not a divisibility chain "
+                             "of torsion factors > 1, then zeros")
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "free_rank", r)
 
     def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+        return not self.factors
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -102,19 +96,10 @@ class FgAbelianGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.torsion), (0,) * self.free_rank)
 
-    @cached_property
-    def _class_map(self) -> IntMatrix:
-        """The rows of coords that give a coordinate: torsion, then free."""
-        keep = self.torsion_positions + self.free_positions
-        return IntMatrix(len(keep), self.coords.cols, tuple(self.coords.entries[i] for i in keep))
-
-    def _element(self, w: Sequence[int]) -> "GroupElement":
-        t = len(self.torsion)
-        return GroupElement(self, tuple(map(operator.mod, w[:t], self.torsion)), tuple(w[t:]))
-
     def class_of(self, v: Sequence[int]) -> "GroupElement":
         """Canonical coordinates of the class [v]."""
-        return self._element(self._class_map.mul_vec(v))
+        w, t = self.coords.mul_vec(v), len(self.torsion)
+        return GroupElement(self, tuple(map(operator.mod, w[:t], self.torsion)), w[t:])
 
     def columns_in_class(self, m: IntMatrix, a: "GroupElement") -> bool:
         """Whether every column of m has class a: one matrix product, each
@@ -122,20 +107,15 @@ class FgAbelianGroup:
         if a.parent != self:
             raise ParentMismatchError("element belongs to a different group")
         return not any((x - c) % d if d else x - c
-                       for row, c, d in zip((self._class_map @ m).entries,
-                                            a.torsion_coords + a.free_coords,
-                                            self.torsion + (0,) * self.free_rank)
+                       for row, c, d in zip((self.coords @ m).entries,
+                                            a.torsion_coords + a.free_coords, self.factors)
                        for x in row)
 
     def representative(self, a: "GroupElement") -> tuple[int, ...]:
         """Some vector v in Z^N with class_of(v) == a."""
         if a.parent != self:
             raise ParentMismatchError("element belongs to a different group")
-        w = [0] * len(self.factors)
-        for c, i in zip(a.torsion_coords + a.free_coords,
-                        self.torsion_positions + self.free_positions):
-            w[i] = c
-        return self.lift.mul_vec(w)
+        return self.lift.mul_vec(a.torsion_coords + a.free_coords)
 
 
 @dataclass(frozen=True)
@@ -185,19 +165,6 @@ class GroupElement:
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self.add(other.negate())
-
-
-def cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """Z^n / (column lattice of m) for an n x c matrix m, read by _cokernel
-    off m made square: a wide m is replaced by hnf_columns(m), a basis of the
-    same lattice, a narrow one padded with zero columns.  A left-kernel row y
-    is negated unless y_1 >= 0, so [e_1] has free coordinates >= 0 when at
-    most one row has y_1 != 0."""
-    n = m.rows
-    narrow = hnf_columns(m) if m.cols > n else m
-    square = IntMatrix(n, n, tuple([row + (0,) * (n - narrow.cols) for row in narrow.entries]))
-    g = _cokernel(square, [1] * n, lambda: [-(i == 0) for i in range(n)]).group
-    return FgAbelianGroup(m, g.coords, g.lift, g.factors)
 
 
 class _Cokernel(NamedTuple):

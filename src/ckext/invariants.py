@@ -31,8 +31,9 @@ w = 1^T adj(I - A), and gcd(w, D) = gcd(u, D) for D = |det(I - A)|.  Each
 left-kernel row y is negated unless y L 1_N, its row sum carried back, is
 <= 0 (at r = 1, -[1_N] then has a nonnegative free coordinate).  The group
 has coordinate rows K_c, factors d_c and lifts l_c for its coordinates
-c = 1..k with d_c != 1 (d_c = 0 for a free one), K_c l_c' = [c = c']
-(mod d_c).
+c = 1..k, the torsion (a divisibility chain of d_c > 1) then the free ones
+(d_c = 0), K_c l_c' = [c = c'] (mod d_c); from here on k counts these
+coordinates, at most the residual's size.
 
 The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
 g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
@@ -262,15 +263,14 @@ def _weak_group(ima: IntMatrix):
 def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> FgAbelianGroup:
     """The group `local` of the residual carried to Z^N / ima Z^N: a coordinate
     row K becomes K L, zero at the pivot rows, and a lift keeps its entries on
-    the residual's rows, zero at the pivot rows; the coordinates with factor 1
-    are dropped.  Checked by certified_group against ima."""
-    keep = local.torsion_positions + local.free_positions
-    lifts = local.lift.columns()
+    the residual's rows, zero at the pivot rows.  Checked by certified_group
+    against ima."""
     return certified_group(
-        ima, IntMatrix(len(keep), ima.cols, tuple(red.carry_row(local.coords.entries[c])
-                                                  for c in keep)),
-        IntMatrix.from_columns([red.carry_lift(lifts[c]) for c in keep], rows=ima.rows),
-        tuple(local.factors[c] for c in keep))
+        ima, IntMatrix(len(local.factors), ima.cols,
+                       tuple([red.carry_row(row) for row in local.coords.entries])),
+        IntMatrix.from_columns([red.carry_lift(col) for col in local.lift.columns()],
+                               rows=ima.rows),
+        local.factors)
 
 
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -291,12 +291,10 @@ def _through_phi(ima: IntMatrix, weak: FgAbelianGroup, phi, den: int, target, g:
     if any(sum(map(operator.mul, phi, col)) != den * t for col, t in zip(zip(*ima.entries),
                                                                          target)):
         raise ArithmeticError("phi (I - A) is not den (1^T - (1^T x) alpha)")
-    keep = weak.torsion_positions + weak.free_positions
-    lifts, k_rows = weak.lift.columns(), weak.coords.entries
-    pl = [sum(map(operator.mul, phi, lifts[c])) for c in keep]
+    pl = [sum(map(operator.mul, phi, col)) for col in weak.lift.columns()]
     phi0 = list(phi)
-    for v, c in zip(pl, keep):
-        phi0 = [p - v * q for p, q in zip(phi0, k_rows[c])]
+    for v, row in zip(pl, weak.coords.entries):
+        phi0 = [p - v * q for p, q in zip(phi0, row)]
     return ([_exact_quotient(d * v, den) for d, v in zip(weak.torsion, pl)],
             [_exact_quotient(p, den) for p in phi0], g)
 
@@ -330,9 +328,8 @@ def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAb
     map K_R Phi and the lift Psi L_R against I - A^.  iota(1) has free
     coordinates (L, 0, ..., 0) when g = 0, 0 otherwise, and the last f free
     coordinates of a class are its weak ones."""
-    keep = weak.torsion_positions + weak.free_positions
     d, f = weak.torsion, weak.free_rank
-    t, n = len(d), 1 + len(keep)
+    t, n = len(d), 1 + len(weak.factors)
     rel = IntMatrix(n, n, tuple([tuple([-x for x in s] + [g] + [0] * f)]
                                 + [tuple([dc * (i == j) for j in range(n)])
                                    for i, dc in enumerate(d)] + [(0,) * n] * f))
@@ -343,9 +340,8 @@ def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAb
         y = _relation_kernel_row(s, d)
         ys, delta = [y + [0] * f] + ys, _exact_quotient(math.prod(d), y[0])
     group = modular_cokernel(rel, delta, (), ys, [_unit_lift(y, 0) for y in ys])
-    lifts = weak.lift.columns()
-    phi = IntMatrix(n, ima.cols, (tuple(phi0),) + tuple(weak.coords.entries[c] for c in keep))
-    psi = IntMatrix.from_columns([ima.column(0)] + [lifts[c] for c in keep], rows=ima.rows)
+    phi = IntMatrix(n, ima.cols, (tuple(phi0),) + weak.coords.entries)
+    psi = IntMatrix.from_columns([ima.column(0)] + weak.lift.columns(), rows=ima.rows)
     return certified_group(_i_minus_hat(ima, 1), group.coords @ phi, psi @ group.lift,
                            group.factors)
 

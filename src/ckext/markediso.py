@@ -107,22 +107,24 @@ def marked_group(free_rank: int, torsion: tuple[int, ...] | list[int],
 
     ``torsion`` lists invariant factors > 1 in ascending divisibility order
     (else ValueError); each marker is a coordinate tuple of length
-    free_rank + len(torsion), free coordinates first, and keeps them.
+    free_rank + len(torsion), free coordinates first, and keeps them.  The
+    group itself lays its coordinates out torsion first.
     """
     torsion = tuple(map(index, torsion))
     if any(d <= 1 for d in torsion) or any(e % d for d, e in zip(torsion, torsion[1:])):
         raise ValueError(f"torsion {list(torsion)} is not a divisibility chain of factors > 1")
-    eye = IntMatrix.identity(free_rank + len(torsion))
-    group = certified_group(_presentation(free_rank, torsion), eye, eye,
-                            (0,) * free_rank + torsion)
-    elems = tuple(group.class_of(tuple(map(index, coords))) for coords in markers)
+    eye = IntMatrix.identity(len(torsion) + free_rank)
+    group = certified_group(_presentation(torsion, free_rank), eye, eye,
+                            torsion + (0,) * free_rank)
+    elems = tuple(group.class_of(c[free_rank:] + c[:free_rank])
+                  for c in (tuple(map(index, coords)) for coords in markers))
     return MarkedGroup(group, elems)
 
 
-def _presentation(r: int, ds: tuple[int, ...], *extra) -> IntMatrix:
-    """The relations d_s e_(r+s) that present Z^r + T in Z^(r+t), then extra."""
-    n = r + len(ds)
-    return IntMatrix.from_columns([[d * (i == r + s) for i in range(n)]
+def _presentation(ds: tuple[int, ...], r: int, *extra) -> IntMatrix:
+    """The relations d_s e_s that present T + Z^r in Z^(t+r), then extra."""
+    n = len(ds) + r
+    return IntMatrix.from_columns([[d * (i == s) for i in range(n)]
                                    for s, d in enumerate(ds)] + list(extra), rows=n)
 
 
@@ -291,17 +293,17 @@ def _quotient(x: GroupElement) -> tuple[int, tuple[int, ...]]:
 
     For x = (f, tau) in Z^r + T with c = gcd(f), a basis change of Z^r sends
     f to c e_1, so G/<x> is Z^(r-1) plus the cokernel of M, the relations
-    d_s e_s of T and (c, tau) on Z + T.  M is nonsingular of determinant
-    c |T| when c != 0; when c = 0 its first row is 0, so e_0 spans its left
+    d_s e_s of T and (tau, c) on T + Z.  M is nonsingular of determinant
+    c |T| when c != 0; when c = 0 its last row is 0, so e_t spans its left
     kernel and its torsion is T/<tau>.
     """
     g, c = x.parent, math.gcd(*x.free_coords)
-    m = _presentation(1, g.torsion, (c, *x.torsion_coords))
+    m = _presentation(g.torsion, 1, (*x.torsion_coords, c))
     if c:
         q = modular_cokernel(m, c * math.prod(g.torsion))
     else:
-        e0 = [int(i == 0) for i in range(m.rows)]
-        q = modular_cokernel(m, math.prod(g.torsion) // element_order(x), ys=[e0], zs=[e0])
+        et = [int(i == m.rows - 1) for i in range(m.rows)]
+        q = modular_cokernel(m, math.prod(g.torsion) // element_order(x), ys=[et], zs=[et])
     return g.free_rank - 1 + q.free_rank, q.torsion
 
 

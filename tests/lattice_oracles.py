@@ -1,14 +1,15 @@
 """Oracles for the package's certificates, each read off a Hermite or Smith
 normal form of the whole matrix: column-lattice predicates, integer kernels
 and the exact Smith form with unimodular transforms (snf), whose cokernel
-(smith_cokernel) the tests hold the package's groups against."""
+(smith_cokernel) the tests hold the package's groups against.  cokernel
+takes any presentation through the package's own engine, fgab._cokernel."""
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index, mul
 
 from ckext.exactmat import DimensionMismatchError, IntMatrix, hnf_columns
-from ckext.fgab import FgAbelianGroup
+from ckext.fgab import FgAbelianGroup, _cokernel
 
 
 class NotUnimodularError(ValueError):
@@ -177,11 +178,28 @@ def snf(m: IntMatrix) -> SmithDecomposition:
 
 
 def smith_cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) in the coordinates of the Smith form of m."""
+    """Z^N / (column lattice of m) in the coordinates of the Smith form of m,
+    less the rows of U and the columns of U^-1 whose factor is 1."""
     smith = snf(m)
-    return FgAbelianGroup(m, smith.u, smith.u_inv, smith.factors())
+    factors = smith.factors()
+    keep = [i for i, f in enumerate(factors) if f != 1]
+    u, u_inv = smith.u.entries, smith.u_inv.columns()
+    return FgAbelianGroup(m, IntMatrix(len(keep), m.rows, tuple([u[i] for i in keep])),
+                          IntMatrix.from_columns([u_inv[i] for i in keep], rows=m.rows),
+                          tuple([factors[i] for i in keep]))
 
 
+def cokernel(m: IntMatrix) -> FgAbelianGroup:
+    """Z^n / (column lattice of m) for an n x c matrix m, read by fgab._cokernel
+    off m made square: a wide m is replaced by hnf_columns(m), a basis of the
+    same lattice, a narrow one padded with zero columns.  A left-kernel row y
+    is negated unless y_1 >= 0, so [e_1] has free coordinates >= 0 when at
+    most one row has y_1 != 0."""
+    n = m.rows
+    narrow = hnf_columns(m) if m.cols > n else m
+    square = IntMatrix(n, n, tuple([row + (0,) * (n - narrow.cols) for row in narrow.entries]))
+    g = _cokernel(square, [1] * n, lambda: [-(i == 0) for i in range(n)]).group
+    return FgAbelianGroup(m, g.coords, g.lift, g.factors)
 
 
 def lattice_equal(m1: IntMatrix, m2: IntMatrix) -> bool:

@@ -25,7 +25,6 @@ from ckext.corpus import (
     MarkedDescriptor, cuntz_rows,
 )
 from ckext.exactmat import IntMatrix, determinant as matrix_determinant
-from ckext.fgab import cokernel
 from ckext.invariants import (
     ValidationError,
     a_hat,
@@ -50,7 +49,7 @@ from ckext.markediso import (
     marked_isomorphic,
 )
 from conftest import ACCEPTANCE_LINES, abelian_group_types, det_i_minus_a, random_valid_rows
-from lattice_oracles import smith_cokernel, snf
+from lattice_oracles import cokernel, smith_cokernel, snf
 
 INJECTIVITY_GAP = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 

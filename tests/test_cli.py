@@ -359,33 +359,27 @@ def test_examples_structured(capsys):
 
 @pytest.fixture
 def smith_inputs(monkeypatch):
-    """Records, while the test runs, the input of every fgab.cokernel call
-    and of every fgab.modular_cokernel call that fgab._cokernel or
-    invariants makes: ([cokernel inputs], [modular inputs]).  markediso's
-    modular cokernels of a quotient G/<x> are not counted."""
-    cokernels, modular = [], []
+    """Records, while the test runs, the input of every fgab.modular_cokernel
+    call that fgab._cokernel or invariants makes.  markediso's modular
+    cokernels of a quotient G/<x> are not counted."""
+    modular, real = [], fgab.modular_cokernel
 
-    def recording(inputs, real):
-        def wrapped(m, *args):
-            inputs.append(m)
-            return real(m, *args)
-        return wrapped
+    def recording(m, *args):
+        modular.append(m)
+        return real(m, *args)
 
-    monkeypatch.setattr(fgab, "cokernel", recording(cokernels, fgab.cokernel))
-    counted = recording(modular, fgab.modular_cokernel)
     for module in (fgab, invariants):
-        monkeypatch.setattr(module, "modular_cokernel", counted)
-    return cokernels, modular
+        monkeypatch.setattr(module, "modular_cokernel", recording)
+    return modular
 
 
 @pytest.fixture
 def hnf_inputs(monkeypatch):
     """Records the input of every Hermite form computed through
-    exactmat.hnf_columns or fgab.hnf_columns (which cokernel runs on a wide
-    matrix) while the test runs.  invariants and cli hold no Hermite form of
-    their own; markediso's Hermite forms of the k x r matrix of free parts
-    of k markers are not counted."""
-    assert not any(hasattr(module, "hnf_columns") for module in (invariants, cli))
+    exactmat.hnf_columns while the test runs.  fgab, invariants and cli hold
+    no Hermite form of their own; markediso's Hermite forms of the k x r
+    matrix of free parts of k markers are not counted."""
+    assert not any(hasattr(module, "hnf_columns") for module in (fgab, invariants, cli))
     inputs = []
     real = exactmat.hnf_columns
 
@@ -393,8 +387,7 @@ def hnf_inputs(monkeypatch):
         inputs.append(m)
         return real(m)
 
-    for module in (exactmat, fgab):
-        monkeypatch.setattr(module, "hnf_columns", counting)
+    monkeypatch.setattr(exactmat, "hnf_columns", counting)
     return inputs
 
 
@@ -403,14 +396,14 @@ LOW_RANK = random_valid_rows(random.Random(1892), 6)
 
 
 def test_smith_forms_per_command(tmp_path, capsys, smith_inputs, hnf_inputs):
-    """No normal form of an N x N matrix, no fgab.cokernel and no Hermite
-    form in any command, whatever the rank of I - A.  A weak group comes
-    from the residual of the unit reduction (read off w, or its modular
-    Smith form modulo |det(I - A)| or, when I - A is singular, modulo the
-    torsion order); a strong group from the modular cokernel of its square
+    """No normal form of an N x N matrix and no Hermite form in any command,
+    whatever the rank of I - A.  A weak group comes from the residual of the
+    unit reduction (read off w, or its modular Smith form modulo
+    |det(I - A)| or, when I - A is singular, modulo the torsion order); a
+    strong group from the modular cokernel of its square
     relation matrix, never a lattice of the input.  Every modular cokernel
     is of one of these two; verify reads node (4) off the kernel basis."""
-    cokernels, modular = smith_inputs
+    modular = smith_inputs
     singular = write_matrix(tmp_path, "a4.txt", A4)          # rank N - 1
     low_rank = write_matrix(tmp_path, "low.txt", LOW_RANK)   # rank N - 2
     nonsingular = write_matrix(tmp_path, "a1.txt", A1)       # det(I - A) = -3
@@ -435,35 +428,35 @@ def test_smith_forms_per_command(tmp_path, capsys, smith_inputs, hnf_inputs):
             assert relations[-1].rows <= a.n
 
     def normal_forms(argv):
-        """(cokernel calls, modular cokernels, Hermite forms) run by one
-        command; each modular cokernel is of a residual or a relation
-        matrix, which is smaller than the input."""
-        for inputs in (*smith_inputs, hnf_inputs):
+        """(modular cokernels, Hermite forms) run by one command; each
+        modular cokernel is of a residual or a relation matrix, which is
+        smaller than the input."""
+        for inputs in (modular, hnf_inputs):
             inputs.clear()
         main(argv)
         capsys.readouterr()
         assert all(m in residuals or m in relations for m in modular)
-        return len(cokernels), len(modular), len(hnf_inputs)
+        return len(modular), len(hnf_inputs)
 
-    assert normal_forms(["compute", singular]) == (0, 2, 0)
-    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (0, 2, 0)
-    assert normal_forms(["compute", low_rank]) == (0, 2, 0)
-    assert normal_forms(["compute", nonsingular]) == (0, 2, 0)
-    assert normal_forms(["compute", fibonacci]) == (0, 2, 0)
+    assert normal_forms(["compute", singular]) == (2, 0)
+    assert normal_forms(["compute", singular, "--transpose", "--format", "text"]) == (2, 0)
+    assert normal_forms(["compute", low_rank]) == (2, 0)
+    assert normal_forms(["compute", nonsingular]) == (2, 0)
+    assert normal_forms(["compute", fibonacci]) == (2, 0)
     # compare reads only the weak groups of the transposes.
-    assert normal_forms(["compare", singular, fibonacci]) == (0, 2, 0)
-    assert normal_forms(["compare", low_rank, fibonacci]) == (0, 2, 0)
-    assert normal_forms(["compare", nonsingular, fibonacci]) == (0, 2, 0)
+    assert normal_forms(["compare", singular, fibonacci]) == (2, 0)
+    assert normal_forms(["compare", low_rank, fibonacci]) == (2, 0)
+    assert normal_forms(["compare", nonsingular, fibonacci]) == (2, 0)
     # The verifiers work by certificate: verify runs the normal forms of
     # compute and no other.
-    for path, forms in ((singular, (0, 2, 0)), (low_rank, (0, 2, 0)),
-                        (nonsingular, (0, 2, 0))):
+    for path, forms in ((singular, (2, 0)), (low_rank, (2, 0)),
+                        (nonsingular, (2, 0))):
         assert normal_forms(["verify", path]) == forms
         assert normal_forms(["compute", path, "--verify"]) == forms
     # The same at N = 20, rank N - 1: singular_draw(0, 20).
     drawn = write_matrix(tmp_path, "s20.txt", singular_draw(0, 20))
-    assert normal_forms(["compute", drawn, "--verify"]) == (0, 2, 0)
-    assert normal_forms(["compare", drawn, drawn]) == (0, 2, 0)
+    assert normal_forms(["compute", drawn, "--verify"]) == (2, 0)
+    assert normal_forms(["compare", drawn, drawn]) == (2, 0)
 
     # examples: the relation matrix of each entry (no lattice is put in
     # Smith form); the expected marked groups are built from their
@@ -473,8 +466,8 @@ def test_smith_forms_per_command(tmp_path, capsys, smith_inputs, hnf_inputs):
         a = validate(entry.rows)
         eye = IntMatrix.identity(a.n)
         lattices += [eye - a.as_int_matrix(), eye - a_hat(a, 1)]
-    assert normal_forms(["examples"]) == (0, 2 * len(CORPUS), 0)
-    assert not any(m in lattices for m in cokernels + modular)
+    assert normal_forms(["examples"]) == (2 * len(CORPUS), 0)
+    assert not any(m in lattices for m in modular)
 
 
 @pytest.mark.parametrize("rows, corank", [

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckext.exactmat import DimensionMismatchError, IntMatrix
-from ckext.fgab import ParentMismatchError, certified_group, cokernel, element_order
-from lattice_oracles import lattice_contains
+from ckext.fgab import FgAbelianGroup, ParentMismatchError, certified_group, element_order
+from lattice_oracles import cokernel, lattice_contains
 
 
 def mat(rows):
@@ -155,3 +155,18 @@ def test_columns_in_class_agrees_with_class_of(m, data):
     assert g.columns_in_class(same, a)
     with pytest.raises(ParentMismatchError):
         g.columns_in_class(probe, cokernel(mat([[97]])).zero())
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (6, 4), (1, 4), (0, 2), (4, 0, 8)])
+def test_factors_out_of_layout_are_refused(factors):
+    """factors must be a divisibility chain of torsion factors > 1, then one
+    0 per free coordinate.  The diagonal presentation passes every entry
+    check of certified_group, so only the layout is at fault."""
+    n = len(factors)
+    diagonal = mat([[d * (i == j) for j in range(n)] for i, d in enumerate(factors)])
+    eye = IntMatrix.identity(n)
+    with pytest.raises(ValueError, match="divisibility chain"):
+        certified_group(diagonal, eye, eye, factors)
+    with pytest.raises(ValueError, match="divisibility chain"):
+        FgAbelianGroup(diagonal, eye, eye, factors)
+

@@ -1169,7 +1169,7 @@ print(json.dumps({
     "det": rep.det_i_minus_a,
     "weak": [weak.free_rank, list(weak.torsion)],
     "x": list(rep.kernel[0]),
-    "y": [list(weak.coords.entries[i]) for i in weak.free_positions],
+    "y": [list(row) for row in weak.coords.entries[len(weak.torsion):]],
     "g": rep.iota_kernel_generator,
     "strong_free_rank": rep.exts_group.free_rank,
     "all_passed": _verification_passed(verification_document(rep)),

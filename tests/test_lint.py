@@ -61,3 +61,23 @@ def test_every_private_top_level_name_is_used():
                     used.add(name)
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unused, f"private names used nowhere else in src/ckext: {unused}"
+
+
+def test_no_module_defines_or_imports_cokernel():
+    """The generic cokernel of any presentation is a test oracle
+    (lattice_oracles.cokernel): no command needs it, so no module of the
+    package defines or imports a name cokernel."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for alias in node.names for n in (alias.name, alias.asname)]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "cokernel"]
+    assert not found, f"cokernel defined or imported in src/ckext: {found}"

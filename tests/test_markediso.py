@@ -6,7 +6,8 @@ import pytest
 
 from ckext import markediso
 from ckext.corpus import A5, A6, FIBONACCI, cuntz_rows
-from ckext.fgab import GroupElement
+from ckext.exactmat import IntMatrix
+from ckext.fgab import GroupElement, certified_group
 from ckext.invariants import validate
 from ckext.markediso import (
     MarkedGroup,
@@ -46,6 +47,8 @@ def test_marked_group_keeps_its_coordinates():
     assert [(m.free_coords, m.torsion_coords) for m in x.markers] == \
         [((0,), (3, 5)), ((2,), (1, 1))]
     assert (x.group.free_rank, x.group.torsion) == (1, (4, 8))
+    assert x.group.factors == (4, 8, 0)
+    assert all(x.group.class_of(x.group.representative(m)) == m for m in x.markers)
     assert marked_group(0, [], [()]).group.is_trivial()
 
 
@@ -53,6 +56,18 @@ def test_marked_group_keeps_its_coordinates():
 def test_marked_group_rejects_a_torsion_list_that_is_not_a_chain(torsion):
     with pytest.raises(ValueError):
         marked_group(0, torsion, [])
+
+
+def test_a_group_whose_torsion_is_not_a_chain_is_refused():
+    """Z/2 + Z/3 is Z/6, and the class of (1, 1) generates it, so it is
+    isomorphic to Z/6 marked by 1.  Taken with the factors (2, 3) as given,
+    marked_isomorphic would compare the torsion lists (2, 3) and (6,) and
+    answer "not isomorphic"; the group is refused when it is built."""
+    eye = IntMatrix.identity(2)
+    with pytest.raises(ValueError, match="divisibility chain"):
+        g = certified_group(IntMatrix.from_rows([[2, 0], [0, 3]]), eye, eye, (2, 3))
+        marked_isomorphic(MarkedGroup(g, (g.class_of((1, 1)),)),
+                          marked_group(0, (6,), [(1,)]))
 
 
 def test_z2_marked_points_differ():
