@@ -6,7 +6,8 @@ PARENT and CHANGE are checkouts of this repository.  For each tree, in this
 one process, ckext is imported afresh from TREE/src and cli.main runs every
 op of the three pools of CHANGE/perfbench/inputs.py at seed S (default 1),
 then ``examples`` and ``compare`` over every ordered pair of corpus entries,
-with stdout captured.  inputs.py is only read; the matrices are written to a
+each once with structured output and once with ``--format text``, with
+stdout captured.  inputs.py is only read; the matrices are written to a
 temporary directory.
 
 Each op whose exit code or stdout differs is printed.  For a compute
@@ -77,8 +78,8 @@ def run(cli, argv: list[str]) -> tuple[object, str]:
 
 
 def build_ops(change: Path, seed: int, workdir: Path) -> dict[str, list[str]]:
-    """Every op to run, by a readable key: the pools' ops, examples, and
-    compare over every ordered pair of corpus entries."""
+    """Every op to run, by a readable key: the pools' ops, then examples and
+    compare over every ordered pair of corpus entries, in both formats."""
     inputs = load_inputs(change)
     ops = {}
     for pool_name, make in inputs.POOLS.items():
@@ -91,9 +92,11 @@ def build_ops(change: Path, seed: int, workdir: Path) -> dict[str, list[str]]:
     load_ckext(change)
     corpus = importlib.import_module("ckext.corpus").CORPUS
     paths = {e.name: write_matrix(workdir / "corpus" / f"{e.name}.txt", e.rows) for e in corpus}
-    ops["corpus: examples"] = ["examples"]
-    for a, b in itertools.product(paths, repeat=2):
-        ops[f"corpus: compare {a} {b}"] = ["compare", paths[a], paths[b]]
+    for fmt in ([], ["--format", "text"]):
+        suffix = " ".join(["", *fmt])
+        ops[f"corpus: examples{suffix}"] = ["examples", *fmt]
+        for a, b in itertools.product(paths, repeat=2):
+            ops[f"corpus: compare {a} {b}{suffix}"] = ["compare", paths[a], paths[b], *fmt]
     return ops
 
 

@@ -7,10 +7,10 @@ Subcommands:
 * ``verify PATH``   - run the built-in lattice/exact-sequence verifiers
 * ``examples``      - run the embedded regression corpus
 
-Matrix files are UTF-8 text, one row per line as whitespace-separated 0/1
-tokens; lines starting with ``#`` are comments.  Structured output is a single
-JSON document with stable key order and no timestamps, so identical input
-yields byte-identical output.
+Matrix files are UTF-8 text, with or without a byte-order mark, one row per
+line as whitespace-separated 0/1 tokens; lines starting with ``#`` are
+comments.  Structured output is a single JSON document with stable key order
+and no timestamps, so identical input yields byte-identical output.
 
 Exit codes: 0 success / all checks pass, 2 parse or validation error,
 3 compare verdict "not isomorphic", 4 verification failure.
@@ -79,7 +79,7 @@ def load_matrix(path: str, *, use_transpose: bool = False, force: bool = False) 
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark
     except UnicodeDecodeError as exc:
         raise ParseError(f"ParseError: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     rows = parse_matrix_text(text)

@@ -44,11 +44,14 @@ and an automorphism of Q that moves one class to the other lifts to an
 isomorphism carrying x to x'.
 
 Two or more markers walk the orbit of the torsion-part tuple under a
-classical generating set of Aut(T) (unit scalings of each cyclic factor plus
-the compatible elementary transvections between factors), testing each orbit
-point for membership in the shift coset of the target tuple.  Orbits live in T^k, so
-the walk is bounded by |T|^k rather than |Aut(T)|; it builds a |T|^2
-addition table and refuses torsion subgroups above a bound.
+generating set of Aut(T): the unit scalings of each cyclic factor Z/d plus
+the compatible elementary transvections between factors.  The scalings use
+the units of Z/d taken in increasing order, each one that the units before
+it do not generate, with the generated subgroup grown by coset closure, so
+no integer is factored.  Each orbit point is tested for membership in the
+shift coset of the target tuple.  Orbits live in T^k, so the walk is
+bounded by |T|^k rather than |Aut(T)|; it builds a |T|^2 addition table and
+refuses torsion subgroups above a bound.
 
 `marked_iso_bruteforce` is the independent oracle: a plain backtracking
 enumeration of all isomorphisms by generator images, with no automorphism
@@ -57,6 +60,7 @@ theory behind it, feasible for small finite groups only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import index
@@ -128,84 +132,28 @@ def _presentation(ds: tuple[int, ...], r: int, *extra) -> IntMatrix:
                                    for s, d in enumerate(ds)] + list(extra), rows=n)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _adjoin(span, g, op):
+    """The subgroup generated by the finite subgroup ``span`` and g, as the
+    union of the cosets span.g^j up to the first j with g^j in span."""
+    acc = set(span)
+    gj = g
+    while gj not in span:
+        acc.update(op(s, gj) for s in span)
+        gj = op(gj, g)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Aut(T) generators for T = Z/d_1 + ... + Z/d_t, d_1 | d_2 | ... | d_t
 
 
-def _multiplicative_order(g: int, q: int) -> int:
-    k, x = 1, g % q
-    while x != 1:
-        x = x * g % q
-        k += 1
-    return k
-
-
 def _unit_group_generators(d: int) -> list[int]:
-    """Generators of (Z/d)^* as residues, assembled prime power by prime power."""
-    if d <= 2:
-        return []
-    gens = []
-    for p in _prime_factors(d):
-        q = 1
-        dd = d
-        while dd % p == 0:
-            q *= p
-            dd //= p
-        rest = d // q
-        if p == 2:
-            local = [] if q == 2 else ([3] if q == 4 else [q - 1, 5])
-        else:
-            phi = q // p * (p - 1)
-            local = [next(g for g in range(2, q)
-                          if math.gcd(g, p) == 1 and _multiplicative_order(g, q) == phi)]
-        for g in local:
-            if rest == 1:
-                gens.append(g % d)
-            else:
-                # CRT: congruent to g mod q, to 1 mod d/q
-                x = (g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % d
-                gens.append(x)
-    return gens
-
-
-def _aut_generator_images(ds: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-    """Generating set of Aut(T) given by images of the standard generators.
-
-    Unit scalings e_s -> rho e_s for generators rho of (Z/d_s)^*, and
-    elementary transvections e_s -> e_s + lambda e_r with the least lambda
-    that keeps the order of the image dividing d_s.  Unit scalings over each
-    factor plus these transvections generate the full automorphism group.
-    """
-    t = len(ds)
-    ident = [tuple(int(i == j) for j in range(t)) for i in range(t)]
-    gens = []
-    for s, d in enumerate(ds):
-        for rho in _unit_group_generators(d):
-            imgs = list(ident)
-            imgs[s] = tuple(rho if j == s else 0 for j in range(t))
-            gens.append(imgs)
-    for s in range(t):
-        for r2 in range(t):
-            if s == r2:
-                continue
-            lam = ds[r2] // math.gcd(ds[r2], ds[s])
-            imgs = list(ident)
-            imgs[s] = tuple((int(j == s) + lam * int(j == r2)) % ds[j] for j in range(t))
-            gens.append(imgs)
+    """Generators of (Z/d)^*: each unit the earlier ones do not generate."""
+    gens, span = [], {1}
+    for u in range(2, d):
+        if u not in span and math.gcd(u, d) == 1:
+            gens.append(u)
+            span = _adjoin(span, u, lambda a, b: a * b % d)
     return gens
 
 
@@ -224,24 +172,23 @@ def _decode(idx: int, ds) -> tuple[int, ...]:
 
 
 def _generator_tables(ds: tuple[int, ...]) -> list[list[int]]:
-    """Per automorphism generator, the index permutation of T it induces."""
-    order = math.prod(ds)
-    t = len(ds)
-    tables = []
-    for imgs in _aut_generator_images(ds):
-        table = [0] * order
-        for idx in range(order):
-            coords = _decode(idx, ds)
-            image = [0] * t
-            for s in range(t):
-                cs = coords[s]
-                if cs:
-                    row = imgs[s]
-                    for j in range(t):
-                        image[j] += cs * row[j]
-            table[idx] = _encode(image, ds)
-        tables.append(table)
-    return tables
+    """Per generator of Aut(T), the index permutation of T it induces.
+
+    The unit scalings c_s -> rho c_s for the generators rho of (Z/d_s)^*, and
+    for s != r the elementary transvection e_s -> e_s + lambda e_r, which maps
+    c_r -> c_r + lambda c_s, with the least lambda that keeps the order of the
+    image of e_s dividing d_s.  Together they generate all of Aut(T).
+    """
+    coords = [_decode(i, ds) for i in range(math.prod(ds))]
+    weight = [math.prod(ds[s + 1:]) for s in range(len(ds))]
+
+    def table(s, r, m):  # c_r -> c_r + m c_s
+        return [i + ((c[r] + m * c[s]) % ds[r] - c[r]) * weight[r]
+                for i, c in enumerate(coords)]
+
+    return ([table(s, s, rho - 1) for s, d in enumerate(ds) for rho in _unit_group_generators(d)]
+            + [table(s, r, ds[r] // math.gcd(ds[r], ds[s]))
+               for s, r in itertools.permutations(range(len(ds)), 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +208,16 @@ def _shift_subgroup(x: MarkedGroup, add_table) -> frozenset:
     """
     ds = x.group.torsion
     k, t = len(x.markers), len(ds)
-    zero = (0,) * k
-    closure = {zero}
+    closure = {(0,) * k}
+
+    def add(u, v):
+        return tuple(add_table[a][b] for a, b in zip(u, v))
+
     for j in range(x.group.free_rank):
         for s in range(t):
             gen = tuple(_encode(tuple(m.free_coords[j] * int(q == s) for q in range(t)), ds)
                         for m in x.markers)
-            if gen in closure:
-                continue
-            # coset decomposition of <closure, gen>
-            acc = set(closure)
-            mult = gen
-            while mult not in closure:
-                acc.update(tuple(add_table[a][b] for a, b in zip(state, mult))
-                           for state in closure)
-                mult = tuple(add_table[a][b] for a, b in zip(mult, gen))
-            closure = acc
+            closure = _adjoin(closure, gen, add)
     return frozenset(closure)
 
 

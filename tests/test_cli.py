@@ -118,6 +118,21 @@ def test_compute_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("error: ParseError: byte 13 is not UTF-8 "
                                 "(invalid continuation byte)\n")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # the offset counts the mark
+    assert main(["compute", str(path)]) == EXIT_INPUT_ERROR
+    assert "byte 16 is not UTF-8" in capsys.readouterr().err
+
+
+def test_compute_accepts_a_utf8_byte_order_mark(tmp_path, capsys):
+    """A file that starts with the UTF-8 byte-order mark reads as the same
+    file without it."""
+    plain = Path(write_matrix(tmp_path, "o2.txt", cuntz_rows(2)))
+    marked = tmp_path / "o2-bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["compute", str(plain)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["compute", str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 def test_compute_missing_file(capsys):

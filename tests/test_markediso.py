@@ -16,9 +16,11 @@ from ckext.markediso import (
     TooLargeError,
     TorsionTooLargeError,
     _decode,
+    _encode,
     _generator_tables,
     _orbit_walk,
     _quotient,
+    _unit_group_generators,
     ck_isomorphic,
     marked_group,
     marked_iso_bruteforce,
@@ -296,6 +298,46 @@ def test_quotient_partitions_t_into_automorphism_orbits():
         assert set(map(frozenset, by_quotient.values())) == orbits, ds
         elements += order
     assert elements == 17169  # 247 chains, the trivial group among them
+
+
+def test_unit_group_generators_reach_every_unit():
+    """For every modulus d of a group the orbit walk accepts, the products of
+    the generators reach every unit of Z/d (breadth-first search)."""
+    for d in range(2, markediso.DEFAULT_TORSION_BOUND + 1):
+        gens = _unit_group_generators(d)
+        reached, frontier = {1}, [1]
+        while frontier:
+            u = frontier.pop()
+            for g in gens:
+                if u * g % d not in reached:
+                    reached.add(u * g % d)
+                    frontier.append(u * g % d)
+        assert reached == {u for u in range(1, d) if math.gcd(u, d) == 1}, d
+
+
+def test_generator_tables_are_automorphisms_up_to_the_walk_bound():
+    """On every chain with 128 < |T| <= DEFAULT_TORSION_BOUND, beyond the
+    orbit test above, each generator table permutes T and is additive:
+    table[a + e_s] = table[a] + table[e_s] on a seeded sample of a."""
+    rng = random.Random(27)
+    chains = 0
+    for ds in abelian_group_types(markediso.DEFAULT_TORSION_BOUND):
+        order = math.prod(ds)
+        if order <= 128:
+            continue
+
+        def add(a, b):
+            return _encode([x + y for x, y in zip(_decode(a, ds), _decode(b, ds))], ds)
+
+        basis = [_encode([int(q == s) for q in range(len(ds))], ds) for s in range(len(ds))]
+        sample = rng.sample(range(order), 3)
+        for table in _generator_tables(ds):
+            assert sorted(table) == list(range(order)), ds
+            for a in sample:
+                for e in basis:
+                    assert table[add(a, e)] == add(table[a], table[e]), ds
+        chains += 1
+    assert chains == 813
 
 
 def test_agrees_with_bruteforce_on_random_finite_cases():
