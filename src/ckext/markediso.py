@@ -45,17 +45,21 @@ isomorphism carrying x to x'.
 
 Two or more markers walk the orbit of the torsion-part tuple under a
 generating set of Aut(T): the unit scalings of each cyclic factor Z/d plus
-the compatible elementary transvections between factors.  The scalings use
-the units of Z/d taken in increasing order, each one that the units before
-it do not generate, with the generated subgroup grown by coset closure, so
-no integer is factored.  Each orbit point is tested for membership in the
-shift coset of the target tuple.  Orbits live in T^k, so the walk is
-bounded by |T|^k rather than |Aut(T)|; it builds a |T|^2 addition table and
-refuses torsion subgroups above a bound.
+the compatible elementary transvections between factors, each a triple
+(s, r, m) acting as c_r -> c_r + m c_s on the coordinates of every marker.
+The scalings use the units of Z/d taken in increasing order, each one that
+the units before it do not generate, with the generated subgroup grown by
+coset closure, so no integer is factored.  An orbit state is the flat tuple
+of the k markers' torsion coordinates, and it reaches the target when its
+difference from the target's tuple lies in the shift subgroup.  A k-tuple's
+orbit has at most |T|^k states, so the walk refuses |T| above a bound (512,
+which keeps two markers under the four-million-state work bound), but only
+once the per-marker and free-part filters have failed to separate the pair.
 
 `marked_iso_bruteforce` is the independent oracle: a plain backtracking
 enumeration of all isomorphisms by generator images, with no automorphism
-theory behind it, feasible for small finite groups only.
+theory behind it, feasible for small finite groups only.  Its |T|^2 addition
+table and element indexing are its own; the walk uses neither.
 """
 
 from __future__ import annotations
@@ -157,38 +161,28 @@ def _unit_group_generators(d: int) -> list[int]:
     return gens
 
 
-def _encode(coords, ds) -> int:
-    idx = 0
-    for c, d in zip(coords, ds):
-        idx = idx * d + c % d
-    return idx
+def _generators(ds: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """A generating set of Aut(T), each generator a triple (s, r, m) that
+    maps c_r -> c_r + m c_s mod d_r.
 
-
-def _decode(idx: int, ds) -> tuple[int, ...]:
-    out = [0] * len(ds)
-    for s in range(len(ds) - 1, -1, -1):
-        idx, out[s] = divmod(idx, ds[s])
-    return tuple(out)
-
-
-def _generator_tables(ds: tuple[int, ...]) -> list[list[int]]:
-    """Per generator of Aut(T), the index permutation of T it induces.
-
-    The unit scalings c_s -> rho c_s for the generators rho of (Z/d_s)^*, and
-    for s != r the elementary transvection e_s -> e_s + lambda e_r, which maps
-    c_r -> c_r + lambda c_s, with the least lambda that keeps the order of the
-    image of e_s dividing d_s.  Together they generate all of Aut(T).
+    The unit scalings c_s -> rho c_s (s = r, m = rho - 1) for the generators
+    rho of (Z/d_s)^*, and for s != r the elementary transvection
+    e_s -> e_s + m e_r, with the least m that keeps the order of the image of
+    e_s dividing d_s.
     """
-    coords = [_decode(i, ds) for i in range(math.prod(ds))]
-    weight = [math.prod(ds[s + 1:]) for s in range(len(ds))]
-
-    def table(s, r, m):  # c_r -> c_r + m c_s
-        return [i + ((c[r] + m * c[s]) % ds[r] - c[r]) * weight[r]
-                for i, c in enumerate(coords)]
-
-    return ([table(s, s, rho - 1) for s, d in enumerate(ds) for rho in _unit_group_generators(d)]
-            + [table(s, r, ds[r] // math.gcd(ds[r], ds[s]))
+    return ([(s, s, rho - 1) for s, d in enumerate(ds) for rho in _unit_group_generators(d)]
+            + [(s, r, ds[r] // math.gcd(ds[r], ds[s]))
                for s, r in itertools.permutations(range(len(ds)), 2)])
+
+
+def _act(gen: tuple[int, int, int], state: tuple[int, ...], ds) -> tuple[int, ...]:
+    """The generator (s, r, m) applied to each marker of a state, the flat
+    tuple of the markers' torsion coordinates."""
+    s, r, m = gen
+    c = list(state)
+    for i in range(r, len(c), len(ds)):
+        c[i] = (c[i] + m * c[i + s - r]) % ds[r]
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +193,26 @@ def _free_parts_matrix(x: MarkedGroup) -> IntMatrix:
     return IntMatrix.from_rows([m.free_coords for m in x.markers])
 
 
-def _shift_subgroup(x: MarkedGroup, add_table) -> frozenset:
+def _shift_subgroup(x: MarkedGroup) -> frozenset:
     """The subgroup of T^k of shift tuples (psi(x_1 free), ..., psi(x_k free))
-    over all psi: Z^r -> T, as a set of encoded-element tuples.
+    over all psi: Z^r -> T, as a set of states.
 
     Generated by, per free basis coordinate j and torsion generator e_s, the
     tuple with component i equal to (free part of marker i)_j times e_s.
     """
     ds = x.group.torsion
-    k, t = len(x.markers), len(ds)
-    closure = {(0,) * k}
+    mods = ds * len(x.markers)
+    closure = {(0,) * len(mods)}
 
     def add(u, v):
-        return tuple(add_table[a][b] for a, b in zip(u, v))
+        return tuple((a + b) % d for a, b, d in zip(u, v, mods))
 
     for j in range(x.group.free_rank):
-        for s in range(t):
-            gen = tuple(_encode(tuple(m.free_coords[j] * int(q == s) for q in range(t)), ds)
-                        for m in x.markers)
+        for s in range(len(ds)):
+            gen = tuple(m.free_coords[j] * int(q == s) % d
+                        for m in x.markers for q, d in enumerate(ds))
             closure = _adjoin(closure, gen, add)
     return frozenset(closure)
-
-
-def _addition_table(ds: tuple[int, ...]) -> list[list[int]]:
-    order = math.prod(ds)
-    elems = [_decode(i, ds) for i in range(order)]
-    return [[_encode(tuple(a + b for a, b in zip(ea, eb)), ds) for eb in elems]
-            for ea in elems]
 
 
 def _quotient(x: GroupElement) -> tuple[int, tuple[int, ...]]:
@@ -275,37 +262,31 @@ def _orbit_walk(x: MarkedGroup, y: MarkedGroup) -> bool:
     k = len(x.markers)
     if k == 0:
         return True
+    if any(_quotient(a) != _quotient(b) for a, b in zip(x.markers, y.markers)):
+        return False
+    if hnf_columns(_free_parts_matrix(x)) != hnf_columns(_free_parts_matrix(y)):
+        return False
     t_order = math.prod(ds)
     if t_order > DEFAULT_TORSION_BOUND:
         raise TorsionTooLargeError(
             f"TorsionTooLarge: |T| = {t_order} (invariant factors {list(ds)}) "
             f"with k = {k} markers exceeds the orbit-walk bound {DEFAULT_TORSION_BOUND}")
-    if any(_quotient(a) != _quotient(b) for a, b in zip(x.markers, y.markers)):
-        return False
-    if hnf_columns(_free_parts_matrix(x)) != hnf_columns(_free_parts_matrix(y)):
-        return False
     if not ds:
         return True
 
-    add_table = _addition_table(ds)
-    neg = [add_table[i].index(0) for i in range(len(add_table))]
-    shifts = _shift_subgroup(x, add_table)
-    y_state = tuple(_encode(m.torsion_coords, ds) for m in y.markers)
-
-    def reaches_target(state: tuple[int, ...]) -> bool:
-        diff = tuple(add_table[yi][neg[si]] for yi, si in zip(y_state, state))
-        return diff in shifts
-
-    start = tuple(_encode(m.torsion_coords, ds) for m in x.markers)
-    tables = _generator_tables(ds)
+    shifts = _shift_subgroup(x)
+    mods = ds * k
+    target = tuple(c for m in y.markers for c in m.torsion_coords)
+    gens = _generators(ds)
+    start = tuple(c for m in x.markers for c in m.torsion_coords)
     seen = {start}
     frontier = [start]
     while frontier:
         state = frontier.pop()
-        if reaches_target(state):
+        if tuple((b - a) % d for a, b, d in zip(state, target, mods)) in shifts:
             return True
-        for table in tables:
-            nxt = tuple(table[idx] for idx in state)
+        for gen in gens:
+            nxt = _act(gen, state, ds)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -318,6 +299,20 @@ def _orbit_walk(x: MarkedGroup, y: MarkedGroup) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
+
+
+def _encode(coords, ds) -> int:
+    idx = 0
+    for c, d in zip(coords, ds):
+        idx = idx * d + c % d
+    return idx
+
+
+def _addition_table(ds: tuple[int, ...]) -> list[list[int]]:
+    elems = list(itertools.product(*map(range, ds)))
+    position = {e: i for i, e in enumerate(elems)}
+    return [[position[tuple((a + b) % d for a, b, d in zip(ea, eb, ds))] for eb in elems]
+            for ea in elems]
 
 
 def marked_iso_bruteforce(x: MarkedGroup, y: MarkedGroup, *,

@@ -71,6 +71,41 @@ def tied_columns(rows, pairs):
     return rows
 
 
+def out_split(rows, v, part):
+    """The out-split of vertex v of the graph with adjacency matrix rows: its
+    out-edges to the vertices in part move to a new last vertex v', the rest
+    stay at v, and every edge into v is doubled to end at v as well as at v'.
+    part and its complement in row v must both hold an edge."""
+    split = [[x if j in part else 0 for j, x in enumerate(rows[v])],
+             [x if j not in part else 0 for j, x in enumerate(rows[v])]]
+    if not any(split[0]) or not any(split[1]):
+        raise ValueError("an out-split needs out-edges on both sides")
+    kept = [split[1] if i == v else list(row) for i, row in enumerate(rows)] + [split[0]]
+    return [row + [row[v]] for row in kept]
+
+
+def in_split(rows, v, part):
+    """The in-split of vertex v: the out-split of the transposed graph,
+    transposed back, so that the in-edges from part move to the new vertex."""
+    return transposed(out_split(transposed(rows), v, part))
+
+
+def transposed(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def cuntz_splice(rows, v):
+    """The Cuntz splice at vertex v: two new vertices u, w, each with a loop,
+    and the edges v -> u, u -> v, u -> w and w -> u.  It flips the sign of
+    det(I - A) and keeps the group Z^N/(I - A)Z^N."""
+    n = len(rows)
+    u, w = n, n + 1
+    out = [list(row) + [0, 0] for row in rows] + [[0] * (n + 2) for _ in range(2)]
+    for i, j in ((v, u), (u, v), (u, u), (u, w), (w, u), (w, w)):
+        out[i][j] = 1
+    return out
+
+
 def det_i_minus_a(a) -> int:
     """det(I - A) by the Bareiss determinant of the N x N I - A."""
     return determinant(_identity_minus(a))

@@ -81,3 +81,28 @@ def test_no_module_defines_or_imports_cokernel():
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names if name == "cokernel"]
     assert not found, f"cokernel defined or imported in src/ckext: {found}"
+
+
+def test_only_the_bruteforce_oracle_uses_the_addition_table():
+    """The |T|^2 addition table and the element indexing it rests on belong
+    to marked_iso_bruteforce alone, so the oracle shares no helper with the
+    orbit walk it checks: no other code of the package names them."""
+    oracle_only = {"_addition_table", "_encode"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if getattr(stmt, "name", None) == "marked_iso_bruteforce":
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.asname or node.name
+                else:
+                    continue
+                if name in oracle_only:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"oracle helpers used outside marked_iso_bruteforce: {found}"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ckext import markediso
+from ckext import cli, markediso
 from ckext.corpus import A5, A6, FIBONACCI, cuntz_rows
 from ckext.exactmat import IntMatrix
 from ckext.fgab import GroupElement, certified_group
@@ -15,9 +15,8 @@ from ckext.markediso import (
     NotFiniteError,
     TooLargeError,
     TorsionTooLargeError,
-    _decode,
-    _encode,
-    _generator_tables,
+    _act,
+    _generators,
     _orbit_walk,
     _quotient,
     _unit_group_generators,
@@ -127,18 +126,37 @@ def _refuse_walk(*args):
 
 def test_torsion_bound_enforced(monkeypatch):
     """The bound limits the orbit walk, which only two or more markers take;
-    the refusal reports what it saw.  One marker with a nonzero free part is
-    answered above the bound, as the walk answers it with a larger bound."""
+    the refusal reports what it saw.  A pair that the per-marker filter
+    separates is answered above the bound, and so is one marker with a
+    nonzero free part, as the walk answers it with a larger bound."""
     pair = marked_group(0, (1024,), ((1,), (2,)))
     with pytest.raises(TorsionTooLargeError,
                        match=r"\|T\| = 1024 \(invariant factors \[1024\]\) with k = 2 .* 512"):
         marked_isomorphic(pair, pair)
+    assert not marked_isomorphic(pair, marked_group(0, (1024,), ((2,), (1,))))
     free = [(marked_group(1, (1024,), (a,)), marked_group(1, (1024,), (b,)))
             for a, b in (((1, 1), (-1, 0)), ((2, 1), (2, 3)), ((2, 1), (2, 0)))]
     verdicts = [marked_isomorphic(x, y) for x, y in free]
     monkeypatch.setattr(markediso, "DEFAULT_TORSION_BOUND", 2048)
     assert marked_isomorphic(pair, pair)
     assert verdicts == [_orbit_walk(x, y) for x, y in free] == [True, True, False]
+
+
+def _refuse_oracle_helper(*args):
+    raise AssertionError("the orbit walk used the oracle's addition table")
+
+
+def test_walk_needs_no_addition_table(monkeypatch, capsys):
+    """The |T|^2 addition table and element indexing belong to the
+    brute-force oracle: two markers at |T| = 512 and every example are
+    decided without them."""
+    monkeypatch.setattr(markediso, "_addition_table", _refuse_oracle_helper)
+    monkeypatch.setattr(markediso, "_encode", _refuse_oracle_helper)
+    x = marked_group(1, (8, 64), ((2, 3, 17), (-1, 4, 40)))
+    assert marked_isomorphic(x, x)
+    assert not marked_isomorphic(x, marked_group(1, (8, 64), ((2, 3, 17), (-3, 4, 40))))
+    assert cli.main(["examples"]) == 0
+    capsys.readouterr()
 
 
 def test_one_marker_with_zero_free_part_needs_no_bound(monkeypatch):
@@ -276,27 +294,26 @@ def test_quotient_partitions_t_into_automorphism_orbits():
     elements = 0
     for ds in abelian_group_types(128):
         group = marked_group(0, ds, ()).group
-        order = math.prod(ds)
-        tables = _generator_tables(ds)
+        gens = _generators(ds)
         orbits, seen = set(), set()
-        for start in range(order):
+        for start in itertools.product(*map(range, ds)):
             if start in seen:
                 continue
             orbit, frontier = {start}, [start]
             while frontier:
-                idx = frontier.pop()
-                for table in tables:
-                    if table[idx] not in orbit:
-                        orbit.add(table[idx])
-                        frontier.append(table[idx])
+                a = frontier.pop()
+                for gen in gens:
+                    b = _act(gen, a, ds)
+                    if b not in orbit:
+                        orbit.add(b)
+                        frontier.append(b)
             seen |= orbit
             orbits.add(frozenset(orbit))
         by_quotient = {}
-        for idx in range(order):
-            a = GroupElement(group, _decode(idx, ds), ())
-            by_quotient.setdefault(_quotient(a), set()).add(idx)
+        for a in itertools.product(*map(range, ds)):
+            by_quotient.setdefault(_quotient(GroupElement(group, a, ())), set()).add(a)
         assert set(map(frozenset, by_quotient.values())) == orbits, ds
-        elements += order
+        elements += math.prod(ds)
     assert elements == 17169  # 247 chains, the trivial group among them
 
 
@@ -315,10 +332,11 @@ def test_unit_group_generators_reach_every_unit():
         assert reached == {u for u in range(1, d) if math.gcd(u, d) == 1}, d
 
 
-def test_generator_tables_are_automorphisms_up_to_the_walk_bound():
+def test_generator_triples_are_automorphisms_up_to_the_walk_bound():
     """On every chain with 128 < |T| <= DEFAULT_TORSION_BOUND, beyond the
-    orbit test above, each generator table permutes T and is additive:
-    table[a + e_s] = table[a] + table[e_s] on a seeded sample of a."""
+    orbit test above, each generator permutes T and is additive:
+    g(a + e_s) = g(a) + g(e_s) on a seeded sample of a, so that m c_s is well
+    defined mod d_r when c_s is taken mod d_s."""
     rng = random.Random(27)
     chains = 0
     for ds in abelian_group_types(markediso.DEFAULT_TORSION_BOUND):
@@ -327,15 +345,16 @@ def test_generator_tables_are_automorphisms_up_to_the_walk_bound():
             continue
 
         def add(a, b):
-            return _encode([x + y for x, y in zip(_decode(a, ds), _decode(b, ds))], ds)
+            return tuple((x + y) % d for x, y, d in zip(a, b, ds))
 
-        basis = [_encode([int(q == s) for q in range(len(ds))], ds) for s in range(len(ds))]
-        sample = rng.sample(range(order), 3)
-        for table in _generator_tables(ds):
-            assert sorted(table) == list(range(order)), ds
+        elems = list(itertools.product(*map(range, ds)))
+        basis = [tuple(int(q == s) for q in range(len(ds))) for s in range(len(ds))]
+        sample = [elems[i] for i in rng.sample(range(order), 3)]
+        for gen in _generators(ds):
+            assert len({_act(gen, a, ds) for a in elems}) == order, ds
             for a in sample:
                 for e in basis:
-                    assert table[add(a, e)] == add(table[a], table[e]), ds
+                    assert _act(gen, add(a, e), ds) == add(_act(gen, a, ds), _act(gen, e, ds)), ds
         chains += 1
     assert chains == 813
 
