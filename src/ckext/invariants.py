@@ -24,16 +24,40 @@ I - A is first eliminated on +-1 pivots (exactmat._unit_reduction) to a
 k x k residual M', k < N, with the same cokernel; sigma = 1^T V, sigma' on
 the residual's columns.  Every elimination below runs on M' or a minor of
 it; rows, lifts and kernel vectors are carried back (_UnitReduction), and
-every certificate is checked on I - A itself.  The weak group is
-fgab._cokernel of M', of rank k - r, with b = sign sigma'
-(sign = det(I - A) / det M').  When r = 0 its row u, carried back, is
-w = 1^T adj(I - A), and gcd(w, D) = gcd(u, D) for D = |det(I - A)|.  Each
-left-kernel row y is negated unless y L 1_N, its row sum carried back, is
-<= 0 (at r = 1, -[1_N] then has a nonnegative free coordinate).  The group
-has coordinate rows K_c, factors d_c and lifts l_c for its coordinates
-c = 1..k, the torsion (a divisibility chain of d_c > 1) then the free ones
-(d_c = 0), K_c l_c' = [c = c'] (mod d_c); from here on k counts these
-coordinates, at most the residual's size.
+every certificate is checked on I - A itself.
+
+The weak group Z^k / M' Z^k = Z^r + T, M' of rank k - r, is read off one
+Bareiss pass of [M'^T | b], b = sign sigma' (sign = det(I - A) / det M';
+exactmat.adjugate_or_kernel), by fgab.modular_cokernel (_weak_group).
+When det M' != 0 it gives u = adj(M'^T) b, u M' = det(I - A) sigma'^T,
+which kills M' modulo delta = |det M'|; carried back, u is
+w = 1^T adj(I - A), and gcd(w, D) = gcd(u, D) for D = |det(I - A)|.
+Otherwise it names a nonsingular (k-r)-minor M_0 of M', without the rows
+I and the columns J, and r rows Y with Y M' = 0, +-det M_0 I_r on I; r
+solves on M_0 give X with M' X = 0, det M_0 I_r on J.  Each row y of Y is
+negated unless y L 1_N, its row sum carried back, is <= 0 (at r = 1,
+-[1_N] then has a nonnegative free coordinate).  The saturations X* and Y*
+(_saturated) are bases of Ker M' and of the left kernel, with witnesses
+alpha X* = I_r, checked, and Y* Z = I_r, checked by certified_group, and
+
+    delta = |T| = |det M_0| / (|det Y*_I| |det X*_J|).
+
+Proof: let U M' V = diag(d_1, ..., d_{k-r}, 0, ..., 0) be a Smith form, so
+|T| = d_1 ... d_{k-r}.  By Cauchy-Binet the (k-r)-minor of M' = U^-1 D V^-1
+on the rows S and the columns S' is |T| det U^-1_{S,P} det V^-1_{P,S'},
+P = {1, ..., k-r}, and by Jacobi's complementary-minor identity for the
+unimodular U and V these are +-det U_{P^c,S^c} and +-det V_{S'^c,P^c}.  The
+last r rows of U and the last r columns of V are bases of the left kernel
+and of Ker M', and any other bases, Y* and X*, change those minors by a
+unit.  So |det M'_{S,S'}| = |T| |det Y*_{S^c}| |det X*_{S'^c}|, and
+S^c = I, S'^c = J give delta.  The saturation matters: a delta that is too
+small passes certified_group and the factors multiplying to delta (T = Z/4
+read modulo 2 is Z/2).
+
+The weak group has coordinate rows K_c, factors d_c and lifts l_c for its
+coordinates c = 1..k, the torsion (a divisibility chain of d_c > 1) then
+the free ones (d_c = 0), K_c l_c' = [c = c'] (mod d_c); from here on k
+counts these coordinates, at most the residual's size.
 
 The strong group, by the paper's extension 0 -> Z/g -> Ext_s -> Ext_w -> 0,
 g the kernel generator ({1^T l : (I - A) l = 0} = g Z):
@@ -66,13 +90,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from itertools import chain, compress
 from dataclasses import dataclass, field
 
-from .exactmat import IntMatrix, _spread, _UnitReduction, _unit_reduction, adjugate_solve
-from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _cokernel,
-                   _exact_quotient, _is_dual, _minor, _saturated, _unit_lift, certified_group,
-                   element_order, modular_cokernel)
+from .exactmat import (IntMatrix, _spread, _UnitReduction, _unit_reduction, adjugate_or_kernel,
+                       adjugate_solve, determinant)
+from .fgab import (FgAbelianGroup, GroupElement, ParentMismatchError, _unit_lift,
+                   certified_group, element_order, modular_cokernel)
 
 
 class ValidationError(ValueError):
@@ -228,36 +253,100 @@ def _weak_group(ima: IntMatrix):
     red = _unit_reduction(ima)
     red.certify(ima)
     m, sigma = red.residual, [red.sigma[j] for j in red.cols]
-
-    def orient():  # L 1_N on the residual's rows: the record replayed on 1_N
-        ones = [1] * n
-        for p, rows, fs in red.record:
-            for i, f in zip(rows, fs):
-                ones[i] -= f * ones[p]
-        return [ones[i] for i in red.rows]
-
-    parts = _cokernel(m, [red.sign * v for v in sigma], orient)
-    weak = _transported(red, ima, parts.group)
-    full_x = tuple([red.carry_solution(x) for x in parts.xs])
+    det, u, (j_out, i_out, ys) = adjugate_or_kernel(m.transpose(),
+                                                     [red.sign * v for v in sigma])
+    if det:  # u m = det(ima) sigma', so u kills m modulo |det|, and phi = u with tau = 1^T
+        det *= red.sign
+        weak = _transported(red, ima, modular_cokernel(m, abs(det), u))
+        return det, weak, (), lambda: _through_phi(ima, weak, red.carry_row(u, det), det,
+                                                   [1] * n, 0)
+    k, r = m.rows, len(ys)
+    rows = [i for i in range(k) if i not in i_out]
+    cols = [j for j in range(k) if j not in j_out]
+    m0 = _minor(m.entries, rows, cols)
+    xs = []
+    for j in j_out:  # m x = 0, x = det M_0 e_j on j_out
+        d0, x0 = adjugate_solve(m0, [-m.entries[i][j] for i in rows])
+        x = _spread(k, cols, x0)
+        x[j] = d0
+        xs.append(x)
+    if abs(ys[0][i_out[0]]) != abs(d0):
+        raise ArithmeticError("the kernel bases do not check")
+    ones = [1] * n  # L 1_N on the residual's rows: the record replayed on 1_N
+    for p, lower, fs in red.record:
+        for i, f in zip(lower, fs):
+            ones[i] -= f * ones[p]
+    orient = [ones[i] for i in red.rows]
+    ys = [y if sum(map(operator.mul, y, orient)) <= 0 else [-v for v in y] for y in ys]
+    (xs, alpha), (ys, zs) = _saturated(xs), _saturated(ys)
+    if not _is_dual(alpha, xs):
+        raise ArithmeticError("the kernel basis is not saturated")
+    minor = determinant(_minor(ys, range(r), i_out)) * determinant(_minor(xs, range(r), j_out))
+    delta = _exact_quotient(abs(d0), abs(minor))
+    weak = _transported(red, ima, modular_cokernel(m, delta, (), ys, zs))
+    full_x = tuple([red.carry_solution(x) for x in xs])
     if any(any(ima.mul_vec(x)) for x in full_x):
         raise ArithmeticError("the kernel basis of I - A does not check")
-    det = red.sign * parts.det
-    d0 = det or parts.d0
 
     def strong():
         ts, target = [sum(x) for x in full_x], sigma
-        for t, a in zip(ts, parts.alpha):  # target = tau V on the residual's columns
+        for t, a in zip(ts, alpha):  # target = tau V on the residual's columns
             target = [s - t * v for s, v in zip(target, a)]
         # tau is 1 at the pivot columns and 1 + target - sigma' on the others
         tau = [1 + v for v in _spread(n, red.cols, map(operator.sub, target, sigma))]
-        phi = parts.u
-        if full_x:  # phi m = d0 target on the residual, zero off M_0's rows
-            m0 = _minor(m.entries, parts.rows, parts.cols)
-            phi = _spread(m.rows, parts.rows, adjugate_solve(
-                m0.transpose(), [target[j] for j in parts.cols])[1])
+        # phi m = d0 target on the residual, zero off M_0's rows
+        phi = _spread(k, rows, adjugate_solve(m0.transpose(), [target[j] for j in cols])[1])
         return _through_phi(ima, weak, red.carry_row(phi, d0), d0, tau, math.gcd(*ts))
 
-    return det, weak, full_x, strong
+    return 0, weak, full_x, strong
+
+
+def _exact_quotient(x: int, den: int) -> int:
+    q, r = divmod(x, den)
+    if r:
+        raise ArithmeticError(f"{x} is not divisible by {den}")
+    return q
+
+
+def _minor(entries, rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
+    """The matrix of entries[i][j] for i in rows, j in cols."""
+    return IntMatrix(len(rows), len(cols),
+                     tuple([tuple([entries[i][j] for j in cols]) for i in rows]))
+
+
+def _is_dual(ws, vs) -> bool:
+    """Whether w_i v_j = [i = j] for the rows ws and the vectors vs."""
+    return all(sum(map(operator.mul, wi, v)) == (i == j)
+               for i, wi in enumerate(ws) for j, v in enumerate(vs))
+
+
+def _saturated(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """A basis b_1, ..., b_r of Q V cap Z^N for independent v_1, ..., v_r,
+    and rows w_i with w_i b_j = [i = j]: the r-row form of a content division
+    and _unit_lift(v, 0).  Given b_i and w_i for i < j, p_j = v_j less
+    sum_{i<j} (w_i v_j) b_i is killed by every w_i, so an integral u in the
+    span of v_1, ..., v_j is sum_{i<j} (w_i u) b_i plus a multiple of
+    p_j / content(p_j), which extends the basis; it is v_j itself when that
+    content is 1, so a saturated basis comes back as it is.  _unit_lift of
+    it gives w, which is cleared on b_1, ..., b_{j-1}, and each w_i is
+    cleared on b_j.  The caller checks the rows."""
+    bs, ws = [], []
+    for v in vectors:
+        p = list(v)
+        for wi, bi in zip(ws, bs):
+            c = sum(map(operator.mul, wi, p))
+            p = [x - c * y for x, y in zip(p, bi)]
+        g = math.gcd(*p) or 1
+        p = [x // g for x in p]
+        b = list(v) if g == 1 else p
+        w = _unit_lift(p, 0)
+        for wi, bi in zip(ws, bs):
+            e = sum(map(operator.mul, w, bi))
+            w = [x - e * y for x, y in zip(w, wi)]
+        ws = [[x - c * y for x, y in zip(wi, w)]
+              for c, wi in zip([sum(map(operator.mul, wi, b)) for wi in ws], ws)] + [w]
+        bs.append(b)
+    return bs, ws
 
 
 def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> FgAbelianGroup:
@@ -319,7 +408,7 @@ def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAb
     y_c d_c = y_0 s_c, so y_0 is a multiple of L = lcm_c d_c / gcd(s_c, d_c),
     and y = _relation_kernel_row has y_0 = L.  It is primitive: p^a exactly
     dividing L does so in some d_c / gcd(s_c, d_c), and then p divides
-    neither L / (d_c / gcd) nor s_c / gcd.  fgab's
+    neither L / (d_c / gcd) nor s_c / gcd.  The weak group's
     delta = |det M_0| / (|det Y*_I| |det X*_J|), with I row 0 and the zero
     rows, J column t and the zero columns, is prod d_c / L: M_0 = diag(d_c)
     and X* the unit columns on J.  y is not saturated, as content division

@@ -2,14 +2,16 @@
 normal form of the whole matrix: column-lattice predicates, integer kernels
 and the exact Smith form with unimodular transforms (snf), whose cokernel
 (smith_cokernel) the tests hold the package's groups against.  cokernel
-takes any presentation through the package's own engine, fgab._cokernel."""
+takes any presentation through the package's own weak-group reading,
+invariants._weak_group."""
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index, mul
 
 from ckext.exactmat import DimensionMismatchError, IntMatrix, hnf_columns
-from ckext.fgab import FgAbelianGroup, _cokernel
+from ckext.fgab import FgAbelianGroup
+from ckext.invariants import _weak_group
 
 
 class NotUnimodularError(ValueError):
@@ -190,15 +192,16 @@ def smith_cokernel(m: IntMatrix) -> FgAbelianGroup:
 
 
 def cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """Z^n / (column lattice of m) for an n x c matrix m, read by fgab._cokernel
-    off m made square: a wide m is replaced by hnf_columns(m), a basis of the
-    same lattice, a narrow one padded with zero columns.  A left-kernel row y
-    is negated unless y_1 >= 0, so [e_1] has free coordinates >= 0 when at
-    most one row has y_1 != 0."""
+    """Z^n / (column lattice of m) for an n x c matrix m, read by
+    invariants._weak_group off m made square: a wide m is replaced by
+    hnf_columns(m), a basis of the same lattice, a narrow one padded with
+    zero columns.  _weak_group first runs the unit reduction L m V = S on
+    it, and a left-kernel row y of its residual is negated unless
+    y L 1 <= 0, so [1_n] has a free coordinate <= 0 when the free rank is 1."""
     n = m.rows
     narrow = hnf_columns(m) if m.cols > n else m
     square = IntMatrix(n, n, tuple([row + (0,) * (n - narrow.cols) for row in narrow.entries]))
-    g = _cokernel(square, [1] * n, lambda: [-(i == 0) for i in range(n)]).group
+    g = _weak_group(square)[1]
     return FgAbelianGroup(m, g.coords, g.lift, g.factors)
 
 

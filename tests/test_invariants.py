@@ -237,7 +237,7 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
     coordinate row of the residual's U modulo |det| off by one, where
     gcd(w, |det|) > 1; where it is 1 (A1) the weak group is read off u and
     the modular Smith form of the residual is never run."""
-    real_solve, real_mod = fgab.adjugate_or_kernel, fgab._smith_mod
+    real_solve, real_mod = invariants.adjugate_or_kernel, fgab._smith_mod
 
     # Z/3 from w; (Z/2)^2 and Z/2 + Z/20 from the modular Smith form
     for rows, by_w in ((A1, True), (A3, False), (random_valid_rows(random.Random(4), 9), False)):
@@ -264,7 +264,7 @@ def test_tampered_weak_witness_is_refused(monkeypatch):
                 u_rows[0][j] += 1
                 return factors, u_rows, u_inv_cols
 
-            fakes = [(fgab, "adjugate_or_kernel", bumped_w)]
+            fakes = [(invariants, "adjugate_or_kernel", bumped_w)]
             if not by_w:
                 fakes.append((fgab, "_smith_mod", bumped_u))
             for module, name, fake in fakes:
@@ -624,7 +624,7 @@ def test_a_torsion_order_too_small_is_refused(monkeypatch, rows):
     a = validate(rows)
     order = math.prod(invariants_report(a).extw_group.torsion)
     p = next(q for q in range(2, order + 1) if order % q == 0)
-    real, real_modular = fgab._saturated, fgab.modular_cokernel
+    real, real_modular = invariants._saturated, invariants.modular_cokernel
     deltas = []
 
     def recording(m, delta, *args):
@@ -640,15 +640,16 @@ def test_a_torsion_order_too_small_is_refused(monkeypatch, rows):
             ws[0][next(i for i, x in enumerate(bs[0]) if x)] += 1
         return bs, ws
 
-    monkeypatch.setattr(fgab, "modular_cokernel", recording)
+    monkeypatch.setattr(invariants, "modular_cokernel", recording)
     for call, how in ((2, "basis"), (1, "witness"), (2, "witness")):
         calls = []
-        monkeypatch.setattr(fgab, "_saturated",
+        monkeypatch.setattr(invariants, "_saturated",
                             lambda v, call=call, how=how: tampered(v, call, how))
         with pytest.raises(ArithmeticError):
             invariants_report(a)
+        assert len(calls) >= call
     assert deltas == [order // p, order]
-    monkeypatch.setattr(fgab, "_saturated", real)
+    monkeypatch.setattr(invariants, "_saturated", real)
     assert invariants_report(a).extw_group.free_rank >= 1
 
 
@@ -803,17 +804,19 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
     names = ("snf", "SmithDecomposition", "_certify_reduction", "NotUnimodularError")
     assert not any(hasattr(module, name) for module in (ckext, exactmat, fgab, invariants,
                                                         markediso) for name in names)
-    seen = []
+    seen, reached = [], set()
 
-    def recording(name, real):
+    def recording(module, name, real):
         def wrapped(m, *args):
             seen.append((name, m.rows, m.cols))
+            reached.add((module, name))
             return real(m, *args)
         return wrapped
 
-    for module, name in ((exactmat, "adjugate_or_kernel"), (fgab, "adjugate_or_kernel"),
-                         (fgab, "_smith_mod")):
-        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    patched = ((exactmat, "adjugate_or_kernel"), (invariants, "adjugate_or_kernel"),
+               (fgab, "_smith_mod"))
+    for module, name in patched:
+        monkeypatch.setattr(module, name, recording(module, name, getattr(module, name)))
     inputs = [A1, A3, random_valid_rows(random.Random(4), 20), singular_draw(0, 20),
               random_valid_rows(random.Random(1892), 6), TORSION_SINGULAR[3]]
     for rows in inputs:
@@ -829,6 +832,7 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
                 assert r == c <= k
             else:
                 assert r in (k, relation)
+    assert reached == set(patched)
 
 
 def _iota_free_coords_are_nonnegative(a):

@@ -1,10 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ckext"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements_in_package():
@@ -106,3 +109,52 @@ def test_only_the_bruteforce_oracle_uses_the_addition_table():
                 if name in oracle_only:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"oracle helpers used outside marked_iso_bruteforce: {found}"
+
+
+def _package_has(module: str, name: str | None = None) -> bool:
+    """Whether ckext has the module, and the module the name (an attribute
+    or a submodule)."""
+    try:
+        mod = importlib.import_module(module)
+        return name is None or hasattr(mod, name) or bool(
+            importlib.util.find_spec(f"{module}.{name}"))
+    except ImportError:  # find_spec raises it too when module is no package
+        return False
+
+
+def test_the_benchmark_finds_what_it_uses_in_the_package():
+    """The benchmark under perfbench/ (read here, never changed) reaches the
+    package by imports, by importlib.import_module and by the tracer's
+    layers and methods.  Every name it imports from ckext.* exists, every
+    module of tracer.LAYERS exists, and every method of tracer.METHODS sits
+    in its class's own __dict__, as Tracer.install reads vars(owner)[attr]:
+    a rename in the package fails here, not in a benchmark run."""
+    found, constants = [], {}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                wants = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                wants = [(alias.name, None) for alias in node.names]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "import_module" and node.args
+                  and isinstance(node.args[0], ast.Constant)):
+                wants = [(node.args[0].value, None)]
+            else:
+                wants = []
+            found += [f"{path.name}:{node.lineno} {module}{'.' + name if name else ''}"
+                      for module, name in wants
+                      if module.partition(".")[0] == "ckext" and not _package_has(module, name)]
+            if (path.name == "tracer.py" and isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id in ("LAYERS", "METHODS")):
+                constants[node.targets[0].id] = ast.literal_eval(node.value)
+    assert set(constants) == {"LAYERS", "METHODS"}, "tracer.py no longer names its layers"
+    found += [f"tracer.LAYERS {layer}" for layer in constants["LAYERS"]
+              if not _package_has(f"ckext.{layer}")]
+    for layer, cls, attr, _ in constants["METHODS"]:
+        owner = getattr(importlib.import_module(f"ckext.{layer}"), cls, None)
+        if owner is None or attr not in vars(owner):
+            found.append(f"tracer.METHODS {layer}.{cls}.{attr}")
+    assert not found, f"the benchmark uses names the package does not have: {found}"
