@@ -6,9 +6,12 @@ PARENT and CHANGE are checkouts of this repository.  For each tree, in this
 one process, ckext is imported afresh from TREE/src and cli.main runs every
 op of the three pools of CHANGE/perfbench/inputs.py at seed S (default 1),
 then ``examples`` and ``compare`` over every ordered pair of corpus entries,
+then ``compute --verify`` on the tied-column draws of
+CHANGE/tests/conftest.py (N = 10, 20, 30 with 2, 3 and 4 tied column pairs,
+drawn at seed S), whose I - A has corank 2 to 4, which no pool reaches;
 each once with structured output and once with ``--format text``, with
-stdout captured.  inputs.py is only read; the matrices are written to a
-temporary directory.
+stdout captured.  inputs.py and conftest.py are only read; the matrices are
+written to a temporary directory.
 
 Each op whose exit code or stdout differs is printed.  For a compute
 document the differing top-level keys are named, and when ``exts`` differs
@@ -48,9 +51,8 @@ def load_ckext(tree: Path):
     return cli
 
 
-def load_inputs(tree: Path):
-    path = tree / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+def load_module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -79,8 +81,9 @@ def run(cli, argv: list[str]) -> tuple[object, str]:
 
 def build_ops(change: Path, seed: int, workdir: Path) -> dict[str, list[str]]:
     """Every op to run, by a readable key: the pools' ops, then examples and
-    compare over every ordered pair of corpus entries, in both formats."""
-    inputs = load_inputs(change)
+    compare over every ordered pair of corpus entries and compute --verify
+    on the tied-column draws, in both formats."""
+    inputs = load_module(change / "perfbench" / "inputs.py", "perfbench_inputs")
     ops = {}
     for pool_name, make in inputs.POOLS.items():
         pool = make(random.Random(seed))
@@ -92,11 +95,19 @@ def build_ops(change: Path, seed: int, workdir: Path) -> dict[str, list[str]]:
     load_ckext(change)
     corpus = importlib.import_module("ckext.corpus").CORPUS
     paths = {e.name: write_matrix(workdir / "corpus" / f"{e.name}.txt", e.rows) for e in corpus}
+    draws = load_module(change / "tests" / "conftest.py", "ckext_conftest")  # imports ckext
+    tied = {}
+    for n, r in itertools.product((10, 20, 30), (2, 3, 4)):
+        rows = draws.random_valid_rows(random.Random(seed), n)
+        rows = draws.tied_columns(rows, [(2 * i, 2 * i + 1) for i in range(r)])
+        tied[f"t{n}:{seed}:{r}"] = write_matrix(workdir / "tied" / f"t{n}_{r}.txt", rows)
     for fmt in ([], ["--format", "text"]):
         suffix = " ".join(["", *fmt])
         ops[f"corpus: examples{suffix}"] = ["examples", *fmt]
         for a, b in itertools.product(paths, repeat=2):
             ops[f"corpus: compare {a} {b}{suffix}"] = ["compare", paths[a], paths[b], *fmt]
+        for name, path in tied.items():
+            ops[f"tied: compute --verify {name}{suffix}"] = ["compute", path, "--verify", *fmt]
     return ops
 
 

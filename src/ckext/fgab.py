@@ -8,11 +8,11 @@ Y of its left kernel, a right inverse Z of Y and the order delta of the
 torsion, takes the free coordinates from Y and the torsion from the Smith
 form of [M | Z] modulo delta, or, when r = 0, off a row w with
 gcd(w, delta) = 1 that kills M modulo delta.  invariants._weak_group
-finds those inputs for the residual of I - A by one Bareiss pass;
+reads those inputs for the residual of I - A off its Bareiss passes;
 invariants' strong relation matrix and markediso's quotients know them in
-closed form.  ``certified_group`` checks the result, entry by entry; it
-also serves a caller that carries a group over from a smaller presentation
-with the same cokernel, as invariants does from the residual of I - A.
+closed form.  It returns the coordinate map, lift and factors unchecked;
+each caller certifies them once (``certified_group``, entry by entry)
+against the presentation it reports, I - A or I - A^ for invariants.
 
 Canonical coordinates depend on the (non-unique) coordinate map, so raw
 coordinates of the *same abstract group* computed from *different*
@@ -143,19 +143,19 @@ class GroupElement:
 
 def modular_cokernel(m: IntMatrix, delta: int, w: Sequence[int] = (),
                      ys: Sequence[Sequence[int]] = (), zs: Sequence[Sequence[int]] = ()
-                     ) -> FgAbelianGroup:
-    """Z^N / (column lattice of m) = Z^r + T for a square m of rank N - r,
-    given the order delta > 0 of T, rows ys with ys m = 0, columns zs with
-    ys zs = I_r and, when r = 0, a row w with w m = 0 (mod delta).
+                     ) -> tuple[IntMatrix, IntMatrix, tuple[int, ...]]:
+    """(coords, lift, factors) of Z^N / m Z^N = Z^r + T for a square m of
+    rank N - r, given the order delta > 0 of T, rows ys with ys m = 0,
+    columns zs with ys zs = I_r and, when r = 0, a row w with w m = 0 (mod delta).
 
     v -> ys v is onto Z^r, split by zs, so T = Z^N / (m Z^N + zs Z^r), which
     holds delta Z^N.  When gcd(w_1, ..., w_N, delta) = 1, v -> w v mod delta
     is onto Z/delta = T, with a lift g, w g = 1 (mod delta).  Otherwise the
     Smith form of [m | zs] modulo delta gives T, each lift g moved to
-    g - zs (ys g) so that ys kills it.  certified_group and the factors
-    multiplying to delta make the coordinate map an onto map
-    Z^r + T -> Z^r + T' with |T'| = |T|, whose kernel, finite and so inside
-    T, is then 0.
+    g - zs (ys g) so that ys kills it.  The factors multiplying to delta,
+    checked here, and the caller's certified_group make the coordinate map
+    an onto map Z^r + T -> Z^r + T' with |T'| = |T|, whose kernel, finite
+    and so inside T, is then 0.
     """
     if math.gcd(delta, *w) == 1:
         factors = (delta,)
@@ -171,9 +171,8 @@ def modular_cokernel(m: IntMatrix, delta: int, w: Sequence[int] = (),
     torsion = tuple(f for f in factors if f > 1)
     coords = [tuple([x % f for x in row])  # from a list: see IntMatrix.from_rows
               for f, row in zip(torsion, u_rows)] + [tuple(y) for y in ys]
-    return certified_group(m, IntMatrix(len(coords), m.cols, tuple(coords)),
-                           IntMatrix.from_columns([*lifts, *zs], rows=m.rows),
-                           torsion + (0,) * len(ys))
+    return (IntMatrix(len(coords), m.cols, tuple(coords)),
+            IntMatrix.from_columns([*lifts, *zs], rows=m.rows), torsion + (0,) * len(ys))
 
 
 def _unit_lift(w: Sequence[int], d: int) -> list[int]:

@@ -26,19 +26,20 @@ the residual's columns.  Every elimination below runs on M' or a minor of
 it; rows, lifts and kernel vectors are carried back (_UnitReduction), and
 every certificate is checked on I - A itself.
 
-The weak group Z^k / M' Z^k = Z^r + T, M' of rank k - r, is read off one
+The weak group Z^k / M' Z^k = Z^r + T, M' of rank k - r, is read off the
 Bareiss pass of [M'^T | b], b = sign sigma' (sign = det(I - A) / det M';
 exactmat.adjugate_or_kernel), by fgab.modular_cokernel (_weak_group).
 When det M' != 0 it gives u = adj(M'^T) b, u M' = det(I - A) sigma'^T,
 which kills M' modulo delta = |det M'|; carried back, u is
 w = 1^T adj(I - A), and gcd(w, D) = gcd(u, D) for D = |det(I - A)|.
 Otherwise it names a nonsingular (k-r)-minor M_0 of M', without the rows
-I and the columns J, and r rows Y with Y M' = 0, +-det M_0 I_r on I; r
-solves on M_0 give X with M' X = 0, det M_0 I_r on J.  Each row y of Y is
-negated unless y L 1_N, its row sum carried back, is <= 0 (at r = 1,
--[1_N] then has a nonnegative free coordinate).  The saturations X* and Y*
-(_saturated) are bases of Ker M' and of the left kernel, with witnesses
-alpha X* = I_r, checked, and Y* Z = I_r, checked by certified_group, and
+I and the columns J, and r rows Y with Y M' = 0, +-det M_0 I_r on I; a
+Bareiss pass of M' gives X with M' X = 0, checked to have r columns.  Each
+row y of Y is negated unless sum(y L), its row carried back, is <= 0 (at
+r = 1, -[1_N] then has a nonnegative free coordinate).  The saturations X*
+and Y* (_saturated) are bases of Ker M' and of the left kernel, with
+witnesses alpha X* = I_r, checked, and Y* Z = I_r, checked by
+certified_group on I - A (_transported), and
 
     delta = |T| = |det M_0| / (|det Y*_I| |det X*_J|).
 
@@ -49,10 +50,10 @@ P = {1, ..., k-r}, and by Jacobi's complementary-minor identity for the
 unimodular U and V these are +-det U_{P^c,S^c} and +-det V_{S'^c,P^c}.  The
 last r rows of U and the last r columns of V are bases of the left kernel
 and of Ker M', and any other bases, Y* and X*, change those minors by a
-unit.  So |det M'_{S,S'}| = |T| |det Y*_{S^c}| |det X*_{S'^c}|, and
-S^c = I, S'^c = J give delta.  The saturation matters: a delta that is too
-small passes certified_group and the factors multiplying to delta (T = Z/4
-read modulo 2 is Z/2).
+unit.  So |det M'_{S,S'}| = |T| |det Y*_{S^c}| |det X*_{S'^c}| for any
+bases, and S^c = I, S'^c = J give delta.  The saturation matters: a delta
+that is too small passes certified_group and the factors multiplying to
+delta (T = Z/4 read modulo 2 is Z/2).
 
 The weak group has coordinate rows K_c, factors d_c and lifts l_c for its
 coordinates c = 1..k, the torsion (a divisibility chain of d_c > 1) then
@@ -253,37 +254,24 @@ def _weak_group(ima: IntMatrix):
     red = _unit_reduction(ima)
     red.certify(ima)
     m, sigma = red.residual, [red.sigma[j] for j in red.cols]
-    det, u, (j_out, i_out, ys) = adjugate_or_kernel(m.transpose(),
-                                                     [red.sign * v for v in sigma])
+    mt = m.transpose()
+    det, u, (j_out, i_out, ys) = adjugate_or_kernel(mt, [red.sign * v for v in sigma])
     if det:  # u m = det(ima) sigma', so u kills m modulo |det|, and phi = u with tau = 1^T
         det *= red.sign
-        weak = _transported(red, ima, modular_cokernel(m, abs(det), u))
+        weak = _transported(red, ima, *modular_cokernel(m, abs(det), u))
         return det, weak, (), lambda: _through_phi(ima, weak, red.carry_row(u, det), det,
                                                    [1] * n, 0)
-    k, r = m.rows, len(ys)
-    rows = [i for i in range(k) if i not in i_out]
-    cols = [j for j in range(k) if j not in j_out]
-    m0 = _minor(m.entries, rows, cols)
-    xs = []
-    for j in j_out:  # m x = 0, x = det M_0 e_j on j_out
-        d0, x0 = adjugate_solve(m0, [-m.entries[i][j] for i in rows])
-        x = _spread(k, cols, x0)
-        x[j] = d0
-        xs.append(x)
-    if abs(ys[0][i_out[0]]) != abs(d0):
+    k, r, d0 = m.rows, len(ys), abs(ys[0][i_out[0]])  # |det M_0|, before ys is saturated
+    xs = adjugate_or_kernel(m)[2][2]
+    if len(xs) != r:
         raise ArithmeticError("the kernel bases do not check")
-    ones = [1] * n  # L 1_N on the residual's rows: the record replayed on 1_N
-    for p, lower, fs in red.record:
-        for i, f in zip(lower, fs):
-            ones[i] -= f * ones[p]
-    orient = [ones[i] for i in red.rows]
-    ys = [y if sum(map(operator.mul, y, orient)) <= 0 else [-v for v in y] for y in ys]
+    ys = [y if sum(red.carry_row(y)) <= 0 else [-v for v in y] for y in ys]  # by y L 1_N
     (xs, alpha), (ys, zs) = _saturated(xs), _saturated(ys)
     if not _is_dual(alpha, xs):
         raise ArithmeticError("the kernel basis is not saturated")
     minor = determinant(_minor(ys, range(r), i_out)) * determinant(_minor(xs, range(r), j_out))
-    delta = _exact_quotient(abs(d0), abs(minor))
-    weak = _transported(red, ima, modular_cokernel(m, delta, (), ys, zs))
+    delta = _exact_quotient(d0, abs(minor))
+    weak = _transported(red, ima, *modular_cokernel(m, delta, (), ys, zs))
     full_x = tuple([red.carry_solution(x) for x in xs])
     if any(any(ima.mul_vec(x)) for x in full_x):
         raise ArithmeticError("the kernel basis of I - A does not check")
@@ -294,9 +282,12 @@ def _weak_group(ima: IntMatrix):
             target = [s - t * v for s, v in zip(target, a)]
         # tau is 1 at the pivot columns and 1 + target - sigma' on the others
         tau = [1 + v for v in _spread(n, red.cols, map(operator.sub, target, sigma))]
-        # phi m = d0 target on the residual, zero off M_0's rows
-        phi = _spread(k, rows, adjugate_solve(m0.transpose(), [target[j] for j in cols])[1])
-        return _through_phi(ima, weak, red.carry_row(phi, d0), d0, tau, math.gcd(*ts))
+        # phi m = den target on the residual, zero off M_0's rows
+        rows = [i for i in range(k) if i not in i_out]
+        cols = [j for j in range(k) if j not in j_out]
+        den, phi = adjugate_solve(_minor(mt.entries, cols, rows), [target[j] for j in cols])
+        return _through_phi(ima, weak, red.carry_row(_spread(k, rows, phi), den), den, tau,
+                            math.gcd(*ts))
 
     return 0, weak, full_x, strong
 
@@ -349,17 +340,20 @@ def _saturated(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
     return bs, ws
 
 
-def _transported(red: _UnitReduction, ima: IntMatrix, local: FgAbelianGroup) -> FgAbelianGroup:
-    """The group `local` of the residual carried to Z^N / ima Z^N: a coordinate
-    row K becomes K L, zero at the pivot rows, and a lift keeps its entries on
-    the residual's rows, zero at the pivot rows.  Checked by certified_group
-    against ima."""
+def _transported(red: _UnitReduction, ima: IntMatrix, coords: IntMatrix, lift: IntMatrix,
+                 factors: tuple[int, ...]) -> FgAbelianGroup:
+    """The residual's group in modular_cokernel's coordinates, carried to
+    Z^N / ima Z^N: a coordinate row K becomes K L, zero at the pivot rows,
+    and a lift keeps its entries on the residual's rows, zero at the pivot
+    rows.  Certified against ima only, the same check as against M': with K
+    zero at the pivot rows, K L ima = K S V^-1 (_UnitReduction) is K M' on
+    the residual's columns, 0 on the pivot ones, times a unimodular V^-1,
+    and L fixes such a lift l, so K L l = K l."""
     return certified_group(
-        ima, IntMatrix(len(local.factors), ima.cols,
-                       tuple([red.carry_row(row) for row in local.coords.entries])),
-        IntMatrix.from_columns([red.carry_lift(col) for col in local.lift.columns()],
-                               rows=ima.rows),
-        local.factors)
+        ima, IntMatrix(len(factors), ima.cols,
+                       tuple([red.carry_row(row) for row in coords.entries])),
+        IntMatrix.from_columns([red.carry_lift(col) for col in lift.columns()], rows=ima.rows),
+        factors)
 
 
 def extw(a: ZeroOneMatrix) -> FgAbelianGroup:
@@ -413,10 +407,13 @@ def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAb
     rows, J column t and the zero columns, is prod d_c / L: M_0 = diag(d_c)
     and X* the unit columns on J.  y is not saturated, as content division
     would repair a wrong L, whose delta, too small, passes the torsion
-    check; certified_group checks y R = 0 and y Z = 1 exactly, and the class
-    map K_R Phi and the lift Psi L_R against I - A^.  iota(1) has free
-    coordinates (L, 0, ..., 0) when g = 0, 0 otherwise, and the last f free
-    coordinates of a class are its weak ones."""
+    check.  R is not certified, as no output depends on it: K_R and L_R
+    reach the report only as K_R Phi and Psi L_R, which certified_group
+    checks against I - A^.  Psi inverts Phi on the cokernels, so
+    Phi Psi = I + R W, W integral; with y R = 0, checked here, the exact
+    check of y Phi on Psi Z is y Z = 1, so y is primitive and y_0 = L
+    (delta > 0).  iota(1) has free coordinates (L, 0, ..., 0) when g = 0, 0
+    otherwise, and the last f free coordinates of a class are its weak ones."""
     d, f = weak.torsion, weak.free_rank
     t, n = len(d), 1 + len(weak.factors)
     rel = IntMatrix(n, n, tuple([tuple([-x for x in s] + [g] + [0] * f)]
@@ -427,12 +424,13 @@ def _strong_group(ima: IntMatrix, weak: FgAbelianGroup, s, phi0, g: int) -> FgAb
         delta = g * math.prod(d)
     else:
         y = _relation_kernel_row(s, d)
+        if any(yc * dc != y[0] * sc for yc, dc, sc in zip(y[1:], d, s)):
+            raise ArithmeticError("the relation kernel row does not kill R")
         ys, delta = [y + [0] * f] + ys, _exact_quotient(math.prod(d), y[0])
-    group = modular_cokernel(rel, delta, (), ys, [_unit_lift(y, 0) for y in ys])
+    coords, lift, factors = modular_cokernel(rel, delta, (), ys, [_unit_lift(y, 0) for y in ys])
     phi = IntMatrix(n, ima.cols, (tuple(phi0),) + weak.coords.entries)
     psi = IntMatrix.from_columns([ima.column(0)] + weak.lift.columns(), rows=ima.rows)
-    return certified_group(_i_minus_hat(ima, 1), group.coords @ phi, psi @ group.lift,
-                           group.factors)
+    return certified_group(_i_minus_hat(ima, 1), coords @ phi, psi @ lift, factors)
 
 
 def iota_hat(a: ZeroOneMatrix, m: int) -> GroupElement:
@@ -613,10 +611,10 @@ class ExtInvariantReport:
         must agree with the order of iota(1) and with the report's g.  The
         report's kernel basis x_1, ..., x_r has (I - A) x_i = 0 and an
         integral alpha with alpha x_i = e_i, both checked here, so it spans a
-        saturated lattice, and I - A has a nonzero (N-r)-minor, checked when
-        the report was built, so Ker(I - A) = sum Z x_i and
-        Im(s) = gcd(1^T x_1, ..., 1^T x_r) Z (0 when det(I - A) != 0, r = 0).
-        """
+        saturated lattice, and I - A has rank N - r, on which the Bareiss
+        passes of the residual and its transpose agreed when the report was
+        built, so Ker(I - A) = sum Z x_i and Im(s) = gcd(1^T x_1, ...,
+        1^T x_r) Z (0 when det(I - A) != 0, r = 0)."""
         ima, xs = self.i_minus_a, self.kernel
         factorises = self.exts_group.presentation.columns() == _minus_first(ima.columns())
         im_s = math.gcd(*map(sum, xs))

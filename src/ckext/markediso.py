@@ -228,10 +228,10 @@ def _quotient(x: GroupElement) -> tuple[int, tuple[int, ...]]:
     g, c = x.parent, math.gcd(*x.free_coords)
     m = _presentation(g.torsion, 1, (*x.torsion_coords, c))
     if c:
-        q = modular_cokernel(m, c * math.prod(g.torsion))
+        delta, ys = c * math.prod(g.torsion), []
     else:
-        et = [int(i == m.rows - 1) for i in range(m.rows)]
-        q = modular_cokernel(m, math.prod(g.torsion) // element_order(x), ys=[et], zs=[et])
+        delta, ys = math.prod(g.torsion) // element_order(x), [[0] * len(g.torsion) + [1]]
+    q = certified_group(m, *modular_cokernel(m, delta, (), ys, ys))
     return g.free_rank - 1 + q.free_rank, q.torsion
 
 

@@ -835,6 +835,59 @@ def test_normal_forms_see_only_the_residual(monkeypatch):
     assert reached == set(patched)
 
 
+def test_each_group_is_certified_once_on_its_reported_presentation(monkeypatch):
+    """A report certifies two groups, each once and against the presentation
+    it is reported for: the weak group against I - A and the strong group
+    against I - A^_1, never the residual of the unit reduction or the strong
+    relation matrix.  ck_isomorphic(a, a) certifies the two transposed weak
+    groups and the two quotients G/<x>, four in all."""
+    presentations = []
+    real = fgab.certified_group
+
+    def recording(presentation, *args):
+        presentations.append(presentation)
+        return real(presentation, *args)
+
+    for module in (fgab, invariants, markediso):
+        monkeypatch.setattr(module, "certified_group", recording)
+    draws = [A1, A3, random_valid_rows(random.Random(4), 20), singular_draw(0, 20),
+             tied_columns(random_valid_rows(random.Random(0), 20), TWO_PAIRS)]
+    for rows in draws:
+        a = validate(rows)
+        ima = invariants._identity_minus(a)
+        presentations.clear()
+        invariants_report(a)
+        assert presentations == [ima, invariants._i_minus_hat(ima, 1)]
+        presentations.clear()
+        assert markediso.ck_isomorphic(a, a)
+        assert len(presentations) == 4
+
+
+def test_eliminations_per_report_do_not_grow_with_the_corank(monkeypatch):
+    """A report on I - A of corank r runs five Bareiss eliminations, whatever
+    r is: the pass of the residual's transpose, one pass of the residual for
+    its kernel, the determinants of the two saturated bases on I and J, and
+    the phi solve on M_0^T.  A nonsingular I - A runs the first pass only."""
+    calls = []
+    real = exactmat.adjugate_or_kernel
+
+    def counting(m, *args):
+        calls.append(m.rows)
+        return real(m, *args)
+
+    for module in (exactmat, invariants):
+        monkeypatch.setattr(module, "adjugate_or_kernel", counting)
+    base = random_valid_rows(random.Random(0), 20)
+    for pairs in (1, 2, 3, 4, 6):
+        a = validate(tied_columns(base, [(2 * i, 2 * i + 1) for i in range(pairs)]))
+        calls.clear()
+        assert invariants_report(a).extw_group.free_rank == pairs
+        assert len(calls) == 5
+    calls.clear()
+    assert invariants_report(validate(base)).det_i_minus_a
+    assert len(calls) == 1
+
+
 def _iota_free_coords_are_nonnegative(a):
     """iota(1) has free coordinates (L, 0, ..., 0), L > 0, when g = 0, where
     it has infinite order, and 0 otherwise (invariants._strong_group)."""
@@ -913,8 +966,8 @@ def test_a_wrong_relation_kernel_row_is_refused(monkeypatch, rows):
     """With g = 0 the strong group rests on y = (L, L s_c / d_c).  y times a
     prime p dividing some d_c, whose delta prod d_c / (L p) is too small, and
     y with any one entry off by one make invariants_report raise
-    ArithmeticError: y R = 0 or y Z = 1 fails in certified_group, or delta
-    is not an integer."""
+    ArithmeticError: y R = 0 fails in _strong_group, y Z = 1 in
+    certified_group against I - A^, or delta is not an integer."""
     a = validate(rows)
     rep = invariants_report(a)
     ds = rep.extw_group.torsion
@@ -937,6 +990,21 @@ def test_a_wrong_relation_kernel_row_is_refused(monkeypatch, rows):
                             lambda s, d, tamper=tamper: tamper(real(s, d)))
         with pytest.raises(ArithmeticError):
             invariants_report(a)
+
+
+def test_the_relation_kernel_row_is_checked_to_kill_r(monkeypatch):
+    """The certificate against I - A^ proves delta only for a y with y R = 0,
+    so _strong_group checks that apart, before any certificate runs: y with
+    its second entry off by one is refused there."""
+    real = invariants._relation_kernel_row
+
+    def tampered(s, d):
+        y = real(s, d)
+        return [y[0], y[1] + 1, *y[2:]]
+
+    monkeypatch.setattr(invariants, "_relation_kernel_row", tampered)
+    with pytest.raises(ArithmeticError, match="does not kill R"):
+        invariants_report(validate(A2))
 
 
 def test_kernel_generator_matches_kernel_sums():
